@@ -137,8 +137,7 @@ impl<'a> ReactorCtx<'a> {
     /// this context, it is phantom-safe: the traversed index-node versions
     /// join the transaction's node set and are re-validated at commit.
     pub fn scan(&self, relation: &str) -> Result<Vec<(Key, Tuple)>> {
-        let table = self.partition.table(self.reactor_id, relation)?;
-        self.occ.lock().scan(&table)
+        self.scan_limit(relation, .., usize::MAX)
     }
 
     /// Range scan over the primary key.
@@ -148,8 +147,7 @@ impl<'a> ReactorCtx<'a> {
         low: Bound<&Key>,
         high: Bound<&Key>,
     ) -> Result<Vec<(Key, Tuple)>> {
-        let table = self.partition.table(self.reactor_id, relation)?;
-        self.occ.lock().scan_range(&table, low, high)
+        self.scan_limit(relation, (low, high), usize::MAX)
     }
 
     /// Bounded scan with range sugar: accepts any [`RangeBounds`] over
@@ -163,7 +161,46 @@ impl<'a> ReactorCtx<'a> {
     where
         R: RangeBounds<Key>,
     {
-        self.scan_range(relation, range.start_bound(), range.end_bound())
+        self.scan_limit(relation, range, usize::MAX)
+    }
+
+    /// The first `n` visible rows of `range` in primary-key order — "the
+    /// oldest pending order", "the next ten". The scan stops at the `n`-th
+    /// row: it reads, and validates at commit, only the slots and index
+    /// nodes up to there, so a concurrent insert past the last row
+    /// returned does not abort the caller, and the rest of the range costs
+    /// nothing.
+    pub fn scan_limit<R>(&self, relation: &str, range: R, n: usize) -> Result<Vec<(Key, Tuple)>>
+    where
+        R: RangeBounds<Key>,
+    {
+        self.scan_walk(relation, range, n, false)
+    }
+
+    /// The last `n` visible rows of `range`, in descending primary-key
+    /// order — [`ReactorCtx::scan_limit`] walking down from the upper
+    /// bound ("the most recent entry").
+    pub fn scan_limit_rev<R>(&self, relation: &str, range: R, n: usize) -> Result<Vec<(Key, Tuple)>>
+    where
+        R: RangeBounds<Key>,
+    {
+        self.scan_walk(relation, range, n, true)
+    }
+
+    fn scan_walk<R>(
+        &self,
+        relation: &str,
+        range: R,
+        n: usize,
+        reverse: bool,
+    ) -> Result<Vec<(Key, Tuple)>>
+    where
+        R: RangeBounds<Key>,
+    {
+        let table = self.partition.table(self.reactor_id, relation)?;
+        self.occ
+            .lock()
+            .scan_limit(&table, range.start_bound(), range.end_bound(), n, reverse)
     }
 
     /// Rows matching a predicate (a scan with a filter applied).
@@ -455,6 +492,16 @@ mod tests {
         );
         assert_eq!(c.scan_bounded("orders", Key::Int(4)..).unwrap().len(), 2);
         assert_eq!(c.scan_bounded("orders", ..=Key::Int(2)).unwrap().len(), 3);
+        let wallets =
+            |rows: Vec<(Key, Tuple)>| rows.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(
+            wallets(c.scan_limit("orders", Key::Int(2).., 2).unwrap()),
+            vec![Key::Int(2), Key::Int(3)]
+        );
+        assert_eq!(
+            wallets(c.scan_limit_rev("orders", ..Key::Int(5), 1).unwrap()),
+            vec![Key::Int(4)]
+        );
         let evens = c
             .select_bounded("orders", Key::Int(0)..=Key::Int(3), |t| {
                 t.at(2) == &Value::Bool(true)

@@ -427,6 +427,8 @@ impl ReactDB {
         for (name, value) in [
             ("txn_cc_aborts", stats.cc_aborts()),
             ("scan_ops", stats.scan_ops()),
+            ("scan_slots_visited", stats.scan_slots_visited()),
+            ("scan_rows_returned", stats.scan_rows_returned()),
             ("sub_txns_dispatched", stats.sub_txns_dispatched()),
             ("sub_txns_inlined", stats.sub_txns_inlined()),
             ("client_committed", stats.client_committed()),
@@ -1005,9 +1007,7 @@ impl Inner {
                     Err(e) => {
                         // Nothing was installed; drop the buffered
                         // participants — but still account their scan work.
-                        let participants = root.take_participants();
-                        self.stats
-                            .record_scan_ops(participants.iter().map(|p| p.scan_count()).sum());
+                        self.stats.record_scans(&root.take_participants());
                         Err(e)
                     }
                 };
@@ -1050,8 +1050,7 @@ impl Inner {
         probe: Option<&mut CommitProbe<'_>>,
     ) -> Result<Option<u64>> {
         let mut participants = root.take_participants();
-        self.stats
-            .record_scan_ops(participants.iter().map(|p| p.scan_count()).sum());
+        self.stats.record_scans(&participants);
         if participants.is_empty() {
             return Ok(None);
         }

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use reactdb_obs::AbortReason;
+use reactdb_txn::OccTxn;
 use reactdb_wal::{TableLogUsage, WalStats};
 
 use crate::client::SessionShared;
@@ -29,6 +30,8 @@ pub struct DbStats {
     sub_txns_dispatched: AtomicU64,
     sub_txns_inlined: AtomicU64,
     scan_ops: AtomicU64,
+    scan_slots_visited: AtomicU64,
+    scan_rows_returned: AtomicU64,
     recovered_txns: AtomicU64,
     recovered_checkpoint_rows: AtomicU64,
     recovery_replay_workers: AtomicU64,
@@ -56,10 +59,22 @@ impl DbStats {
     pub(crate) fn record_abort(&self, reason: AbortReason) {
         self.aborts[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn record_scan_ops(&self, n: u64) {
-        if n > 0 {
-            self.scan_ops.fetch_add(n, Ordering::Relaxed);
+    /// Accounts the scan work of a finished root transaction's
+    /// participants, committed or not.
+    pub(crate) fn record_scans(&self, participants: &[OccTxn]) {
+        let ops: u64 = participants.iter().map(OccTxn::scan_count).sum();
+        if ops == 0 {
+            return;
         }
+        self.scan_ops.fetch_add(ops, Ordering::Relaxed);
+        self.scan_slots_visited.fetch_add(
+            participants.iter().map(OccTxn::scan_slots_visited).sum(),
+            Ordering::Relaxed,
+        );
+        self.scan_rows_returned.fetch_add(
+            participants.iter().map(OccTxn::scan_rows_returned).sum(),
+            Ordering::Relaxed,
+        );
     }
     pub(crate) fn record_sub_dispatch(&self) {
         self.sub_txns_dispatched.fetch_add(1, Ordering::Relaxed);
@@ -137,6 +152,17 @@ impl DbStats {
     /// aborted.
     pub fn scan_ops(&self) -> u64 {
         self.scan_ops.load(Ordering::Relaxed)
+    }
+    /// Index entries those scans walked, visible or not. Against
+    /// [`DbStats::scan_rows_returned`] it says what a returned row costs:
+    /// a ratio that grows while the workload stays the same means scans
+    /// are wading through deleted slots.
+    pub fn scan_slots_visited(&self) -> u64 {
+        self.scan_slots_visited.load(Ordering::Relaxed)
+    }
+    /// Rows those scans returned.
+    pub fn scan_rows_returned(&self) -> u64 {
+        self.scan_rows_returned.load(Ordering::Relaxed)
     }
     /// Root transactions aborted by something other than concurrency
     /// control or the safety condition: application aborts plus WAL
@@ -297,6 +323,25 @@ impl DbStats {
 mod tests {
     use super::*;
 
+    /// A participant that ran a three-row scan and a limit-1 scan.
+    fn scanned_twice() -> OccTxn {
+        use reactdb_common::{ContainerId, Value};
+        use reactdb_storage::{ColumnType, Schema, Table, Tuple};
+        use std::ops::Bound::Unbounded;
+        let table = Arc::new(Table::new(
+            "t",
+            Schema::of(&[("id", ColumnType::Int)], &["id"]),
+        ));
+        for i in 0..3 {
+            table.load_row(Tuple::of([Value::Int(i)])).unwrap();
+        }
+        let mut txn = OccTxn::new(ContainerId(0));
+        txn.scan(&table).unwrap();
+        txn.scan_limit(&table, Unbounded, Unbounded, 1, true)
+            .unwrap();
+        txn
+    }
+
     #[test]
     fn counters_accumulate() {
         let s = DbStats::new();
@@ -307,14 +352,16 @@ mod tests {
         s.record_abort(AbortReason::DangerousStructure);
         s.record_sub_dispatch();
         s.record_sub_inline();
-        s.record_scan_ops(3);
+        s.record_scans(&[scanned_twice(), scanned_twice()]);
         assert_eq!(s.committed(), 2);
         assert_eq!(s.cc_aborts(), 1);
         assert_eq!(s.user_aborts(), 1);
         assert_eq!(s.dangerous_aborts(), 1);
         assert_eq!(s.sub_txns_dispatched(), 1);
         assert_eq!(s.sub_txns_inlined(), 1);
-        assert_eq!(s.scan_ops(), 3);
+        assert_eq!(s.scan_ops(), 4);
+        assert_eq!(s.scan_slots_visited(), 8);
+        assert_eq!(s.scan_rows_returned(), 8);
         assert!((s.abort_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 

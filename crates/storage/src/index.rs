@@ -6,10 +6,13 @@
 //! changing the membership of a key's value set — bumps the version of the
 //! node whose key interval contains the mutated key. Range traversals
 //! return, alongside the rows, a [`NodeObservation`] for **every node whose
-//! interval intersects the scanned range, including empty ones**. The OCC
+//! interval intersects the span actually walked, including empty ones**:
+//! from the starting bound to the far bound when the range was exhausted,
+//! or to the last entry returned when the traversal stopped at its limit
+//! (Silo's rule — a scan validates the nodes it walked, no others). The OCC
 //! layer stores those observations in the transaction's node set and
 //! re-checks them at commit, after write locks are acquired: a version
-//! mismatch means the membership of a scanned range changed — a phantom —
+//! mismatch means the membership of a walked span changed — a phantom —
 //! and the transaction aborts.
 //!
 //! Nodes split when their population exceeds [`SPLIT_THRESHOLD`], keeping
@@ -18,9 +21,13 @@
 //! observers can no longer tell which half later mutations land in, so they
 //! must conservatively abort — the Masstree split rule); the right half
 //! starts as a fresh node. Nodes are never merged: an empty interval still
-//! needs a version for scans over it to observe, and the node count is
-//! bounded by the historical maximum key count, which is fine for an
-//! in-memory engine without physical garbage collection.
+//! needs a version for scans over it to observe, so the node count tracks
+//! the historical maximum key count. That is **not** fine under
+//! insert/delete churn — deleted rows keep their slot and their node for
+//! the life of the process (ROADMAP item 11: reclamation and coalescing).
+//! Until then a scan avoids a dead prefix only by not starting inside it:
+//! [`VersionedIndex::walk`] stops at a caller-chosen limit and callers keep
+//! a cursor past what they consumed.
 //!
 //! Memory ordering: structural bumps and validation-time version loads use
 //! `SeqCst`. Traversal-time observations are read under the index's read
@@ -38,6 +45,10 @@ use reactdb_common::Key;
 
 /// Keys per leaf node before it splits.
 pub const SPLIT_THRESHOLD: usize = 64;
+
+/// Largest [`VersionedIndex::walk`] page whose entry vector is allocated at
+/// its limit up front.
+const PAGE_PREALLOC_MAX: usize = 1024;
 
 /// A leaf node of the versioned index: one version counter guarding one
 /// contiguous interval of the key space.
@@ -126,6 +137,18 @@ pub struct NodeBump {
     pub before: u64,
     /// Version after the bump.
     pub after: u64,
+}
+
+/// One page of a [`VersionedIndex::walk`].
+#[derive(Debug)]
+pub struct WalkPage<V> {
+    /// The entries walked, in walk order.
+    pub slots: Vec<(Key, V)>,
+    /// Observations of the nodes the walk touched.
+    pub nodes: Vec<NodeObservation>,
+    /// True when the walk reached the far bound: nothing remains past the
+    /// last slot. False when it stopped because the page was full.
+    pub exhausted: bool,
 }
 
 struct IndexInner<V> {
@@ -418,31 +441,6 @@ impl<V: Clone> VersionedIndex<V> {
         }
     }
 
-    /// One page of a cursor-driven traversal: up to `limit` entries strictly
-    /// after `after` (from the beginning when `None`), in key order, plus the
-    /// cursor to resume from (`None` when the index is exhausted). Each page
-    /// is one short read-section of the index lock — the checkpointer's
-    /// chunked snapshot walk uses this so a full-table capture never blocks
-    /// writers for longer than one chunk.
-    pub fn range_page(&self, after: Option<&Key>, limit: usize) -> (Vec<(Key, V)>, Option<Key>) {
-        let inner = self.inner.read();
-        let low = match after {
-            Some(k) => Bound::Excluded(k.clone()),
-            None => Bound::Unbounded,
-        };
-        let mut page: Vec<(Key, V)> = Vec::with_capacity(limit.min(1024));
-        let mut iter = inner.map.range((low, Bound::Unbounded));
-        for (k, v) in iter.by_ref().take(limit) {
-            page.push((k.clone(), v.clone()));
-        }
-        let next = if iter.next().is_some() {
-            page.last().map(|(k, _)| k.clone())
-        } else {
-            None
-        };
-        (page, next)
-    }
-
     /// Entries within the bounds, in key order.
     pub fn range_cloned(&self, low: Bound<&Key>, high: Bound<&Key>) -> Vec<(Key, V)> {
         let inner = self.inner.read();
@@ -453,23 +451,52 @@ impl<V: Clone> VersionedIndex<V> {
             .collect()
     }
 
-    /// Entries within the bounds plus an observation of **every** node
-    /// whose interval intersects the bounds — including nodes that hold no
-    /// matching key, so the emptiness of a sub-range is validated too.
-    pub fn range_observed(
+    /// One page of a bounded traversal: up to `limit` entries within the
+    /// bounds — ascending from `low`, or descending from `high` when
+    /// `reverse` — plus an observation of every node whose interval
+    /// intersects the span walked, empty nodes included, so the emptiness
+    /// of a sub-range is validated too. An exhausted page (fewer than
+    /// `limit` entries) walked to the far bound and observes through it; a
+    /// full page stopped at its last entry and observes **nothing beyond
+    /// that entry's node**, so a later insert past the stop key is not a
+    /// conflict. To continue, walk again with the last key as the excluded
+    /// near bound.
+    ///
+    /// The page is one read-section of the index lock, as short as `limit`
+    /// makes it: the checkpointer's chunked snapshot walk pages through a
+    /// table this way so a full capture never blocks writers for longer
+    /// than one chunk, and a limit-`n` scan holds it for `n` entries.
+    pub fn walk(
         &self,
         low: Bound<&Key>,
         high: Bound<&Key>,
-    ) -> (Vec<(Key, V)>, Vec<NodeObservation>) {
+        reverse: bool,
+        limit: usize,
+    ) -> WalkPage<V> {
         let inner = self.inner.read();
-        let rows = inner
-            .map
-            .range((low.cloned(), high.cloned()))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let (first, last) = inner.covering(low, high);
+        let range = inner.map.range((low, high));
+        let entry = |(k, v): (&Key, &V)| (k.clone(), v.clone());
+        // A page bounded to something small is sized up front; an
+        // unbounded one grows with what it finds.
+        let mut slots = Vec::with_capacity(if limit <= PAGE_PREALLOC_MAX { limit } else { 0 });
+        if reverse {
+            slots.extend(range.rev().take(limit).map(entry));
+        } else {
+            slots.extend(range.take(limit).map(entry));
+        }
+        let exhausted = slots.len() < limit;
+        let (mut first, mut last) = inner.covering(low, high);
+        match slots.last() {
+            Some((stop, _)) if !exhausted && reverse => first = inner.node_idx(stop),
+            Some((stop, _)) if !exhausted => last = inner.node_idx(stop),
+            _ => {}
+        }
         let nodes = (first..=last).map(|i| inner.observe(i)).collect();
-        (rows, nodes)
+        WalkPage {
+            slots,
+            nodes,
+            exhausted,
+        }
     }
 }
 
@@ -482,6 +509,11 @@ mod tests {
         Key::Int(i)
     }
 
+    /// The unlimited forward walk: every entry within the bounds.
+    fn all(idx: &VersionedIndex<i64>, low: Bound<&Key>, high: Bound<&Key>) -> WalkPage<i64> {
+        idx.walk(low, high, false, usize::MAX)
+    }
+
     #[test]
     fn lookups_do_not_bump_versions() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
@@ -489,7 +521,7 @@ mod tests {
         let before = idx.observe(&k(1)).version;
         assert_eq!(idx.get_cloned(&k(1)), Some(10));
         let _ = idx.get_observed(&k(2));
-        let _ = idx.range_observed(Bound::Unbounded, Bound::Unbounded);
+        let _ = idx.walk(Bound::Unbounded, Bound::Unbounded, false, usize::MAX);
         assert_eq!(idx.observe(&k(1)).version, before);
     }
 
@@ -500,8 +532,8 @@ mod tests {
             idx.insert(&k(i), i);
         }
         assert!(idx.node_count() > 1, "splits happened");
-        let (_, low_obs) = idx.range_observed(Bound::Included(&k(0)), Bound::Included(&k(5)));
-        let (_, high_obs) = idx.range_observed(Bound::Included(&k(190)), Bound::Unbounded);
+        let low_obs = all(&idx, Bound::Included(&k(0)), Bound::Included(&k(5))).nodes;
+        let high_obs = all(&idx, Bound::Included(&k(190)), Bound::Unbounded).nodes;
         idx.insert(&k(191_000), 0); // far above: hits the last node only
         assert!(
             low_obs.iter().all(|o| o.is_current()),
@@ -518,7 +550,11 @@ mod tests {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         idx.insert(&k(0), 0);
         idx.insert(&k(100), 100);
-        let (rows, obs) = idx.range_observed(Bound::Included(&k(10)), Bound::Included(&k(20)));
+        let WalkPage {
+            slots: rows,
+            nodes: obs,
+            ..
+        } = all(&idx, Bound::Included(&k(10)), Bound::Included(&k(20)));
         assert!(rows.is_empty());
         assert!(!obs.is_empty(), "empty ranges still observe their node");
         idx.insert(&k(15), 15);
@@ -600,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn range_page_walks_the_whole_index_without_bumping() {
+    fn paged_walk_covers_the_whole_index_without_bumping() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         for i in 0..157 {
             idx.insert(&k(i), i);
@@ -609,24 +645,43 @@ mod tests {
         let mut seen = Vec::new();
         let mut cursor: Option<Key> = None;
         loop {
-            let (page, next) = idx.range_page(cursor.as_ref(), 10);
-            assert!(page.len() <= 10);
-            seen.extend(page.into_iter().map(|(_, v)| v));
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
+            let low = cursor.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
+            let page = idx.walk(low, Bound::Unbounded, false, 10);
+            assert!(page.slots.len() <= 10);
+            cursor = page.slots.last().map(|(key, _)| key.clone());
+            seen.extend(page.slots.into_iter().map(|(_, v)| v));
+            if page.exhausted {
+                break;
             }
         }
         assert_eq!(seen, (0..157).collect::<Vec<_>>());
         assert!(obs.is_current(), "paging is a pure read");
         // An empty index terminates immediately.
         let empty: VersionedIndex<i64> = VersionedIndex::new();
-        let (page, next) = empty.range_page(None, 8);
-        assert!(page.is_empty() && next.is_none());
-        // A page that exactly drains the index reports exhaustion.
-        let (page, next) = idx.range_page(Some(&k(146)), 10);
-        assert_eq!(page.len(), 10);
-        assert!(next.is_none(), "no keys remain after the last page");
+        let page = empty.walk(Bound::Unbounded, Bound::Unbounded, false, 8);
+        assert!(page.slots.is_empty() && page.exhausted);
+    }
+
+    #[test]
+    fn a_full_page_observes_nothing_past_its_last_entry() {
+        let idx: VersionedIndex<i64> = VersionedIndex::new();
+        for i in 0..400 {
+            idx.insert(&k(i), i);
+        }
+        assert!(idx.node_count() > 2, "splits happened");
+        let first = idx.walk(Bound::Unbounded, Bound::Unbounded, false, 1);
+        assert_eq!(first.slots, vec![(k(0), 0)]);
+        assert!(!first.exhausted);
+        let last = idx.walk(Bound::Unbounded, Bound::Unbounded, true, 1);
+        assert_eq!(last.slots, vec![(k(399), 399)]);
+        assert_eq!(first.nodes.len(), 1);
+        assert_eq!(last.nodes.len(), 1);
+        // Beyond the forward stop key, before the reverse one.
+        idx.insert(&k(1_000), 0);
+        assert!(first.nodes.iter().all(|o| o.is_current()));
+        assert!(last.nodes.iter().any(|o| !o.is_current()));
+        idx.insert(&k(-1), 0);
+        assert!(first.nodes.iter().any(|o| !o.is_current()));
     }
 
     #[test]
@@ -700,6 +755,80 @@ mod tests {
             for (key_i, v) in &model {
                 prop_assert_eq!(idx.get_cloned(&k(*key_i)), Some(*v));
             }
+        }
+
+        // Pages a limited walk through the index in either direction and
+        // checks (a) the entries are the model map's prefix of the range,
+        // and (b) the nodes observed across the pages are exactly those
+        // from the starting bound to the last entry walked — or to the far
+        // bound when the range ran out first.
+        #[test]
+        fn paged_walk_returns_the_model_prefix_and_observes_only_its_span(
+            keys in proptest::collection::vec(0i64..600, 0..300),
+            ends in (0i64..600, 0i64..600),
+            kinds in (0u8..3, 0u8..3),
+            limit in 0usize..48,
+            page in 1usize..12,
+            reverse in proptest::bool::ANY
+        ) {
+            let idx: VersionedIndex<i64> = VersionedIndex::new();
+            let mut model = std::collections::BTreeMap::new();
+            for key_i in keys {
+                idx.insert(&k(key_i), key_i);
+                model.insert(k(key_i), key_i);
+            }
+            let (lo, hi) = (k(ends.0.min(ends.1)), k(ends.0.max(ends.1)));
+            let bound = |kind: u8, key| match kind {
+                0 => Bound::Unbounded,
+                1 => Bound::Included(key),
+                _ => Bound::Excluded(key),
+            };
+            // `BTreeMap::range` rejects an interval excluded at both ends
+            // of a single key.
+            let (low, high) = match (bound(kinds.0, &lo), bound(kinds.1, &hi)) {
+                (Bound::Excluded(a), Bound::Excluded(b)) if a == b => {
+                    (Bound::Included(a), Bound::Excluded(b))
+                }
+                bounds => bounds,
+            };
+            let in_range = model.range((low, high)).map(|(key, v)| (key.clone(), *v));
+            let expected: Vec<(Key, i64)> = if reverse {
+                in_range.rev().take(limit).collect()
+            } else {
+                in_range.take(limit).collect()
+            };
+
+            let mut got: Vec<(Key, i64)> = Vec::new();
+            let mut observed = std::collections::BTreeSet::new();
+            let mut exhausted = false;
+            while got.len() < limit && !exhausted {
+                let (from, to) = match (got.last(), reverse) {
+                    (None, _) => (low, high),
+                    (Some((last, _)), false) => (Bound::Excluded(last), high),
+                    (Some((last, _)), true) => (low, Bound::Excluded(last)),
+                };
+                let walked = idx.walk(from, to, reverse, page.min(limit - got.len()));
+                observed.extend(walked.nodes.iter().map(NodeObservation::node_ptr));
+                exhausted = walked.exhausted;
+                got.extend(walked.slots);
+            }
+            prop_assert_eq!(&got, &expected);
+
+            let inner = idx.inner.read();
+            let (mut first, mut last) = inner.covering(low, high);
+            match got.last() {
+                Some((stop, _)) if !exhausted && reverse => first = inner.node_idx(stop),
+                Some((stop, _)) if !exhausted => last = inner.node_idx(stop),
+                _ => {}
+            }
+            let spanned: std::collections::BTreeSet<usize> = if limit == 0 {
+                Default::default()
+            } else {
+                (first..=last)
+                    .map(|i| Arc::as_ptr(&inner.nodes[i]) as usize)
+                    .collect()
+            };
+            prop_assert_eq!(observed, spanned);
         }
     }
 }

@@ -28,7 +28,9 @@ pub mod table;
 pub mod tid;
 pub mod tuple;
 
-pub use index::{IndexNode, NodeBump, NodeObservation, NodeRef, UpdateOutcome, VersionedIndex};
+pub use index::{
+    IndexNode, NodeBump, NodeObservation, NodeRef, UpdateOutcome, VersionedIndex, WalkPage,
+};
 pub use partition::Partition;
 pub use record::{Record, RecordRef};
 pub use schema::{Column, ColumnType, RelationDef, Schema};

@@ -15,7 +15,7 @@ use std::ops::Bound;
 
 use reactdb_common::{Key, ReactorId, Result, TxnError};
 
-use crate::index::{NodeBump, NodeObservation, UpdateOutcome, VersionedIndex};
+use crate::index::{NodeBump, NodeObservation, UpdateOutcome, VersionedIndex, WalkPage};
 use crate::record::{Record, RecordRef};
 use crate::schema::Schema;
 use crate::tid::TidWord;
@@ -317,15 +317,20 @@ impl Table {
         self.primary.range_cloned(low, high)
     }
 
-    /// Like [`Table::range`], but also returns an observation of every
-    /// index node whose interval intersects the bounds — the scan set a
-    /// phantom-safe transaction validates at commit.
-    pub fn range_observed(
+    /// One page of a primary-key traversal: up to `limit` record slots
+    /// within the bounds, ascending or (`reverse`) descending, plus an
+    /// observation of every index node the page walked — the scan set a
+    /// phantom-safe transaction validates at commit. A page that stopped at
+    /// `limit` observes nothing past its last slot; see
+    /// [`VersionedIndex::walk`].
+    pub fn walk(
         &self,
         low: Bound<&Key>,
         high: Bound<&Key>,
-    ) -> (Vec<(Key, RecordRef)>, Vec<NodeObservation>) {
-        self.primary.range_observed(low, high)
+        reverse: bool,
+        limit: usize,
+    ) -> WalkPage<RecordRef> {
+        self.primary.walk(low, high, reverse, limit)
     }
 
     /// All record slots in primary-key order.
@@ -346,9 +351,14 @@ impl Table {
     /// at recovery by TID-aware replay of the log tail over the captured
     /// rows (see [`Table::replay`]).
     pub fn snapshot_chunk(&self, after: Option<&Key>, limit: usize) -> SnapshotChunk {
-        let (slots, next) = self.primary.range_page(after, limit);
-        let mut rows = Vec::with_capacity(slots.len());
-        for (key, record) in slots {
+        let low = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let page = self.primary.walk(low, Bound::Unbounded, false, limit);
+        let next = match page.slots.last() {
+            Some((key, _)) if !page.exhausted => Some(key.clone()),
+            _ => None,
+        };
+        let mut rows = Vec::with_capacity(page.slots.len());
+        for (key, record) in page.slots {
             let (tid, image) = record.read_stable();
             if tid.is_absent() {
                 continue; // deleted or not-yet-committed slot
@@ -410,12 +420,15 @@ impl Table {
         low: Bound<&Key>,
         high: Bound<&Key>,
     ) -> (Vec<(Key, Key)>, Vec<NodeObservation>) {
-        let (entries, obs) = self.secondary[index_id].map.range_observed(low, high);
-        let pairs = entries
+        let page = self.secondary[index_id]
+            .map
+            .walk(low, high, false, usize::MAX);
+        let pairs = page
+            .slots
             .into_iter()
             .flat_map(|(ik, pks)| pks.into_iter().map(move |pk| (ik.clone(), pk)))
             .collect();
-        (pairs, obs)
+        (pairs, page.nodes)
     }
 
     /// The commit path's membership fence, run after write locks are
@@ -792,10 +805,14 @@ mod tests {
         for i in 0..10 {
             t.load_row(row(i, "L", 0.0)).unwrap();
         }
-        let (_, obs) = t.range_observed(
-            Bound::Included(&Key::Int(0)),
-            Bound::Included(&Key::Int(20)),
-        );
+        let obs = t
+            .walk(
+                Bound::Included(&Key::Int(0)),
+                Bound::Included(&Key::Int(20)),
+                false,
+                usize::MAX,
+            )
+            .nodes;
         assert!(obs.iter().all(|o| o.is_current()));
         let (_, created) = t.get_or_create(Key::Int(15), row(15, "N", 0.0));
         assert!(created.is_some(), "new slot is structural");

@@ -77,6 +77,10 @@ pub struct OccTxn {
     /// Count of scan operations (range scans, full scans, secondary
     /// lookups/ranges), surfaced in engine statistics.
     scans: u64,
+    /// Index entries those scans walked, visible or not.
+    scan_slots: u64,
+    /// Rows those scans returned.
+    scan_rows: u64,
 }
 
 impl OccTxn {
@@ -92,6 +96,8 @@ impl OccTxn {
             max_observed: TidWord::committed(0, 0),
             ops: 0,
             scans: 0,
+            scan_slots: 0,
+            scan_rows: 0,
         }
     }
 
@@ -124,6 +130,17 @@ impl OccTxn {
     /// performed so far.
     pub fn scan_count(&self) -> u64 {
         self.scans
+    }
+
+    /// Index entries walked by those scans, visible or not: what the scans
+    /// cost, against [`OccTxn::scan_rows_returned`], what they were for.
+    pub fn scan_slots_visited(&self) -> u64 {
+        self.scan_slots
+    }
+
+    /// Rows returned by those scans.
+    pub fn scan_rows_returned(&self) -> u64 {
+        self.scan_rows
     }
 
     /// Largest committed record version this participant observed.
@@ -386,49 +403,95 @@ impl OccTxn {
         Ok(())
     }
 
-    /// Transactional range scan over the primary key. Returns visible rows
-    /// (committed rows merged with this transaction's own writes) in key
-    /// order. Every committed row touched is added to the read set, and the
-    /// index nodes the traversal covered — including empty sub-ranges — are
-    /// added to the node set.
+    /// Transactional range scan over the primary key that stops once it has
+    /// `n` visible rows: the first `n` of the range in key order, or the
+    /// last `n` in descending order when `reverse`. Visible means committed
+    /// rows merged with this transaction's own writes; an own buffered
+    /// delete is skipped and does not count toward `n`.
     ///
-    /// The scan is phantom-safe: a concurrent insert or delete that changes
-    /// the membership of the scanned range bumps a traversed node's
-    /// version, and commit validation re-checks the node set after write
-    /// locks are acquired, aborting with [`TxnError::Phantom`] on mismatch
-    /// (the Masstree/Silo node-set protocol; supersedes the seed's
-    /// "phantom protection is not implemented" design note).
+    /// The index is walked a page at a time. Each page collects slot
+    /// handles under one short read-section of the index lock and reads
+    /// them outside it, so the scan never spins on a record lock while
+    /// holding the index lock. The first page asks for exactly `n` slots —
+    /// all that is needed when the head of the range is live — and later
+    /// pages grow geometrically, so a run of deleted slots ahead of the
+    /// `n`-th visible row costs O(log) lock sections, not one per slot.
+    ///
+    /// The scan is phantom-safe and validates only what it walked (the
+    /// Masstree/Silo node-set protocol): every slot walked up to the `n`-th
+    /// visible row — absent ones included — joins the read set, and every
+    /// index node the pages touched, empty ones included, joins the node
+    /// set. Commit validation re-checks both after write locks are
+    /// acquired and aborts with [`TxnError::Phantom`] when the membership
+    /// of the walked span changed. Nodes past the last page's stop key are
+    /// not observed: an insert there cannot change the first `n` rows, so
+    /// it is not a conflict.
+    pub fn scan_limit(
+        &mut self,
+        table: &Arc<Table>,
+        low: Bound<&Key>,
+        high: Bound<&Key>,
+        n: usize,
+        reverse: bool,
+    ) -> Result<Vec<(Key, Tuple)>> {
+        self.ops += 1;
+        self.scans += 1;
+        let mut out: Vec<(Key, Tuple)> = Vec::new();
+        let mut cursor: Option<Key> = None;
+        let mut page_len = n;
+        while out.len() < n {
+            let (from, to) = match (&cursor, reverse) {
+                (None, _) => (low, high),
+                (Some(last), false) => (Bound::Excluded(last), high),
+                (Some(last), true) => (low, Bound::Excluded(last)),
+            };
+            let page = table.walk(from, to, reverse, page_len);
+            self.scan_slots += page.slots.len() as u64;
+            for obs in page.nodes {
+                self.track_node(obs);
+            }
+            if !page.exhausted {
+                cursor = page.slots.last().map(|(key, _)| key.clone());
+            }
+            // Own inserts need no merge step: the slot was created when
+            // the write was buffered, so the walk already returns it.
+            for (key, record) in page.slots {
+                if out.len() == n {
+                    break;
+                }
+                if let Some(idx) = self.find_write(table, &key) {
+                    match &self.writes[idx].kind {
+                        WriteKind::Insert(t) | WriteKind::Update(t) => out.push((key, t.clone())),
+                        WriteKind::Delete => {}
+                    }
+                    continue;
+                }
+                let (tid, data) = record.read_stable();
+                self.track_read(&record, tid);
+                if !tid.is_absent() {
+                    out.push((key, data));
+                }
+            }
+            if page.exhausted {
+                break;
+            }
+            page_len = page_len.saturating_mul(2);
+        }
+        self.scan_rows += out.len() as u64;
+        Ok(out)
+    }
+
+    /// Transactional range scan over the primary key: every visible row of
+    /// the range in key order — [`OccTxn::scan_limit`] without a limit, so
+    /// one page under one index read-section, observing every node the
+    /// bounds cover.
     pub fn scan_range(
         &mut self,
         table: &Arc<Table>,
         low: Bound<&Key>,
         high: Bound<&Key>,
     ) -> Result<Vec<(Key, Tuple)>> {
-        self.ops += 1;
-        self.scans += 1;
-        let (slots, observations) = table.range_observed(low, high);
-        for obs in observations {
-            self.track_node(obs);
-        }
-        let mut out: Vec<(Key, Tuple)> = Vec::new();
-        for (key, record) in slots {
-            if let Some(idx) = self.find_write(table, &key) {
-                match &self.writes[idx].kind {
-                    WriteKind::Insert(t) | WriteKind::Update(t) => out.push((key, t.clone())),
-                    WriteKind::Delete => {}
-                }
-                continue;
-            }
-            let (tid, data) = record.read_stable();
-            self.track_read(&record, tid);
-            if !tid.is_absent() {
-                out.push((key, data));
-            }
-        }
-        // Inserts buffered by this transaction whose slot was created by us
-        // are already present in `table.range` (the slot physically exists),
-        // so no extra merge step is needed.
-        Ok(out)
+        self.scan_limit(table, low, high, usize::MAX, false)
     }
 
     /// Full-table scan (range with no bounds).
@@ -458,6 +521,7 @@ impl OccTxn {
         let positions = table.secondary_positions(index_id);
         let (pks, obs) = table.secondary_lookup_observed(index_id, index_key);
         self.track_node(obs);
+        self.scan_slots += pks.len() as u64;
         let mut out = Vec::new();
         for pk in pks {
             if let Some(row) = self.read(table, &pk)? {
@@ -468,6 +532,7 @@ impl OccTxn {
         }
         self.merge_own_index_writes(table, &positions, &mut out, |ik| ik == index_key);
         out.sort_by(|a, b| a.0.cmp(&b.0));
+        self.scan_rows += out.len() as u64;
         Ok(out)
     }
 
@@ -490,6 +555,7 @@ impl OccTxn {
         for obs in observations {
             self.track_node(obs);
         }
+        self.scan_slots += pairs.len() as u64;
         let mut out = Vec::new();
         for (_ik, pk) in pairs {
             if let Some(row) = self.read(table, &pk)? {
@@ -507,6 +573,7 @@ impl OccTxn {
         });
         // Order by (index key, primary key), the order of the index itself.
         out.sort_by_cached_key(|(pk, row)| (row.index_key(&positions), pk.clone()));
+        self.scan_rows += out.len() as u64;
         Ok(out)
     }
 
@@ -697,6 +764,52 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn scan_limit_stops_at_n_visible_rows_in_either_direction() {
+        let t = table();
+        // Rows 0 and 1 are deleted: their slots stay behind as tombstones.
+        for i in 0..2 {
+            let dead = t.get(&Key::Int(i)).unwrap();
+            dead.lock();
+            dead.install_delete(TidWord::committed(1, i as u64 + 1));
+        }
+        let keys = |rows: Vec<(Key, Tuple)>| rows.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        let mut txn = OccTxn::new(ContainerId(0));
+        let first = txn
+            .scan_limit(&t, Bound::Unbounded, Bound::Unbounded, 1, false)
+            .unwrap();
+        assert_eq!(keys(first), vec![Key::Int(2)]);
+        // A page of one, then a page of two: both tombstones were walked
+        // and validated, nothing past the first live row was.
+        assert_eq!(txn.scan_slots_visited(), 3);
+        assert_eq!(txn.scan_rows_returned(), 1);
+        assert_eq!(txn.read_set_len(), 3);
+
+        // Own writes merge in walk order; an own delete does not count.
+        txn.delete(&t, &Key::Int(4)).unwrap();
+        txn.insert(&t, Tuple::of([Value::Int(7), Value::Int(70)]))
+            .unwrap();
+        let last = txn
+            .scan_limit(&t, Bound::Unbounded, Bound::Unbounded, 2, true)
+            .unwrap();
+        assert_eq!(keys(last), vec![Key::Int(7), Key::Int(3)]);
+        let bounded = txn
+            .scan_limit(
+                &t,
+                Bound::Included(&Key::Int(2)),
+                Bound::Excluded(&Key::Int(7)),
+                usize::MAX,
+                true,
+            )
+            .unwrap();
+        assert_eq!(keys(bounded), vec![Key::Int(3), Key::Int(2)]);
+        assert!(txn
+            .scan_limit(&t, Bound::Unbounded, Bound::Unbounded, 0, false)
+            .unwrap()
+            .is_empty());
+        assert_eq!(txn.scan_count(), 4);
     }
 
     #[test]

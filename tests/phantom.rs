@@ -1,9 +1,11 @@
 //! End-to-end phantom-serializability tests: a committed insert into a
 //! concurrently scanned range must abort the scanner with a
 //! phantom-classified error, a non-overlapping insert must not, and a
-//! `RetryPolicy`-driven retry must then succeed.
+//! `RetryPolicy`-driven retry must then succeed. A scan that stops at a
+//! limit is held to the same rule over the span it walked, and to no rule
+//! beyond it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use reactdb_common::{DeploymentConfig, Key, TxnError, Value};
@@ -184,4 +186,211 @@ fn retry_policy_drives_a_phantom_aborted_scan_to_success() {
         count.as_int() >= 50,
         "the scan saw at least the loaded rows"
     );
+}
+
+// ---------------------------------------------------------------------
+// Limited scans: a `scan_limit` validates what it walked and no more.
+// These tests force their interleavings with barriers instead of spins.
+// ---------------------------------------------------------------------
+
+/// A procedure that reaches a gate waits there twice: once to tell the
+/// test it has done its reads or writes, once to be let go on to commit.
+/// The test commits whatever it wants to race in between the two.
+struct Gates {
+    scanner: Arc<Barrier>,
+    inserter: Arc<Barrier>,
+}
+
+fn pause(gate: &Barrier) {
+    gate.wait();
+    gate.wait();
+}
+
+/// Even ids 10..=798 — enough rows that the index has split into several
+/// nodes, with odd ids free for inserts — on a ledger whose `first_n`
+/// procedure runs `scan_limit` / `scan_limit_rev` over `[0, 900)`.
+fn boot_limited() -> (ReactDB, Gates) {
+    let gates = Gates {
+        scanner: Arc::new(Barrier::new(2)),
+        inserter: Arc::new(Barrier::new(2)),
+    };
+    let (scanner, inserter) = (Arc::clone(&gates.scanner), Arc::clone(&gates.inserter));
+    let ledger = ReactorType::new("Ledger")
+        .with_relation(RelationDef::new(
+            "entries",
+            Schema::of(
+                &[("id", ColumnType::Int), ("val", ColumnType::Int)],
+                &["id"],
+            ),
+        ))
+        // args: [n, reverse, gated, own_insert, own_delete] — the last two
+        // are ids this transaction inserts / deletes before it scans (-1
+        // for none). Returns the scanned ids, comma-separated.
+        .with_procedure("first_n", move |ctx, args| {
+            let (n, reverse, gated) = (args[0].as_int(), args[1].as_bool(), args[2].as_bool());
+            if args[3].as_int() >= 0 {
+                ctx.insert("entries", Tuple::of([args[3].clone(), Value::Int(0)]))?;
+            }
+            if args[4].as_int() >= 0 {
+                ctx.delete("entries", &Key::Int(args[4].as_int()))?;
+            }
+            let range = Key::Int(0)..Key::Int(900);
+            let rows = if reverse {
+                ctx.scan_limit_rev("entries", range, n as usize)
+            } else {
+                ctx.scan_limit("entries", range, n as usize)
+            };
+            if gated {
+                pause(&scanner);
+            }
+            let ids: Vec<String> = rows?.iter().map(|(_, t)| t.at(0).to_string()).collect();
+            Ok(Value::Str(ids.join(",")))
+        })
+        // args: [id, gated]
+        .with_procedure("insert_entry", move |ctx, args| {
+            ctx.insert("entries", Tuple::of([args[0].clone(), Value::Int(0)]))?;
+            if args[1].as_bool() {
+                pause(&inserter);
+            }
+            Ok(Value::Null)
+        });
+    let mut spec = ReactorDatabaseSpec::new();
+    spec.add_type(ledger);
+    spec.add_reactor("ledger", "Ledger");
+    // Two workers per executor: a procedure parked at a gate never stands
+    // in the way of the transaction the test races against it.
+    let db = ReactDB::boot(
+        spec,
+        DeploymentConfig::shared_everything_without_affinity(2).with_mpl(2),
+    );
+    for i in (10..800i64).step_by(2) {
+        db.load_row(
+            "ledger",
+            "entries",
+            Tuple::of([Value::Int(i), Value::Int(0)]),
+        )
+        .unwrap();
+    }
+    assert!(
+        db.table("ledger", "entries").unwrap().primary_node_count() > 2,
+        "the scanned range spans several index nodes"
+    );
+    (db, gates)
+}
+
+fn first_n_args(n: i64, reverse: bool, gated: bool) -> Vec<Value> {
+    vec![
+        Value::Int(n),
+        Value::Bool(reverse),
+        Value::Bool(gated),
+        Value::Int(-1),
+        Value::Int(-1),
+    ]
+}
+
+/// Runs a gated limit-1 scan and commits an insert of `key` between the
+/// scan and the scanner's validation. Returns the scanner's outcome.
+fn limit_scan_racing_insert(
+    db: &ReactDB,
+    gates: &Gates,
+    reverse: bool,
+    key: i64,
+) -> Result<Value, TxnError> {
+    let client = db.client();
+    let scanner = client
+        .submit("ledger", "first_n", first_n_args(1, reverse, true))
+        .unwrap();
+    gates.scanner.wait(); // the scan has happened
+    client
+        .invoke(
+            "ledger",
+            "insert_entry",
+            vec![Value::Int(key), Value::Bool(false)],
+        )
+        .unwrap();
+    gates.scanner.wait(); // on to validation
+    scanner.wait()
+}
+
+#[test]
+fn insert_beyond_a_limit_scans_stop_key_does_not_abort_it() {
+    let (db, gates) = boot_limited();
+    // Forward the scan stops at 10, in reverse at 798; 401 lies past
+    // either stop key, on a node neither walk touched.
+    for (reverse, stop) in [(false, "10"), (true, "798")] {
+        let got = limit_scan_racing_insert(&db, &gates, reverse, 401 + 2 * reverse as i64)
+            .expect("an insert past the stop key is not a conflict");
+        assert_eq!(got, Value::Str(stop.into()));
+    }
+    assert_eq!(db.stats().phantom_aborts(), 0);
+    // The walk stopped where the caller had enough: one slot per scan.
+    assert_eq!(db.stats().scan_slots_visited(), 2);
+    assert_eq!(db.stats().scan_rows_returned(), 2);
+}
+
+#[test]
+fn insert_inside_a_limit_scans_walked_span_phantom_aborts_it() {
+    let (db, gates) = boot_limited();
+    // The walked span runs from the range's near bound to the stop key:
+    // [0, 10] forward, [798, 900) in reverse.
+    for (reverse, inside) in [(false, 5), (true, 850)] {
+        let err = limit_scan_racing_insert(&db, &gates, reverse, inside).unwrap_err();
+        assert!(
+            matches!(err, TxnError::Phantom),
+            "reverse={reverse}: {err:?}"
+        );
+    }
+    assert_eq!(db.stats().phantom_aborts(), 2);
+}
+
+#[test]
+fn provisional_slot_in_the_walked_span_that_commits_first_aborts_the_scanner() {
+    let (db, gates) = boot_limited();
+    let client = db.client();
+    for (reverse, inside, stop) in [(false, 5, "10"), (true, 850, "798")] {
+        // The inserter buffers its row — the slot now exists, absent —
+        // and parks before committing.
+        let inserter = client
+            .submit(
+                "ledger",
+                "insert_entry",
+                vec![Value::Int(inside), Value::Bool(true)],
+            )
+            .unwrap();
+        gates.inserter.wait();
+        // The scanner walks over the absent slot to the first visible row.
+        let scanner = client
+            .submit("ledger", "first_n", first_n_args(1, reverse, true))
+            .unwrap();
+        gates.scanner.wait();
+        // The inserter commits first; the scanner then fails validation.
+        gates.inserter.wait();
+        inserter.wait().unwrap();
+        gates.scanner.wait();
+        let err = scanner.wait().unwrap_err();
+        assert!(err.is_cc_abort(), "reverse={reverse}: {err:?}");
+        // Retried, it sees the row that beat it.
+        let retried = client
+            .invoke("ledger", "first_n", first_n_args(1, reverse, false))
+            .unwrap();
+        assert_eq!(retried, Value::Str(inside.to_string()));
+        assert_ne!(retried, Value::Str(stop.into()));
+    }
+}
+
+#[test]
+fn limit_scans_merge_own_buffered_writes() {
+    let (db, _) = boot_limited();
+    // Forward: own insert 5 lands ahead of the first committed row and is
+    // returned first; own delete of 10 is skipped and does not count
+    // toward n, so the second row is 12. Mirrored in reverse.
+    for (reverse, own_insert, own_delete, expect) in
+        [(false, 5, 10, "5,12"), (true, 851, 798, "851,796")]
+    {
+        let mut args = first_n_args(2, reverse, false);
+        args[3] = Value::Int(own_insert);
+        args[4] = Value::Int(own_delete);
+        let got = db.invoke("ledger", "first_n", args).unwrap();
+        assert_eq!(got, Value::Str(expect.into()), "reverse={reverse}");
+    }
 }

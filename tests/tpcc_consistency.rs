@@ -117,6 +117,91 @@ fn payment_ytd_sums_are_consistent() {
     }
 }
 
+/// `delivery_cursor` splits every district's orders into delivered and
+/// pending: it never passes a pending `new_order` row, every order below
+/// it carries a carrier and every order at or above it does not.
+#[test]
+fn delivery_cursor_separates_delivered_from_pending_orders() {
+    let (db, scale) = run_mix(DeploymentConfig::shared_nothing(2), 400, 19);
+    let visible = |name: &str, relation: &str| -> Vec<_> {
+        db.table(name, relation)
+            .unwrap()
+            .scan()
+            .into_iter()
+            .filter(|(_, r)| r.is_visible())
+            .map(|(_, r)| r.read_unguarded())
+            .collect()
+    };
+    let mut delivered = 0;
+    for w in 0..scale.warehouses {
+        let name = tpcc::warehouse_name(w);
+        let cursors = db.table(&name, "delivery_cursor").unwrap();
+        for d in 0..scale.districts as i64 {
+            let cursor = cursors
+                .get(&Key::Int(d))
+                .unwrap()
+                .read_unguarded()
+                .at(1)
+                .as_int();
+            let oldest_pending = visible(&name, "new_order")
+                .iter()
+                .filter(|t| t.at(0).as_int() == d)
+                .map(|t| t.at(1).as_int())
+                .min();
+            assert!(
+                oldest_pending.is_none_or(|o_id| cursor <= o_id),
+                "warehouse {w} district {d}: cursor {cursor} passed pending {oldest_pending:?}"
+            );
+            for order in visible(&name, "orders") {
+                if order.at(0).as_int() != d {
+                    continue;
+                }
+                let (o_id, carrier) = (order.at(1).as_int(), order.at(3).as_int());
+                assert_eq!(
+                    carrier >= 0,
+                    o_id < cursor,
+                    "warehouse {w} order ({d},{o_id}) carrier {carrier} vs cursor {cursor}"
+                );
+                delivered += (o_id < cursor) as usize;
+            }
+        }
+    }
+    assert!(delivered > 0, "the mix delivered something");
+}
+
+/// A delivery that finds a district's queue empty leaves its cursor where
+/// it was.
+#[test]
+fn delivery_of_an_empty_district_leaves_its_cursor_unchanged() {
+    let db = ReactDB::boot(tpcc::spec(1), DeploymentConfig::shared_nothing(1));
+    tpcc::load(&db, TpccScale::tiny(1)).unwrap();
+    let w = tpcc::warehouse_name(0);
+    let cursor = |d: i64| {
+        let row = db.table(&w, "delivery_cursor").unwrap().get(&Key::Int(d));
+        row.unwrap().read_unguarded().at(1).as_int()
+    };
+    let deliver = || {
+        db.invoke(&w, "delivery", vec![Value::Int(3), Value::Int(2)])
+            .unwrap()
+    };
+    assert_eq!(deliver(), Value::Int(0));
+    assert_eq!((cursor(0), cursor(1)), (1, 1));
+    // One order in district 0 only: its cursor moves, district 1's stays.
+    let one_line = vec![
+        Value::Int(0),
+        Value::Int(0),
+        Value::Int(0),
+        Value::Int(1),
+        Value::Str(w.clone()),
+        Value::Int(1),
+    ];
+    db.invoke(&w, "new_order", one_line).unwrap();
+    assert_eq!(deliver(), Value::Int(1));
+    assert_eq!((cursor(0), cursor(1)), (2, 1));
+    assert_eq!(deliver(), Value::Int(0));
+    assert_eq!((cursor(0), cursor(1)), (2, 1));
+}
+
 /// The history table records one row per committed payment and stock remote
 /// counters only grow when items were drawn from remote warehouses.
 #[test]
@@ -144,7 +229,11 @@ fn remote_counters_reflect_cross_reactor_work() {
             committed += 1;
         }
     }
-    assert!(committed > 40);
+    assert_eq!(
+        committed, 60,
+        "one stock_update_batch per remote warehouse is a safe structure"
+    );
+    assert_eq!(db.stats().dangerous_aborts(), 0);
     let remote_updates: i64 = (0..warehouses)
         .map(|w| {
             db.table(&tpcc::warehouse_name(w), "stock")
@@ -176,5 +265,4 @@ fn low_contention_mix_has_negligible_abort_rate() {
         db.stats().abort_rate()
     );
     assert_eq!(db.stats().dangerous_aborts(), 0);
-    let _ = Value::Null;
 }
