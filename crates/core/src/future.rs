@@ -35,6 +35,13 @@ pub trait WaitHook: Send + Sync {
 /// counts and client-visible outcome statistics accurate without polling.
 pub type FulfillHook = Box<dyn FnOnce(&Result<Value>) + Send>;
 
+/// Notification run once *after* the result is published, so the party it
+/// wakes always finds [`ReactorFuture::try_get`] resolved. The wire server
+/// installs one per connection worker to wake its readiness loop; a wake
+/// issued from a [`FulfillHook`] instead would race ahead of the result and
+/// be lost.
+pub type PublishWaker = Arc<dyn Fn() + Send + Sync>;
+
 #[derive(Default)]
 struct FutureState {
     slot: Mutex<Option<Result<Value>>>,
@@ -72,6 +79,7 @@ impl std::fmt::Debug for ReactorFuture {
 pub struct FutureWriter {
     state: Arc<FutureState>,
     hook: Option<FulfillHook>,
+    waker: Option<PublishWaker>,
 }
 
 impl std::fmt::Debug for FutureWriter {
@@ -103,7 +111,11 @@ impl ReactorFuture {
                 state: Arc::clone(&state),
                 hook: None,
             },
-            FutureWriter { state, hook: None },
+            FutureWriter {
+                state,
+                hook: None,
+                waker: None,
+            },
         )
     }
 
@@ -116,7 +128,11 @@ impl ReactorFuture {
                 state: Arc::clone(&state),
                 hook: Some(hook),
             },
-            FutureWriter { state, hook: None },
+            FutureWriter {
+                state,
+                hook: None,
+                waker: None,
+            },
         )
     }
 
@@ -207,6 +223,13 @@ impl FutureWriter {
         self.hook = Some(hook);
     }
 
+    /// Installs a waker to run exactly once right after the result is
+    /// published (slot filled, waiters notified) — at fulfilment, or at
+    /// writer drop.
+    pub fn on_publish(&mut self, waker: PublishWaker) {
+        self.waker = Some(waker);
+    }
+
     /// Fulfils the future. Later fulfilments are ignored (the first result
     /// wins), which keeps abort paths simple.
     pub fn fulfill(self, result: Result<Value>) {
@@ -238,6 +261,9 @@ impl FutureWriter {
         *slot = Some(result);
         drop(slot);
         self.state.cond.notify_all();
+        if let Some(waker) = self.waker.take() {
+            waker();
+        }
     }
 }
 
@@ -363,6 +389,28 @@ mod tests {
         w.fulfill(Ok(Value::Int(7)));
         assert_eq!(f.get().unwrap(), Value::Int(7));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn publish_waker_runs_once_after_the_result_is_visible() {
+        for drop_unfulfilled in [false, true] {
+            let (f, mut w) = ReactorFuture::pending();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let (reader, log) = (f.clone(), Arc::clone(&seen));
+            w.on_publish(Arc::new(move || {
+                log.lock().push(reader.try_get().is_some());
+            }));
+            if drop_unfulfilled {
+                drop(w);
+            } else {
+                w.fulfill(Ok(Value::Int(3)));
+            }
+            assert_eq!(
+                *seen.lock(),
+                vec![true],
+                "one wake, result already published"
+            );
+        }
     }
 
     #[test]

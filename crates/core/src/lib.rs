@@ -37,6 +37,6 @@ pub mod model;
 pub mod safety;
 
 pub use context::{CallBackend, ReactorCtx};
-pub use future::{FulfillHook, FutureWriter, ReactorFuture};
+pub use future::{FulfillHook, FutureWriter, PublishWaker, ReactorFuture};
 pub use model::{Procedure, ProcedureRegistry, ReactorDatabaseSpec, ReactorType};
 pub use safety::ActiveSet;

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reactdb_common::{AckLevel, Result, TxnError, Value};
-use reactdb_core::{FulfillHook, ReactorFuture};
+use reactdb_core::{FulfillHook, PublishWaker, ReactorFuture};
 use reactdb_obs::{AbortReason, Phase, TraceKind};
 
 use crate::database::{Inner, CLIENT_TIMEOUT};
@@ -152,13 +152,16 @@ impl Call {
     }
 }
 
-/// A client session handle. Cheap to clone (two `Arc`s); clones share the
+/// A client session handle. Cheap to clone (a few `Arc`s); clones share the
 /// session and its statistics. Obtained from
 /// [`ReactDB::client`](crate::ReactDB::client).
 #[derive(Clone)]
 pub struct Client {
     inner: Arc<Inner>,
     session: Arc<SessionShared>,
+    /// Run after each submitted transaction's result is published (see
+    /// [`Client::with_waker`]).
+    waker: Option<PublishWaker>,
 }
 
 impl std::fmt::Debug for Client {
@@ -173,7 +176,20 @@ impl std::fmt::Debug for Client {
 
 impl Client {
     pub(crate) fn new(inner: Arc<Inner>, session: Arc<SessionShared>) -> Self {
-        Self { inner, session }
+        Self {
+            inner,
+            session,
+            waker: None,
+        }
+    }
+
+    /// Makes every transaction this session submits call `waker` once its
+    /// result is published, i.e. when [`TxnHandle::try_result`] has just
+    /// become `Some`. An event loop that polls handles uses this to sleep
+    /// until one resolves instead of polling on a timer.
+    pub fn with_waker(mut self, waker: PublishWaker) -> Self {
+        self.waker = Some(waker);
+        self
     }
 
     /// Submits a root transaction without waiting and returns its handle,
@@ -220,7 +236,9 @@ impl Client {
         // enqueue_root cannot fail: a rejected or abandoned request drops
         // its writer, which resolves the future with an error and fires the
         // hook — the accounting above always balances.
-        let future = self.inner.enqueue_root(reactor_id, proc, args, Some(hook));
+        let future =
+            self.inner
+                .enqueue_root(reactor_id, proc, args, Some(hook), self.waker.clone());
         Ok(TxnHandle {
             future,
             inner: Arc::clone(&self.inner),

@@ -36,7 +36,8 @@ use reactdb_common::{
 };
 use reactdb_core::future::WaitHook;
 use reactdb_core::{
-    ActiveSet, CallBackend, FulfillHook, ReactorCtx, ReactorDatabaseSpec, ReactorFuture,
+    ActiveSet, CallBackend, FulfillHook, PublishWaker, ReactorCtx, ReactorDatabaseSpec,
+    ReactorFuture,
 };
 use reactdb_obs::{
     AbortReason, CommitProbe, Counter, Gauge, HistogramSummary, Metrics, MetricsSnapshot, Phase,
@@ -957,18 +958,23 @@ impl Inner {
     /// (and the writer inside it) is dropped, which resolves the future
     /// with a runtime error and fires `hook`. Callers may therefore do
     /// submission accounting between [`Inner::validate_root`] and this call
-    /// and rely on `hook` firing exactly once afterwards.
+    /// and rely on `hook` firing exactly once afterwards. `waker`, when
+    /// given, runs once after the result is published.
     pub(crate) fn enqueue_root(
         &self,
         reactor: ReactorId,
         proc: &str,
         args: Vec<Value>,
         hook: Option<FulfillHook>,
+        waker: Option<PublishWaker>,
     ) -> ReactorFuture {
         let root = RootTxn::new(self.txn_ids.next());
         let (future, mut writer) = ReactorFuture::pending();
         if let Some(hook) = hook {
             writer.on_fulfill(hook);
+        }
+        if let Some(waker) = waker {
+            writer.on_publish(waker);
         }
         let exec = self.router.route_root(reactor);
         let _ = self.executors[exec.index()].enqueue(Request::Root {

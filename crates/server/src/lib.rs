@@ -1,22 +1,36 @@
 //! TCP wire-protocol front end for a ReactDB-rs engine instance.
 //!
 //! The offline build environment rules out async runtimes, so the server is
-//! a sharded thread-per-core blocking design in the spirit of the paper's
+//! a sharded thread-per-core design in the spirit of the paper's
 //! executor/affinity model: one acceptor thread plus N I/O worker threads,
-//! each new connection pinned to a worker by peer-address hash and never
-//! migrated. A worker owns its connections outright — nonblocking sockets
-//! polled in a loop with a short idle park — so no locks are taken on the
-//! per-connection hot path.
+//! each new connection pinned to the worker with the fewest live
+//! connections and never migrated. A worker owns its connections outright,
+//! so no locks are taken on the per-connection hot path.
+//!
+//! **Readiness loop** (Linux only; the loop is built on epoll). Each
+//! worker sleeps in one epoll instance that holds its nonblocking sockets
+//! (edge-triggered, readable or peer hang-up) and one eventfd. The eventfd
+//! is written by the engine right after it *publishes* the result of a
+//! transaction submitted through one of the worker's sessions (a
+//! [`reactdb_core::PublishWaker`], so the worker always finds the result it
+//! was woken for), by the acceptor when it hands the worker a connection,
+//! and by [`Server::shutdown`]. A worker therefore runs a pass only when a
+//! socket, a completion or a handoff gave it work. The one timed wait left
+//! is bounded at 100 µs: while a durable or replicated reply waits on the
+//! group-commit or quorum epoch (which wake nobody), or a send buffer holds
+//! bytes the socket refused. Otherwise the wait ends at the nearest read
+//! stall deadline, or never. The acceptor sleeps the same way on the
+//! listener plus a shutdown eventfd.
 //!
 //! Each accepted connection performs the version handshake and then maps
 //! 1:1 onto an engine [`Client`] session. Requests are pipelined: a worker
 //! decodes as many frames as the connection's in-flight cap allows, submits
 //! each invoke without waiting ([`Client::submit`]), and polls the
-//! resulting `TxnHandle`s as it services the connection — replying at
-//! validation time, at durable time, or at replicated time per the
-//! request's [`AckLevel`](reactdb_common::AckLevel), in whatever order
-//! transactions actually resolve (responses carry the request's
-//! correlation id, so ordering is the client's problem by design).
+//! resulting `TxnHandle`s when woken — replying at validation time, at
+//! durable time, or at replicated time per the request's
+//! [`AckLevel`](reactdb_common::AckLevel), in whatever order transactions
+//! actually resolve (responses carry the request's correlation id, so
+//! ordering is the client's problem by design).
 //!
 //! **Replication** — a connection that sends `ReplSubscribe` is handed off
 //! from its I/O worker to a dedicated feeder thread that streams the
@@ -35,7 +49,12 @@
 //!
 //! * **Backpressure** — a connection at its in-flight cap (or with a
 //!   backed-up send buffer) is not read from until it drains; misbehaving
-//!   clients stall themselves, not the worker.
+//!   clients stall themselves, not the worker. Reads paused at the cap are
+//!   resumed by the completion wake that frees a slot, not by a socket
+//!   edge (an edge-triggered socket with unread bytes raises no new one).
+//! * **Oversized replies** — a reply whose payload exceeds the frame cap
+//!   (e.g. the metrics of a deployment with tens of thousands of tables)
+//!   is replaced by a `ServerError` naming its size.
 //! * **Timeouts** — a connection that stalls mid-frame, or that refuses to
 //!   accept writes while responses are queued, is killed after a deadline.
 //! * **Malformed frames** — a failed length/checksum/body decode kills
@@ -53,21 +72,31 @@
 //! wire protocol's metrics op returns that augmented snapshot rendered as
 //! Prometheus text or JSON — the `GET /metrics` equivalent.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("reactdb-server's I/O loop is built on epoll and supports Linux only");
+
+mod poll;
 pub mod replica;
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use reactdb_client::codec::{self, MetricsFormat, Request, Response};
 use reactdb_common::{AckLevel, ReplicationConfig};
+use reactdb_core::PublishWaker;
 use reactdb_engine::{Client, ReactDB, TxnHandle};
 use reactdb_obs::{Counter, Gauge, Metrics, MetricsSnapshot, Phase};
 use reactdb_wal::{ShipCursor, ShipEvent};
+
+use poll::{Poller, Waker};
 
 pub use replica::{run_follower, FollowerOpts, FollowerReport};
 
@@ -77,8 +106,8 @@ pub struct ServerConfig {
     /// Address to bind; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// I/O worker threads; connections are pinned across them by
-    /// peer-address hash.
+    /// I/O worker threads; each new connection is pinned to the one with
+    /// the fewest live connections.
     pub workers: usize,
     /// Per-connection cap on invokes submitted but not yet replied to;
     /// reaching it pauses reads from that connection until work drains.
@@ -162,9 +191,18 @@ pub struct NetStats {
     requests: AtomicU64,
     responses: AtomicU64,
     in_flight: AtomicU64,
+    wakeups: AtomicU64,
 }
 
 impl NetStats {
+    /// Returns from the I/O workers' readiness wait, summed over workers:
+    /// one per socket edge, completion or handoff batch, plus one per
+    /// expired timeout. A count of loop passes, so an idle server whose
+    /// count climbs is polling instead of sleeping.
+    pub fn worker_wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Relaxed)
+    }
+
     /// Connections accepted over the server's lifetime.
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
@@ -404,6 +442,8 @@ struct Shared {
     /// Feeder threads serving replication subscriptions; joined at
     /// shutdown.
     feeders: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections per I/O worker, for pinning new ones.
+    worker_loads: Vec<AtomicUsize>,
     config: ServerConfig,
     shutdown: AtomicBool,
 }
@@ -424,6 +464,7 @@ impl Shared {
             ("net_connections_killed{reason=\"timeout\"}", s.timeouts()),
             ("net_requests", s.requests()),
             ("net_responses", s.responses()),
+            ("net_worker_wakeups", s.worker_wakeups()),
         ] {
             snap.counters.push(Counter {
                 name: name.to_string(),
@@ -498,7 +539,14 @@ pub struct Server {
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The acceptor's waker first, then one per I/O worker: shutdown wakes
+    /// them all so no thread sleeps through the flag.
+    wakers: Vec<Arc<Waker>>,
 }
+
+/// Poller token of a thread's own waker; an I/O worker's connection tokens
+/// are slot indices, the acceptor's listener is 0.
+const WAKE: u64 = u64::MAX;
 
 impl Server {
     /// Binds, spawns the acceptor and worker threads, and returns. The
@@ -515,6 +563,7 @@ impl Server {
             stats: NetStats::default(),
             repl: Arc::new(ReplState::default()),
             feeders: Mutex::new(Vec::new()),
+            worker_loads: (0..config.workers).map(|_| AtomicUsize::new(0)).collect(),
             config,
             shutdown: AtomicBool::new(false),
         });
@@ -522,28 +571,39 @@ impl Server {
             .repl
             .set_quorum(shared.config.replication.effective_quorum());
 
-        let mut senders = Vec::new();
+        // Every poller and waker exists before any thread does, so a
+        // failure here leaves nothing running.
+        let (accept_poller, accept_waker) = Poller::with_waker(WAKE)?;
+        accept_poller.add(listener.as_raw_fd(), 0, false)?;
+        let worker_pollers = (0..shared.config.workers)
+            .map(|_| Poller::with_waker(WAKE))
+            .collect::<std::io::Result<Vec<_>>>()?;
+
+        let mut wakers = vec![accept_waker];
+        let mut handoffs = Vec::new();
         let mut workers = Vec::new();
-        for idx in 0..shared.config.workers {
+        for (idx, (poller, waker)) in worker_pollers.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+            wakers.push(Arc::clone(&waker));
+            handoffs.push((tx, Arc::clone(&waker)));
             let shared = Arc::clone(&shared);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("reactdb-net-{idx}"))
-                    .spawn(move || worker_loop(shared, rx, idx))?,
+                    .spawn(move || worker_loop(shared, rx, idx, poller, waker))?,
             );
         }
         let acceptor_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
             .name("reactdb-net-accept".into())
-            .spawn(move || accept_loop(listener, acceptor_shared, senders))?;
+            .spawn(move || accept_loop(listener, acceptor_shared, accept_poller, handoffs))?;
 
         Ok(Self {
             shared,
             local_addr,
             acceptor: Some(acceptor),
             workers,
+            wakers,
         })
     }
 
@@ -581,6 +641,9 @@ impl Server {
 
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -600,31 +663,49 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, senders: Vec<mpsc::Sender<TcpStream>>) {
+/// The worker with the fewest live connections, the lowest index on a tie:
+/// connections opened one after another spread one per worker.
+fn least_loaded(loads: &[AtomicUsize]) -> usize {
+    (0..loads.len())
+        .min_by_key(|&worker| loads[worker].load(Ordering::Relaxed))
+        .expect("a server has at least one worker")
+}
+
+fn accept_loop(
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    mut poller: Poller,
+    handoffs: Vec<(mpsc::Sender<TcpStream>, Arc<Waker>)>,
+) {
+    let mut ready = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((stream, _peer)) => {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 shared.stats.active.fetch_add(1, Ordering::Relaxed);
-                // Pin by peer-address hash so a client's connection always
-                // lands on the same worker (stable, no rebalancing).
-                let mut hash = 0xcbf2_9ce4_8422_2325u64;
-                for b in peer.to_string().bytes() {
-                    hash ^= b as u64;
-                    hash = hash.wrapping_mul(0x100_0000_01b3);
-                }
-                let worker = (hash % senders.len() as u64) as usize;
-                if senders[worker].send(stream).is_err() {
-                    shared.stats.active.fetch_sub(1, Ordering::Relaxed);
+                let worker = least_loaded(&shared.worker_loads);
+                shared.worker_loads[worker].fetch_add(1, Ordering::Relaxed);
+                let (tx, waker) = &handoffs[worker];
+                if tx.send(stream).is_err() {
+                    release(&shared, worker);
                     return; // workers gone; shutting down
                 }
+                waker.wake();
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::park_timeout(Duration::from_micros(200));
-            }
-            Err(_) => std::thread::park_timeout(Duration::from_millis(1)),
+            // The listener is registered level-triggered, so the wait
+            // returns while any connection is queued.
+            Err(e) if e.kind() == ErrorKind::WouldBlock => poller.wait(None, &mut ready),
+            // E.g. out of descriptors: the listener stays readable, so back
+            // off instead of spinning on it.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
+}
+
+/// Forgets one live connection of `worker` in the counters.
+fn release(shared: &Shared, worker: usize) {
+    shared.stats.active.fetch_sub(1, Ordering::Relaxed);
+    shared.worker_loads[worker].fetch_sub(1, Ordering::Relaxed);
 }
 
 /// One invoke submitted to the engine, awaiting its reply point.
@@ -642,6 +723,9 @@ struct Conn {
     wbuf: Vec<u8>,
     inflight: VecDeque<Pending>,
     handshaken: bool,
+    /// The socket may hold unread bytes: set by its (edge-triggered)
+    /// readiness event, cleared when a read reports `WouldBlock`.
+    readable: bool,
     /// Last time a read made progress; the read-stall clock only matters
     /// while the peer owes bytes (mid-handshake or mid-frame).
     last_read: Instant,
@@ -676,8 +760,25 @@ const WBUF_HIGH_WATER: usize = 4 << 20;
 /// stalled durable acknowledgements.
 const WAL_KICK_INTERVAL: Duration = Duration::from_millis(1);
 
-fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: usize) {
-    let mut conns: Vec<Conn> = Vec::new();
+/// Bound on a worker's wait while something it owes a client advances
+/// without waking it: a durable or replicated reply waiting on the
+/// group-commit or quorum epoch, or a send buffer the socket refused.
+const BUSY_WAIT: Duration = Duration::from_micros(100);
+
+fn worker_loop(
+    shared: Arc<Shared>,
+    rx: mpsc::Receiver<TcpStream>,
+    worker_idx: usize,
+    mut poller: Poller,
+    waker: Arc<Waker>,
+) {
+    // Connection slots; a connection's poller token is its slot index.
+    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut ready = Vec::new();
+    let session_waker: PublishWaker = {
+        let waker = Arc::clone(&waker);
+        Arc::new(move || waker.wake())
+    };
     let mut last_wal_kick = Instant::now();
     let mut drain_deadline: Option<Instant> = None;
 
@@ -690,27 +791,45 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
         // Adopt connections the acceptor pinned to this worker.
         while let Ok(stream) = rx.try_recv() {
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                shared.stats.active.fetch_sub(1, Ordering::Relaxed);
+                release(&shared, worker_idx);
+                continue;
+            }
+            let slot = conns.iter().position(Option::is_none).unwrap_or_else(|| {
+                conns.push(None);
+                conns.len() - 1
+            });
+            if poller.add(stream.as_raw_fd(), slot as u64, true).is_err() {
+                release(&shared, worker_idx);
                 continue;
             }
             let now = Instant::now();
-            conns.push(Conn {
+            conns[slot] = Some(Conn {
                 stream,
-                session: shared.db.client(),
+                session: shared.db.client().with_waker(Arc::clone(&session_waker)),
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 inflight: VecDeque::new(),
                 handshaken: false,
+                // Bytes may have arrived before registration.
+                readable: true,
                 last_read: now,
                 last_write: now,
                 kill: None,
             });
         }
 
-        let mut progressed = false;
+        let mut next_look = drain_deadline;
         let mut want_wal_kick = false;
-        for conn in conns.iter_mut() {
-            progressed |= service(&shared, conn, worker_idx, shutting, &mut want_wal_kick);
+        for conn in conns.iter_mut().flatten() {
+            let look = service(
+                &shared,
+                &poller,
+                conn,
+                worker_idx,
+                shutting,
+                &mut want_wal_kick,
+            );
+            next_look = [next_look, look].into_iter().flatten().min();
         }
 
         // A durable acknowledgement is waiting on group commit; nudge the
@@ -721,8 +840,11 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
             let _ = shared.db.wal_sync();
         }
 
-        conns.retain_mut(|conn| {
-            let Some(reason) = conn.kill else { return true };
+        for slot in conns.iter_mut() {
+            let Some(reason) = slot.as_ref().and_then(|conn| conn.kill) else {
+                continue;
+            };
+            let conn = slot.take().expect("slot checked above");
             match reason {
                 KillReason::HandshakeRejected => {
                     shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -737,89 +859,109 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<TcpStream>, worker_idx: u
             }
             // Dropping the connection drops its session and handles; the
             // engine resolves whatever was still in flight on its own, so
-            // a mid-run kill leaks nothing.
+            // a mid-run kill leaks nothing. Closing the socket also drops
+            // its poller registration.
             shared
                 .stats
                 .in_flight
                 .fetch_sub(conn.inflight.len() as u64, Ordering::Relaxed);
-            shared.stats.active.fetch_sub(1, Ordering::Relaxed);
+            release(&shared, worker_idx);
             // A handed-off socket lives on in its feeder thread (the
             // worker's fd is a duplicate); shutting it down here would
             // sever the replication stream.
             if reason != KillReason::ReplHandoff {
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             }
-            false
-        });
+        }
 
         if shutting {
             let deadline_passed = drain_deadline.is_some_and(|d| Instant::now() >= d);
-            if conns.is_empty() || deadline_passed {
+            if conns.iter().all(Option::is_none) || deadline_passed {
                 return;
             }
             let drained = conns
                 .iter()
+                .flatten()
                 .all(|c| c.inflight.is_empty() && c.wbuf.is_empty());
             if drained {
-                for conn in conns.iter_mut() {
+                for conn in conns.iter_mut().flatten() {
                     conn.kill = Some(KillReason::Drained);
                 }
-                continue; // next retain pass closes them
+                continue; // next pass closes them
             }
         }
 
-        if !progressed {
-            std::thread::park_timeout(Duration::from_micros(100));
+        let timeout = next_look.map(|at| at.saturating_duration_since(Instant::now()));
+        poller.wait(timeout, &mut ready);
+        shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        for &token in &ready {
+            if token == WAKE {
+                waker.reset();
+            } else if let Some(Some(conn)) = conns.get_mut(token as usize) {
+                conn.readable = true;
+            }
         }
     }
 }
 
-/// Services one connection once: read, handshake, decode/dispatch, poll
-/// in-flight transactions, flush, and check stall deadlines. Returns true
-/// when any byte or transaction moved (the worker's idle heuristic).
+/// Services one connection once: poll in-flight transactions, read,
+/// handshake, decode/dispatch, flush, and check stall deadlines. Returns
+/// the time by which the worker must service it again even if no event
+/// arrives, or `None` when only an event can give it work.
 fn service(
     shared: &Arc<Shared>,
+    poller: &Poller,
     conn: &mut Conn,
     worker_idx: usize,
     shutting: bool,
     want_wal_kick: &mut bool,
-) -> bool {
+) -> Option<Instant> {
     if conn.kill.is_some() {
-        return false;
+        return None;
     }
-    let mut progressed = false;
-
-    // Read — unless shutting down, backpressured, or buffers are backed up
+    // Not reading — shutting down, backpressured, or buffers backed up
     // past the high-water mark.
-    let paused = shutting
-        || conn.inflight.len() >= shared.config.max_in_flight
-        || conn.wbuf.len() >= WBUF_HIGH_WATER
-        || conn.rbuf.len() >= WBUF_HIGH_WATER;
-    if paused {
+    let paused = |conn: &Conn| {
+        shutting
+            || conn.inflight.len() >= shared.config.max_in_flight
+            || conn.wbuf.len() >= WBUF_HIGH_WATER
+            || conn.rbuf.len() >= WBUF_HIGH_WATER
+    };
+    if paused(conn) {
         // Not our peer's fault we aren't reading; restart its window so
         // the stall clock measures only willing-to-read time.
         conn.last_read = Instant::now();
-    } else {
+    }
+
+    // Completions first: a reply frees an in-flight slot, so this same pass
+    // resumes reading a pipeline the cap paused.
+    let awaiting_epoch = poll_inflight(shared, conn, worker_idx);
+    *want_wal_kick |= awaiting_epoch;
+
+    let reading = !paused(conn);
+    if reading && conn.readable {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.kill = Some(KillReason::Gone);
-                    return true;
+                    return None;
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
                     conn.last_read = Instant::now();
-                    progressed = true;
                     if conn.rbuf.len() >= WBUF_HIGH_WATER {
                         break; // plenty buffered; decode before reading more
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    conn.readable = false;
+                    break;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.kill = Some(KillReason::Gone);
-                    return true;
+                    return None;
                 }
             }
         }
@@ -839,14 +981,13 @@ fn service(
                 // Tell the client which version we speak, then hang up.
                 let _ = conn.stream.write_all(&codec::server_hello(false));
                 conn.kill = Some(KillReason::HandshakeRejected);
-                return true;
+                return None;
             }
             Err(_) => {
                 conn.kill = Some(KillReason::HandshakeRejected);
-                return true;
+                return None;
             }
         }
-        progressed = true;
     }
 
     // Decode and dispatch pipelined requests up to the in-flight cap.
@@ -858,12 +999,12 @@ fn service(
                 Ok(request) => (request, consumed),
                 Err(_) => {
                     conn.kill = Some(KillReason::Malformed);
-                    return true;
+                    return None;
                 }
             },
             Err(_) => {
                 conn.kill = Some(KillReason::Malformed);
-                return true;
+                return None;
             }
         };
         conn.rbuf.drain(..consumed);
@@ -873,7 +1014,6 @@ fn service(
                 .record_elapsed(Phase::NetDecode, worker_idx, since);
         }
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        progressed = true;
 
         let dispatch_clock = shared.metrics.clock();
         match request {
@@ -933,8 +1073,15 @@ fn service(
                 from_epoch: _,
                 follower_id,
             } => {
-                subscribe_follower(shared, conn, worker_idx, correlation_id, follower_id);
-                return true;
+                subscribe_follower(
+                    shared,
+                    poller,
+                    conn,
+                    worker_idx,
+                    correlation_id,
+                    follower_id,
+                );
+                return None;
             }
             // Acks are read by the feeder on the subscribed connection
             // they belong to; one arriving on an ordinary connection has
@@ -949,7 +1096,66 @@ fn service(
         }
     }
 
-    // Poll in-flight transactions; reply to whatever reached its ack point.
+    // Flush the send buffer.
+    while !conn.wbuf.is_empty() {
+        match conn.stream.write(&conn.wbuf) {
+            Ok(0) => {
+                conn.kill = Some(KillReason::Gone);
+                return None;
+            }
+            Ok(n) => {
+                conn.wbuf.drain(..n);
+                conn.last_write = Instant::now();
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.kill = Some(KillReason::Gone);
+                return None;
+            }
+        }
+    }
+
+    // Stall deadlines. The read clock only matters while the peer owes us
+    // bytes — mid-handshake or with the buffer's first frame incomplete —
+    // and only when we were actually willing to read (a connection paused
+    // by our own backpressure is not the peer stalling). An idle client
+    // with no partial frame may stay connected indefinitely.
+    let partial_frame =
+        !conn.rbuf.is_empty() && matches!(codec::decode_frame(&conn.rbuf), Ok(None));
+    let owes_bytes = !conn.handshaken || partial_frame;
+    if reading && owes_bytes && conn.last_read.elapsed() >= shared.config.read_timeout {
+        conn.kill = Some(KillReason::Stalled);
+        return None;
+    }
+    if !conn.wbuf.is_empty() && conn.last_write.elapsed() >= shared.config.write_timeout {
+        conn.kill = Some(KillReason::Stalled);
+        return None;
+    }
+
+    // When to look again without an event. Completions and socket edges
+    // wake the worker; epoch progress and send-buffer space do not.
+    let now = Instant::now();
+    let reading = !paused(conn);
+    if reading && conn.readable {
+        Some(now) // stopped at the high-water mark with bytes left unread
+    } else if awaiting_epoch || !conn.wbuf.is_empty() {
+        Some(now + BUSY_WAIT)
+    } else if reading && owes_bytes {
+        Some(conn.last_read + shared.config.read_timeout)
+    } else {
+        None
+    }
+}
+
+/// Replies to every in-flight transaction that reached its ack point.
+/// Returns true when a resolved commit is still waiting on the durable or
+/// quorum epoch.
+fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) -> bool {
+    if conn.inflight.is_empty() {
+        return false;
+    }
+    let mut awaiting_epoch = false;
     let durable_epoch = shared.db.durable_epoch();
     // The quorum epoch takes the roster lock; compute it at most once per
     // pass, and only when some pending invoke actually asked for a
@@ -982,7 +1188,7 @@ fn service(
                     commit <= *quorum_epoch.get_or_insert_with(|| shared.repl.quorum_epoch())
                 });
             if !(covered && replicated) {
-                *want_wal_kick = true;
+                awaiting_epoch = true;
                 still_pending.push_back(pending);
                 continue;
             }
@@ -1000,57 +1206,25 @@ fn service(
         };
         shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         reply(shared, conn, worker_idx, &response);
-        progressed = true;
     }
     conn.inflight = still_pending;
-
-    // Flush the send buffer.
-    while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
-            Ok(0) => {
-                conn.kill = Some(KillReason::Gone);
-                return true;
-            }
-            Ok(n) => {
-                conn.wbuf.drain(..n);
-                conn.last_write = Instant::now();
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.kill = Some(KillReason::Gone);
-                return true;
-            }
-        }
-    }
-
-    // Stall deadlines. The read clock only matters while the peer owes us
-    // bytes — mid-handshake or with the buffer's first frame incomplete —
-    // and only when we were actually willing to read (a connection paused
-    // by our own backpressure is not the peer stalling). An idle client
-    // with no partial frame may stay connected indefinitely.
-    let partial_frame =
-        !conn.rbuf.is_empty() && matches!(codec::decode_frame(&conn.rbuf), Ok(None));
-    let owes_bytes = !conn.handshaken || partial_frame;
-    if !paused && owes_bytes && conn.last_read.elapsed() >= shared.config.read_timeout {
-        conn.kill = Some(KillReason::Stalled);
-        return true;
-    }
-    if !conn.wbuf.is_empty() && conn.last_write.elapsed() >= shared.config.write_timeout {
-        conn.kill = Some(KillReason::Stalled);
-        return true;
-    }
-
-    progressed
+    awaiting_epoch
 }
 
 /// Encodes a response and queues it on the connection's send buffer,
-/// recording the reply phase.
+/// recording the reply phase. A payload over the frame cap is replaced by
+/// a `ServerError` saying so: the client learns why, and the worker keeps
+/// serving.
 fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Response) {
     let clock = shared.metrics.clock();
-    let framed = codec::frame(&codec::encode_response(response));
-    conn.wbuf.extend_from_slice(&framed);
+    let mut payload = codec::encode_response(response);
+    if payload.len() > codec::MAX_FRAME_LEN as usize {
+        payload = codec::encode_response(&Response::ServerError {
+            correlation_id: response.correlation_id(),
+            message: format!("reply of {} bytes exceeds the frame cap", payload.len()),
+        });
+    }
+    conn.wbuf.extend_from_slice(&codec::frame(&payload));
     if let Some(since) = clock {
         shared
             .metrics
@@ -1061,14 +1235,15 @@ fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Respons
 
 /// Hands a connection that sent `ReplSubscribe` off to a feeder thread.
 ///
-/// The worker's nonblocking poll loop is the wrong shape for a one-way
-/// bulk stream, so the subscription gets a dedicated thread working a
+/// The worker's readiness loop is the wrong shape for a one-way bulk
+/// stream, so the subscription gets a dedicated thread working a
 /// duplicated socket handle in blocking mode; the worker then forgets the
 /// connection via [`KillReason::ReplHandoff`] (which closes the worker's
 /// duplicate without shutting the socket down). Whatever responses were
 /// still queued on the connection are shipped first, in order.
 fn subscribe_follower(
     shared: &Arc<Shared>,
+    poller: &Poller,
     conn: &mut Conn,
     worker_idx: usize,
     correlation_id: u64,
@@ -1087,6 +1262,13 @@ fn subscribe_follower(
         );
         return;
     };
+    // The registration belongs to the socket, not to the worker's
+    // descriptor, and the feeder's duplicate keeps the socket open: without
+    // this, every follower ack would keep waking the worker.
+    if poller.delete(conn.stream.as_raw_fd()).is_err() {
+        conn.kill = Some(KillReason::Gone);
+        return;
+    }
     let stream = match conn.stream.try_clone() {
         Ok(stream) => stream,
         Err(_) => {
@@ -1284,5 +1466,49 @@ fn feeder_loop(
                 Err(_) => return,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reactdb_client::WireClient;
+    use reactdb_common::DeploymentConfig;
+    use reactdb_workloads::smallbank;
+
+    fn loads(server: &Server) -> Vec<usize> {
+        let loads = &server.shared.worker_loads;
+        loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn connections_spread_one_per_worker() {
+        let db = Arc::new(ReactDB::boot(
+            smallbank::spec(4),
+            DeploymentConfig::shared_nothing(1),
+        ));
+        let workers = 3;
+        let server = Server::start(db, ServerConfig::default().with_workers(workers)).unwrap();
+        let connect = || {
+            let client = WireClient::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+            client
+        };
+        let mut clients: Vec<_> = (0..workers).map(|_| connect()).collect();
+        assert_eq!(loads(&server), vec![1; workers]);
+
+        // A closed connection frees its worker, and the next one lands there.
+        drop(clients.remove(1));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while loads(&server) != [1, 0, 1] {
+            assert!(
+                Instant::now() < deadline,
+                "closed connection never released"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        clients.push(connect());
+        assert_eq!(loads(&server), vec![1; workers]);
+        server.shutdown();
     }
 }

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Value};
 use reactdb::engine::ReactDB;
+use reactdb::workloads::smallbank;
 use reactdb_client::{codec, WireClient};
 use reactdb_server::{Server, ServerConfig};
 use support::history::{load, spec, SHARDS};
@@ -184,6 +185,70 @@ fn an_abruptly_killed_connection_leaks_nothing_and_wedges_nobody() {
         .invoke("shard-0", "rmw", vec![Value::Int(11), Value::Int(0)])
         .unwrap();
     WireClient::connect(addr).unwrap().ping().unwrap();
+    server.shutdown();
+    drop(db);
+}
+
+#[test]
+fn a_reply_over_the_frame_cap_is_an_error_not_a_crash() {
+    // 10 000 SmallBank customers are 30 000 tables, and with durability on
+    // each one reports per-table log counters: the metrics text runs to
+    // several MiB, past the 1 MiB frame cap.
+    let dir = std::env::temp_dir().join(format!("reactdb-wire-bigreply-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let customers = 10_000;
+    let config = DeploymentConfig::shared_nothing(2)
+        .with_durability(DurabilityConfig::epoch_sync(dir.to_string_lossy()));
+    let db = Arc::new(ReactDB::boot(smallbank::spec(customers), config));
+    smallbank::load(&db, customers).unwrap();
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let client = WireClient::connect(server.local_addr()).unwrap();
+
+    match client.metrics_prometheus() {
+        Ok(text) => assert!(text.len() <= codec::MAX_FRAME_LEN as usize),
+        Err(e) => assert!(
+            e.to_string().contains("exceeds the frame cap"),
+            "unexpected error: {e}"
+        ),
+    }
+    client.ping().unwrap();
+    assert!(!client.is_dead());
+    server.shutdown();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_pings_cost_a_bounded_number_of_worker_wakeups() {
+    let (server, db) = boot_server(ServerConfig::default());
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+
+    let before = server.net_stats().worker_wakeups();
+    for _ in 0..500 {
+        client.ping().unwrap();
+    }
+    let spent = server.net_stats().worker_wakeups() - before;
+    assert!(spent <= 3 * 500, "{spent} wakeups for 500 pings");
+    server.shutdown();
+    drop(db);
+}
+
+#[test]
+fn an_idle_connection_lets_the_workers_sleep() {
+    let (server, db) = boot_server(ServerConfig::default());
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+
+    let before = server.net_stats().worker_wakeups();
+    std::thread::sleep(Duration::from_millis(200));
+    let spent = server.net_stats().worker_wakeups() - before;
+    assert!(spent <= 5, "{spent} wakeups while idle for 200 ms");
+    assert_eq!(
+        server.metrics_snapshot().counter("net_worker_wakeups"),
+        Some(server.net_stats().worker_wakeups())
+    );
+    client.ping().unwrap();
     server.shutdown();
     drop(db);
 }
