@@ -175,8 +175,7 @@ fn recovered_replay_log(dir: &str) -> reactdb_wal::RecoveredLog {
     }
     db.wal_sync().unwrap();
     drop(db);
-    let mode = DurabilityConfig::epoch_sync(dir).mode;
-    reactdb_wal::recover_and_compact(Path::new(dir), mode).unwrap()
+    reactdb_wal::recover_and_compact(Path::new(dir)).unwrap()
 }
 
 fn replay_schema() -> Schema {

@@ -1,6 +1,6 @@
 //! Durability-cost micro-benchmark: the same single-reactor deposit
-//! workload on the live engine with durability off, buffered logging, and
-//! epoch-based group commit. The interesting quantity is the overhead the
+//! workload on the live engine with durability off and with epoch-based
+//! group commit. The interesting quantity is the overhead the
 //! logging fast path (render redo records + buffered append under the
 //! writer mutex) adds to a commit — with group commit it should be small,
 //! because no disk I/O ever happens on the commit path.
@@ -64,12 +64,6 @@ fn bench_wal(c: &mut Criterion) {
     let off = boot(DurabilityConfig::off());
     run_deposits(c, "wal/deposit_durability_off", &off);
     drop(off);
-
-    let buffered_dir = bench_dir("buffered");
-    let buffered = boot(DurabilityConfig::buffered(&buffered_dir));
-    run_deposits(c, "wal/deposit_buffered", &buffered);
-    drop(buffered);
-    let _ = std::fs::remove_dir_all(&buffered_dir);
 
     // Group commit with the default 10 ms daemon: commits only pay the
     // buffered append; the daemon fsyncs on epoch boundaries concurrently.

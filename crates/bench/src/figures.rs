@@ -1,10 +1,10 @@
 //! Reproduction of every table and figure of the paper's evaluation.
 //!
 //! Each `figNN`/`table1` function runs the corresponding experiment on the
-//! virtual-time simulator (see DESIGN.md §4.4 for why the simulator, and not
-//! host wall-clock, is the primary substrate) and prints the same series the
-//! paper plots. `EXPERIMENTS.md` records the expected shapes and the
-//! measured values.
+//! virtual-time simulator and prints the same series the paper plots. The
+//! simulator, not host wall-clock, is the substrate because the machines
+//! this runs on have too few cores to show the multi-core parallelism the
+//! figures plot (see `reactdb_sim`).
 
 use rand::rngs::StdRng;
 use rand::Rng;

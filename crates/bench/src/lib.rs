@@ -1,8 +1,9 @@
 //! Benchmark harness for ReactDB-rs.
 //!
-//! Shared utilities used by the per-figure binaries in `src/bin/` and the
-//! Criterion micro-benchmarks in `benches/`. See `EXPERIMENTS.md` for the
-//! mapping between the paper's tables/figures and the harness targets.
+//! Shared utilities used by the `figures` binary in `src/bin/` and the
+//! Criterion micro-benchmarks in `benches/`. Each `figures::figNN` /
+//! `figures::table1` function regenerates the paper's table or figure of
+//! that number.
 
 pub mod figures;
 pub mod harness;

@@ -89,10 +89,6 @@ pub enum DeploymentStrategy {
 pub enum DurabilityMode {
     /// No logging: every commit is volatile (the seed behaviour).
     Off,
-    /// Redo records are buffered and written to the log files opportunistically
-    /// (on buffer pressure and clean shutdown) without fsync and without a
-    /// durable-epoch marker. Recovery replays every intact record.
-    Buffered,
     /// Full epoch-based group commit: a daemon flushes and fsyncs all log
     /// writers on epoch boundaries and advances the durable-epoch marker.
     /// Recovery replays exactly the transactions of fully synced epochs.
@@ -116,9 +112,7 @@ pub struct DurabilityConfig {
     /// the full row image. Inserts, deletes and the first touch of a key
     /// since the writer's segment rotation stay full-image, so every delta
     /// chain in a surviving segment generation is rooted in a full image
-    /// (or in a checkpoint row). Only effective under
-    /// [`DurabilityMode::EpochSync`]: buffered-mode flushes are per-writer
-    /// and could persist a delta without its cross-writer base.
+    /// (or in a checkpoint row).
     #[serde(default)]
     pub delta_logging: bool,
     /// Record-level compression of redo frame bodies (RLE / zero
@@ -144,16 +138,6 @@ impl DurabilityConfig {
     /// Durability disabled (volatile commits).
     pub fn off() -> Self {
         Self::default()
-    }
-
-    /// Buffered logging into `log_dir` without epoch-boundary fsyncs.
-    pub fn buffered(log_dir: impl Into<String>) -> Self {
-        Self {
-            mode: DurabilityMode::Buffered,
-            log_dir: Some(log_dir.into()),
-            group_commit_interval_ms: 0,
-            ..Self::default()
-        }
     }
 
     /// Epoch-based group commit into `log_dir` with the default daemon

@@ -4,9 +4,8 @@
 //! workspace: relational [`Value`]s and keys, identifiers for reactors,
 //! containers, executors and transactions, the error taxonomy, the
 //! deployment configuration model (the paper's "configuration file" that
-//! virtualizes database architecture, §3.3), random-distribution helpers used
-//! by the workloads, and small statistics utilities used by the benchmark
-//! harness.
+//! virtualizes database architecture, §3.3) and random-distribution helpers
+//! used by the workloads.
 //!
 //! Nothing in this crate depends on the storage engine, the concurrency
 //! control layer or the runtime; it is the bottom of the dependency stack.
@@ -15,7 +14,6 @@ pub mod ack;
 pub mod config;
 pub mod error;
 pub mod ids;
-pub mod stats;
 pub mod value;
 pub mod zipf;
 

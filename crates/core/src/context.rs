@@ -269,34 +269,43 @@ impl<'a> ReactorCtx<'a> {
             .sum())
     }
 
-    /// Equality lookup on a secondary index of the relation.
+    /// Equality lookup on a secondary index of the relation: every visible
+    /// row whose index key is `index_key`, in primary-key order.
     pub fn index_lookup(
         &self,
         relation: &str,
         index_id: usize,
         index_key: &Key,
     ) -> Result<Vec<(Key, Tuple)>> {
-        let table = self.partition.table(self.reactor_id, relation)?;
-        self.occ
-            .lock()
-            .secondary_lookup(&table, index_id, index_key)
+        self.index_walk(relation, index_id, index_key, usize::MAX, false)
     }
 
-    /// Range scan on a secondary index of the relation: visible rows whose
-    /// index key falls within `range`, in index order.
-    pub fn index_range<R>(
+    /// The last `n` rows under `index_key` in primary-key order, descending
+    /// ("this customer's latest order"). Like [`ReactorCtx::scan_limit_rev`]
+    /// it reads, and validates at commit, only the index entries from the
+    /// end of the key's span down to the `n`-th row.
+    pub fn index_lookup_rev(
         &self,
         relation: &str,
         index_id: usize,
-        range: R,
-    ) -> Result<Vec<(Key, Tuple)>>
-    where
-        R: RangeBounds<Key>,
-    {
+        index_key: &Key,
+        n: usize,
+    ) -> Result<Vec<(Key, Tuple)>> {
+        self.index_walk(relation, index_id, index_key, n, true)
+    }
+
+    fn index_walk(
+        &self,
+        relation: &str,
+        index_id: usize,
+        index_key: &Key,
+        n: usize,
+        reverse: bool,
+    ) -> Result<Vec<(Key, Tuple)>> {
         let table = self.partition.table(self.reactor_id, relation)?;
         self.occ
             .lock()
-            .secondary_scan(&table, index_id, range.start_bound(), range.end_bound())
+            .secondary_lookup(&table, index_id, index_key, n, reverse)
     }
 
     // ----------------------------------------------------------------

@@ -19,8 +19,8 @@
 //!   epoch covers the transaction's commit epoch** — the acknowledgement
 //!   rule of Silo/SiloR (Tu et al., SOSP'13; Zheng et al., OSDI'14). Under
 //!   `EpochSync` durability a transaction acknowledged this way is
-//!   guaranteed to survive a crash; under `Buffered` it degrades to a
-//!   flush (no fsync), and with durability off to `wait`.
+//!   guaranteed to survive a crash; with durability off it degrades to
+//!   `wait`.
 //! * [`TxnHandle::try_result`] polls without blocking.
 //!
 //! [`RetryPolicy`] packages the retry loop every OCC front end otherwise
@@ -397,10 +397,7 @@ impl TxnHandle {
     /// `EpochSync` durability, a transaction acknowledged by
     /// `wait_durable` survives any crash.
     ///
-    /// Weaker deployments weaken the guarantee accordingly: under
-    /// `Buffered` durability the call flushes the log to the OS and
-    /// returns (no fsync — survives a process crash, not power loss), and
-    /// with durability off there is no log to wait for, so the call is
+    /// With durability off there is no log to wait for, so the call is
     /// equivalent to [`TxnHandle::wait`]. Degenerate cases resolve
     /// immediately either way: aborted transactions (the error propagates;
     /// nothing was installed) and read-only transactions that wrote

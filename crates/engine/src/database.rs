@@ -126,8 +126,7 @@ impl ReactDB {
 
     /// Boots a reactor database and replays the write-ahead log found in the
     /// deployment's log directory: every transaction of a fully synced epoch
-    /// (and, in buffered mode, every intact logged transaction) is
-    /// re-applied in commit-TID order before the database starts serving,
+    /// is re-applied in commit-TID order before the database starts serving,
     /// and the epoch / TID-generator high-water marks resume beyond
     /// everything observed in the log.
     pub fn recover(spec: ReactorDatabaseSpec, config: DeploymentConfig) -> Result<Self> {
@@ -202,74 +201,23 @@ impl ReactDB {
 
             // Crash recovery: replay the log before anything can run.
             if recover {
-                let recovered = reactdb_wal::recover_and_compact(&dir, config.durability.mode)?;
-                // Route by the *current* reactor-to-container mapping:
-                // recovery may legitimately restore the log under a
-                // different deployment of the same reactor database. A
-                // record for a reactor the new spec does not declare has no
-                // home; skip it rather than guess (the logged container id
-                // belongs to the *old* deployment). Full images and
-                // tombstones replay idempotently; a delta record whose base
-                // image is missing or mismatched is a broken chain and
-                // *fails* recovery — surfacing the corruption beats
-                // recovering plausible-but-wrong rows.
-                let replay_one = |tid: reactdb_storage::TidWord,
-                                  record: &reactdb_txn::RedoRecord|
-                 -> std::io::Result<()> {
-                    let Some(container) = container_of_reactor.get(record.reactor.index()).copied()
-                    else {
-                        return Ok(());
-                    };
-                    if let Ok(table) = containers[container.index()]
-                        .partition()
-                        .table(record.reactor, &record.relation)
-                    {
-                        match &record.payload {
-                            reactdb_txn::RedoPayload::Full(image) => {
-                                table.replay(&record.key, Some(image), tid);
-                            }
-                            reactdb_txn::RedoPayload::Delete => {
-                                table.replay(&record.key, None, tid);
-                            }
-                            reactdb_txn::RedoPayload::Delta(row_delta) => {
-                                table
-                                    .replay_delta(
-                                        &record.key,
-                                        row_delta.base,
-                                        &row_delta.delta,
-                                        tid,
-                                    )
-                                    .map_err(|e| {
-                                        std::io::Error::other(format!("corrupt delta chain: {e}"))
-                                    })?;
-                            }
-                        }
-                    }
-                    Ok(())
-                };
+                let recovered = reactdb_wal::recover_and_compact(&dir)?;
                 // Base state first: the newest complete checkpoint chain
                 // fully covers every epoch <= its stamp. The log tail then
                 // layers on top; TID-aware replay resolves the fuzzy
-                // overlap. The replay fans out across reactor-partitioned
-                // workers — same-reactor records stay ordered in one lane,
-                // so delta chains and version order are preserved.
+                // overlap.
                 let checkpoint_rows: &[_] = recovered
                     .checkpoint
                     .as_ref()
                     .map(|c| c.rows.as_slice())
                     .unwrap_or(&[]);
-                let replay_workers = match config.checkpoint.replay_workers {
-                    0 => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    n => n,
-                };
                 let replay_started = Instant::now();
-                let workers_used = reactdb_wal::replay_partitioned(
+                let workers_used = replay(
+                    &containers,
+                    &container_of_reactor,
                     checkpoint_rows,
                     &recovered.batches,
-                    replay_workers,
-                    replay_one,
+                    config.checkpoint.replay_workers,
                 )?;
                 metrics.record_elapsed(Phase::RecoveryReplay, usize::MAX, replay_started);
                 stats.record_replay_workers(workers_used as u64);
@@ -279,10 +227,7 @@ impl ReactDB {
                 // Resume beyond every epoch observed in the log (durable or
                 // discarded) so no pre-crash (epoch, sequence) pair is
                 // reissued.
-                let mut resume = recovered.max_epoch_seen;
-                if recovered.durable_epoch != u64::MAX {
-                    resume = resume.max(recovered.durable_epoch);
-                }
+                let resume = recovered.max_epoch_seen.max(recovered.durable_epoch);
                 epoch.advance_to(resume + 1);
                 for exec in &executors {
                     exec.tidgen().observe(recovered.max_tid);
@@ -745,48 +690,15 @@ impl ReactDB {
         workers: usize,
     ) -> Result<usize> {
         let inner = &self.inner;
-        let n_reactors = inner.spec.reactor_count();
-        let replay_one = |tid: reactdb_storage::TidWord,
-                          record: &reactdb_txn::RedoRecord|
-         -> std::io::Result<()> {
-            // Route by the *current* reactor-to-container mapping, exactly
-            // as recovery does; records for reactors this spec does not
-            // declare have no home and are skipped.
-            if record.reactor.index() >= n_reactors {
-                return Ok(());
-            }
-            let container = inner.router.container_of(record.reactor);
-            if let Ok(table) = inner.containers[container.index()]
-                .partition()
-                .table(record.reactor, &record.relation)
-            {
-                match &record.payload {
-                    reactdb_txn::RedoPayload::Full(image) => {
-                        table.replay(&record.key, Some(image), tid);
-                    }
-                    reactdb_txn::RedoPayload::Delete => {
-                        table.replay(&record.key, None, tid);
-                    }
-                    reactdb_txn::RedoPayload::Delta(row_delta) => {
-                        table
-                            .replay_delta(&record.key, row_delta.base, &row_delta.delta, tid)
-                            .map_err(|e| {
-                                std::io::Error::other(format!("corrupt delta chain: {e}"))
-                            })?;
-                    }
-                }
-            }
-            Ok(())
-        };
-        let workers = match workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         let started = Instant::now();
-        reactdb_wal::replay_partitioned(checkpoint_rows, batches, workers, replay_one)
-            .map_err(|e| TxnError::Runtime(format!("replicated apply failed: {e}")))?;
+        replay(
+            &inner.containers,
+            inner.router.containers_of_reactors(),
+            checkpoint_rows,
+            batches,
+            workers,
+        )
+        .map_err(|e| TxnError::Runtime(format!("replicated apply failed: {e}")))?;
         inner
             .metrics
             .record_elapsed(Phase::FollowerApply, usize::MAX, started);
@@ -885,6 +797,52 @@ impl Drop for ReactDB {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Replays checkpoint rows, then logged batches, into the tables of
+/// `containers` — the one replay path of crash recovery and follower apply.
+/// Records are routed by the *current* reactor-to-container mapping
+/// (`container_of_reactor[r]`): the log may be restored under a different
+/// deployment of the same reactor database, and the logged container id
+/// belongs to the old one. A record for a reactor the spec does not declare
+/// has no home and is skipped rather than guessed at. Full images and
+/// tombstones replay idempotently by TID; a delta whose base image is
+/// missing or mismatched is a broken chain and fails the replay — surfacing
+/// the corruption beats installing plausible-but-wrong rows. The work fans
+/// out over `workers` reactor-partitioned lanes (`0` = the available
+/// parallelism), so each reactor's records stay in order. Returns the lanes
+/// used.
+fn replay(
+    containers: &[Arc<Container>],
+    container_of_reactor: &[ContainerId],
+    checkpoint_rows: &[(reactdb_storage::TidWord, reactdb_txn::RedoRecord)],
+    batches: &[(reactdb_storage::TidWord, Vec<reactdb_txn::RedoRecord>)],
+    workers: usize,
+) -> std::io::Result<usize> {
+    let replay_one = |tid, record: &reactdb_txn::RedoRecord| -> std::io::Result<()> {
+        let Some(container) = container_of_reactor.get(record.reactor.index()) else {
+            return Ok(());
+        };
+        let Ok(table) = containers[container.index()]
+            .partition()
+            .table(record.reactor, &record.relation)
+        else {
+            return Ok(());
+        };
+        match &record.payload {
+            reactdb_txn::RedoPayload::Full(image) => table.replay(&record.key, Some(image), tid),
+            reactdb_txn::RedoPayload::Delete => table.replay(&record.key, None, tid),
+            reactdb_txn::RedoPayload::Delta(row_delta) => table
+                .replay_delta(&record.key, row_delta.base, &row_delta.delta, tid)
+                .map_err(|e| std::io::Error::other(format!("corrupt delta chain: {e}")))?,
+        }
+        Ok(())
+    };
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    reactdb_wal::replay_partitioned(checkpoint_rows, batches, workers, replay_one)
 }
 
 fn worker_loop(inner: Arc<Inner>, executor_idx: usize) {

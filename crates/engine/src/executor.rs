@@ -3,9 +3,10 @@
 //! "A transaction executor consists of a thread pool and a request queue,
 //! and is responsible for executing requests, namely asynchronous procedure
 //! calls. Each transaction executor is pinned to a core." (§3.1). In this
-//! reproduction executors are not pinned (see DESIGN.md §4.4); the queue,
-//! the configurable multi-programming level and the cooperative draining
-//! while blocked are implemented faithfully.
+//! reproduction executors are not pinned, because it runs on machines with
+//! fewer cores than executors; the queue, the configurable
+//! multi-programming level and the cooperative draining while blocked are
+//! implemented faithfully.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::RwLock;

@@ -64,6 +64,11 @@ impl Router {
         self.container_of_reactor[reactor.index()]
     }
 
+    /// The container of every reactor, indexed by reactor id.
+    pub fn containers_of_reactors(&self) -> &[ContainerId] {
+        &self.container_of_reactor
+    }
+
     /// Affinity executor of `reactor`.
     pub fn affinity_executor_of(&self, reactor: ReactorId) -> ExecutorId {
         self.executor_of_reactor[reactor.index()]

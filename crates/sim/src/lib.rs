@@ -3,8 +3,8 @@
 //! The paper's evaluation ran on 8- and 32-hardware-thread machines; this
 //! reproduction targets commodity CI machines (possibly a single core), so
 //! wall-clock measurements of the real engine cannot exhibit the multi-core
-//! parallelism the figures rely on. As documented in DESIGN.md §4.4, the
-//! benchmark harness therefore reproduces the *shape* of every figure on a
+//! parallelism the figures rely on. The benchmark harness therefore
+//! reproduces the *shape* of every figure on a
 //! simulated substrate: each transaction executor is a virtual core with a
 //! FIFO queue and a virtual clock, and the costs of processing,
 //! sub-transaction dispatch (`Cs`), result delivery (`Cr`), commit and input
@@ -16,7 +16,7 @@
 //! crates that drive the real engine, under the same deployment strategies
 //! ([`SimDeployment`]).
 //!
-//! Modelling notes (approximations, also listed in DESIGN.md):
+//! Modelling notes (approximations):
 //!
 //! * executors are FIFO; a transaction's local segments occupy its executor,
 //!   waits for remote children do not (cooperative multitasking), but a

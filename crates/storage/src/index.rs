@@ -3,9 +3,9 @@
 //! An ordered index whose key space is partitioned into *leaf nodes*, each
 //! guarded by a version counter in the style of Masstree/Silo (Tu et al.,
 //! SOSP 2013): every structural mutation — creating or removing a key, or
-//! changing the membership of a key's value set — bumps the version of the
-//! node whose key interval contains the mutated key. Range traversals
-//! return, alongside the rows, a [`NodeObservation`] for **every node whose
+//! replacing the value a key maps to — bumps the version of the node whose
+//! key interval contains the mutated key. Range traversals return,
+//! alongside the rows, a [`NodeObservation`] for **every node whose
 //! interval intersects the span actually walked, including empty ones**:
 //! from the starting bound to the far bound when the range was exhausted,
 //! or to the last entry returned when the traversal stopped at its limit
@@ -112,18 +112,6 @@ impl NodeObservation {
     pub fn node_ptr(&self) -> usize {
         Arc::as_ptr(&self.node) as usize
     }
-}
-
-/// What an in-place entry update did, steering
-/// [`VersionedIndex::update_or_insert`]'s version accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateOutcome {
-    /// The entry was left as it was: never bumps.
-    Unchanged,
-    /// The entry's membership changed in place: bumps when requested.
-    Changed,
-    /// The entry should be removed: structural, always bumps.
-    Remove,
 }
 
 /// One structural bump applied to a node, reported back to the mutator so
@@ -365,10 +353,10 @@ impl<V: Clone> VersionedIndex<V> {
     /// either way (replacement swaps the stored handle, which observers of
     /// the old handle cannot track through the map). Returns the previous
     /// value.
-    pub fn insert(&self, key: &Key, value: V) -> Option<V> {
+    pub fn insert(&self, key: Key, value: V) -> Option<V> {
         let mut inner = self.inner.write();
-        let old = inner.map.insert(key.clone(), value);
-        let idx = inner.node_idx(key);
+        let idx = inner.node_idx(&key);
+        let old = inner.map.insert(key, value);
         if old.is_none() {
             inner.population[idx] += 1;
         }
@@ -387,58 +375,26 @@ impl<V: Clone> VersionedIndex<V> {
         Some(old)
     }
 
-    /// In-place mutation of the entry under `key`, in one atomic lock
-    /// acquisition with any version bump it causes — which is what lets the
-    /// commit path install a membership change and announce it without a
-    /// window in between.
-    ///
-    /// When the entry exists, `update` runs on it in place (a single map
-    /// lookup, no re-balance) and decides the outcome; when it is absent,
-    /// `insert` may supply a value. Entry creation and removal are
-    /// structural and always bump; an [`UpdateOutcome::Changed`] bumps only
-    /// when `bump` is true — the commit write phase passes `false` for
-    /// changes the membership fence already announced, so scans racing the
-    /// fence→install window are not doubly invalidated. Returns the bump
-    /// performed, if any (a split's extra bump is deliberately not
-    /// reported: observers of a split node must conservatively fail
-    /// validation).
-    pub fn update_or_insert(
-        &self,
-        key: &Key,
-        bump: bool,
-        update: impl FnOnce(&mut V) -> UpdateOutcome,
-        insert: impl FnOnce() -> Option<V>,
-    ) -> Option<NodeBump> {
+    /// Inserts `value` under `key` unless an entry is present and `keep`
+    /// says to keep it, in which case nothing changes; a present entry
+    /// `keep` rejects is replaced. Either change bumps the covering node
+    /// (a replacement swaps the stored handle, which observers of the old
+    /// one cannot track through the map), in the lock acquisition that
+    /// made the check. Returns whether `value` went in.
+    pub fn insert_unless(&self, key: &Key, value: V, keep: impl FnOnce(&V) -> bool) -> bool {
         let mut inner = self.inner.write();
         let idx = inner.node_idx(key);
-        let outcome = match inner.map.get_mut(key) {
-            Some(v) => update(v),
-            None => match insert() {
-                Some(v) => {
-                    inner.map.insert(key.clone(), v);
-                    inner.population[idx] += 1;
-                    let bump = Some(inner.bump(idx));
-                    inner.maybe_split(idx);
-                    return bump;
-                }
-                None => return None,
-            },
-        };
-        match outcome {
-            UpdateOutcome::Unchanged => None,
-            UpdateOutcome::Changed => {
-                if bump {
-                    Some(inner.bump(idx))
-                } else {
-                    None
-                }
-            }
-            UpdateOutcome::Remove => {
-                inner.map.remove(key);
-                inner.population[idx] = inner.population[idx].saturating_sub(1);
-                Some(inner.bump(idx))
+        match inner.map.get_mut(key) {
+            Some(existing) if keep(existing) => return false,
+            Some(existing) => *existing = value,
+            None => {
+                inner.map.insert(key.clone(), value);
+                inner.population[idx] += 1;
             }
         }
+        inner.nodes[idx].bump();
+        inner.maybe_split(idx);
+        true
     }
 
     /// Entries within the bounds, in key order.
@@ -517,7 +473,7 @@ mod tests {
     #[test]
     fn lookups_do_not_bump_versions() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
-        idx.insert(&k(1), 10);
+        idx.insert(k(1), 10);
         let before = idx.observe(&k(1)).version;
         assert_eq!(idx.get_cloned(&k(1)), Some(10));
         let _ = idx.get_observed(&k(2));
@@ -529,12 +485,12 @@ mod tests {
     fn structural_insert_invalidates_covering_observation_only() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         for i in 0..200 {
-            idx.insert(&k(i), i);
+            idx.insert(k(i), i);
         }
         assert!(idx.node_count() > 1, "splits happened");
         let low_obs = all(&idx, Bound::Included(&k(0)), Bound::Included(&k(5))).nodes;
         let high_obs = all(&idx, Bound::Included(&k(190)), Bound::Unbounded).nodes;
-        idx.insert(&k(191_000), 0); // far above: hits the last node only
+        idx.insert(k(191_000), 0); // far above: hits the last node only
         assert!(
             low_obs.iter().all(|o| o.is_current()),
             "low range untouched"
@@ -548,8 +504,8 @@ mod tests {
     #[test]
     fn range_observes_empty_gaps() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
-        idx.insert(&k(0), 0);
-        idx.insert(&k(100), 100);
+        idx.insert(k(0), 0);
+        idx.insert(k(100), 100);
         let WalkPage {
             slots: rows,
             nodes: obs,
@@ -557,7 +513,7 @@ mod tests {
         } = all(&idx, Bound::Included(&k(10)), Bound::Included(&k(20)));
         assert!(rows.is_empty());
         assert!(!obs.is_empty(), "empty ranges still observe their node");
-        idx.insert(&k(15), 15);
+        idx.insert(k(15), 15);
         assert!(
             obs.iter().any(|o| !o.is_current()),
             "insert into the observed gap invalidates"
@@ -581,7 +537,7 @@ mod tests {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         let obs = idx.observe(&k(0));
         for i in 0..=(SPLIT_THRESHOLD as i64) {
-            idx.insert(&k(i), i);
+            idx.insert(k(i), i);
         }
         assert!(idx.node_count() >= 2);
         assert!(!obs.is_current());
@@ -590,56 +546,23 @@ mod tests {
     }
 
     #[test]
-    fn quiet_updates_skip_plain_changes_but_not_structural_ones() {
-        let idx: VersionedIndex<Vec<i64>> = VersionedIndex::new();
-        // Creation is structural even when quiet, and reports its bump.
-        let bump = idx.update_or_insert(&k(1), false, |_| UpdateOutcome::Changed, || Some(vec![1]));
-        assert!(bump.is_some());
-        let after_create = idx.observe(&k(1)).version;
-        // Quiet in-place change: no bump.
-        let bump = idx.update_or_insert(
-            &k(1),
-            false,
-            |v| {
-                v.push(2);
-                UpdateOutcome::Changed
-            },
-            || None,
-        );
-        assert!(bump.is_none());
-        assert_eq!(idx.observe(&k(1)).version, after_create);
-        // Loud in-place change: bump, reported with exact versions.
-        let bump = idx
-            .update_or_insert(
-                &k(1),
-                true,
-                |v| {
-                    v.push(3);
-                    UpdateOutcome::Changed
-                },
-                || None,
-            )
-            .expect("loud change bumps");
-        assert_eq!(bump.before, after_create);
-        assert_eq!(idx.observe(&k(1)).version, after_create + 1);
-        // No-op change reported as unchanged: no bump either way.
-        idx.update_or_insert(&k(1), true, |_| UpdateOutcome::Unchanged, || None);
-        assert_eq!(idx.observe(&k(1)).version, after_create + 1);
-        // Entry removal is structural even when quiet.
-        let bump = idx.update_or_insert(&k(1), false, |_| UpdateOutcome::Remove, || None);
-        assert!(bump.is_some());
-        assert_eq!(idx.observe(&k(1)).version, after_create + 2);
-        assert!(idx.is_empty());
-        // Absent key with a declining insert: nothing happens.
-        let bump = idx.update_or_insert(&k(9), true, |_| UpdateOutcome::Changed, || None);
-        assert!(bump.is_none() && idx.is_empty());
+    fn insert_unless_bumps_only_when_the_value_goes_in() {
+        let idx: VersionedIndex<i64> = VersionedIndex::new();
+        assert!(idx.insert_unless(&k(1), 1, |_| unreachable!("absent")));
+        let created = idx.observe(&k(1));
+        assert!(!idx.insert_unless(&k(1), 2, |v| *v == 1));
+        assert!(created.is_current(), "a kept entry does not bump");
+        assert_eq!(idx.get_cloned(&k(1)), Some(1));
+        assert!(idx.insert_unless(&k(1), 3, |v| *v != 1));
+        assert!(!created.is_current(), "a replacement bumps");
+        assert_eq!(idx.get_cloned(&k(1)), Some(3));
     }
 
     #[test]
     fn paged_walk_covers_the_whole_index_without_bumping() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         for i in 0..157 {
-            idx.insert(&k(i), i);
+            idx.insert(k(i), i);
         }
         let obs = idx.observe(&k(0));
         let mut seen = Vec::new();
@@ -666,7 +589,7 @@ mod tests {
     fn a_full_page_observes_nothing_past_its_last_entry() {
         let idx: VersionedIndex<i64> = VersionedIndex::new();
         for i in 0..400 {
-            idx.insert(&k(i), i);
+            idx.insert(k(i), i);
         }
         assert!(idx.node_count() > 2, "splits happened");
         let first = idx.walk(Bound::Unbounded, Bound::Unbounded, false, 1);
@@ -677,10 +600,10 @@ mod tests {
         assert_eq!(first.nodes.len(), 1);
         assert_eq!(last.nodes.len(), 1);
         // Beyond the forward stop key, before the reverse one.
-        idx.insert(&k(1_000), 0);
+        idx.insert(k(1_000), 0);
         assert!(first.nodes.iter().all(|o| o.is_current()));
         assert!(last.nodes.iter().any(|o| !o.is_current()));
-        idx.insert(&k(-1), 0);
+        idx.insert(k(-1), 0);
         assert!(first.nodes.iter().any(|o| !o.is_current()));
     }
 
@@ -715,7 +638,7 @@ mod tests {
                 let structural = match op {
                     // Insert-or-replace: always bumps.
                     0 => {
-                        idx.insert(&key, key_i);
+                        idx.insert(key, key_i);
                         model.insert(key_i, key_i);
                         true
                     }
@@ -774,7 +697,7 @@ mod tests {
             let idx: VersionedIndex<i64> = VersionedIndex::new();
             let mut model = std::collections::BTreeMap::new();
             for key_i in keys {
-                idx.insert(&k(key_i), key_i);
+                idx.insert(k(key_i), key_i);
                 model.insert(k(key_i), key_i);
             }
             let (lo, hi) = (k(ends.0.min(ends.1)), k(ends.0.max(ends.1)));

@@ -28,12 +28,10 @@ pub mod table;
 pub mod tid;
 pub mod tuple;
 
-pub use index::{
-    IndexNode, NodeBump, NodeObservation, NodeRef, UpdateOutcome, VersionedIndex, WalkPage,
-};
+pub use index::{IndexNode, NodeBump, NodeObservation, NodeRef, VersionedIndex, WalkPage};
 pub use partition::Partition;
 pub use record::{Record, RecordRef};
 pub use schema::{Column, ColumnType, RelationDef, Schema};
-pub use table::{FenceEffect, ReplayError, SecondaryIndexDef, SnapshotChunk, Table};
+pub use table::{FenceEffect, ReplayError, SnapshotChunk, Table};
 pub use tid::TidWord;
 pub use tuple::{Tuple, TupleDelta};

@@ -2,20 +2,21 @@
 //! secondary indexes.
 //!
 //! A table stores the rows of one relation of one reactor. The primary index
-//! is a [`VersionedIndex`] from primary [`Key`] to [`RecordRef`]; secondary
-//! indexes map an index key to the set of primary keys currently carrying
-//! that value, on the same versioned substrate. All physical operations here
-//! are non-transactional — visibility and atomicity are the responsibility
-//! of the OCC layer, which holds [`RecordRef`] handles obtained from this
-//! table in its read and write sets, and [`NodeObservation`]s from its
-//! traversals in its node set (phantom protection; see the `index` module).
+//! is a [`VersionedIndex`] from primary [`Key`] to [`RecordRef`]. A secondary
+//! index is a `VersionedIndex<()>` holding one entry per row, keyed
+//! `(index key ‖ primary key)`, so the rows under one index key are one
+//! contiguous span, walked and validated like a primary range. All physical
+//! operations here are non-transactional — visibility and atomicity are the
+//! responsibility of the OCC layer, which holds [`RecordRef`] handles
+//! obtained from this table in its read and write sets, and
+//! [`NodeObservation`]s from its traversals in its node set (phantom
+//! protection; see the `index` module).
 
-use std::collections::BTreeSet;
 use std::ops::Bound;
 
 use reactdb_common::{Key, ReactorId, Result, TxnError};
 
-use crate::index::{NodeBump, NodeObservation, UpdateOutcome, VersionedIndex, WalkPage};
+use crate::index::{NodeBump, NodeObservation, VersionedIndex, WalkPage};
 use crate::record::{Record, RecordRef};
 use crate::schema::Schema;
 use crate::tid::TidWord;
@@ -88,31 +89,52 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Definition of a secondary index: the positions of the indexed columns in
-/// the table schema.
-#[derive(Debug, Clone, Default)]
-pub struct SecondaryIndexDef {
-    /// Human-readable name (derived from the column list).
-    pub name: String,
-    /// Column positions forming the index key, in order.
-    pub positions: Vec<usize>,
-}
-
+/// A secondary index: one entry per row, keyed `[index key, primary key]`.
 #[derive(Debug)]
 struct SecondaryIndex {
-    def: SecondaryIndexDef,
-    map: VersionedIndex<BTreeSet<Key>>,
+    /// Column positions forming the index key, in order.
+    positions: Vec<usize>,
+    entries: VersionedIndex<()>,
+}
+
+impl SecondaryIndex {
+    fn key_of(&self, row: Option<&Tuple>) -> Option<Key> {
+        row.and_then(|t| t.index_key(&self.positions))
+    }
+}
+
+/// The secondary-index entry of the row with primary key `pk` under
+/// `index_key`.
+fn index_entry(index_key: Key, pk: &Key) -> Key {
+    Key::Composite(vec![index_key, pk.clone()])
+}
+
+/// The least key greater than `key` in `Key`'s derived order. `[successor]`
+/// bounds the entries under `key` from above: every `[key, pk]` sorts below
+/// it, every entry of a greater index key at or above it. `Key` has no
+/// maximum, and an unbounded walk would observe every node to +∞.
+fn successor(key: &Key) -> Key {
+    match key {
+        Key::Bool(false) => Key::Bool(true),
+        Key::Bool(true) => Key::Int(i64::MIN),
+        Key::Int(i64::MAX) => Key::Str(String::new()),
+        Key::Int(i) => Key::Int(i + 1),
+        Key::Str(s) => Key::Str(format!("{s}\0")),
+        Key::Composite(parts) => {
+            Key::Composite(parts.iter().cloned().chain([Key::Bool(false)]).collect())
+        }
+    }
 }
 
 /// What a [`Table::membership_fence`] did: the node bumps to refresh the
 /// committing transaction's own node set with, and the provisional
-/// secondary-index additions to undo via [`Table::fence_rollback`] if
-/// validation fails. Entries are `(secondary index id, index key)`.
+/// secondary-index entries to undo via [`Table::fence_rollback`] if
+/// validation fails.
 #[derive(Debug, Default)]
 pub struct FenceEffect {
     /// Version bumps performed (primary + secondary).
     pub bumps: Vec<NodeBump>,
-    /// Provisional `(index id, index key)` pairs physically added for this
+    /// Provisional `(index id, entry)` pairs physically added for this
     /// write's primary key.
     pub added: Vec<(usize, Key)>,
 }
@@ -174,11 +196,8 @@ impl Table {
                 })
                 .collect();
             indexes.push(SecondaryIndex {
-                def: SecondaryIndexDef {
-                    name: cols.join("+"),
-                    positions,
-                },
-                map: VersionedIndex::new(),
+                positions,
+                entries: VersionedIndex::new(),
             });
         }
         Self {
@@ -212,19 +231,14 @@ impl Table {
         &self.schema
     }
 
-    /// Definitions of the secondary indexes.
-    pub fn secondary_defs(&self) -> Vec<SecondaryIndexDef> {
-        self.secondary.iter().map(|s| s.def.clone()).collect()
-    }
-
     /// Column positions forming the key of secondary index `index_id`.
     /// Used by the OCC layer to re-derive a row's index key when filtering
     /// lookup results against provisional or stale index entries.
     ///
     /// # Panics
     /// Panics when `index_id` is out of range.
-    pub fn secondary_positions(&self, index_id: usize) -> Vec<usize> {
-        self.secondary[index_id].def.positions.clone()
+    pub fn secondary_positions(&self, index_id: usize) -> &[usize] {
+        &self.secondary[index_id].positions
     }
 
     /// Number of leaf nodes the primary key space is split into (diagnostic;
@@ -283,30 +297,21 @@ impl Table {
     pub fn load_row_with_tid(&self, row: Tuple, tid: TidWord) -> Result<()> {
         self.schema.validate(&self.name, row.values())?;
         let key = row.primary_key(&self.schema);
-        let mut duplicate = false;
-        self.primary.update_or_insert(
-            &key,
-            true,
-            |slot| {
-                if slot.is_visible() {
-                    duplicate = true;
-                    UpdateOutcome::Unchanged
-                } else {
-                    // Replace the invisible slot with a fresh loaded record;
-                    // the handle swap is a membership change for observers.
-                    *slot = Record::new_loaded(row.clone(), tid);
-                    UpdateOutcome::Changed
-                }
-            },
-            || Some(Record::new_loaded(row.clone(), tid)),
-        );
-        if duplicate {
+        let indexed = (!self.secondary.is_empty()).then(|| row.clone());
+        // An invisible slot is replaced by the loaded record.
+        let record = Record::new_loaded(row, tid);
+        if !self
+            .primary
+            .insert_unless(&key, record, |slot| slot.is_visible())
+        {
             return Err(TxnError::DuplicateKey {
                 relation: self.name.clone(),
                 key: key.to_string(),
             });
         }
-        self.index_insert(&key, &row);
+        if let Some(row) = indexed {
+            self.reindex(&key, None, Some(&row));
+        }
         Ok(())
     }
 
@@ -368,86 +373,59 @@ impl Table {
         SnapshotChunk { rows, next }
     }
 
-    /// Primary keys currently associated with `index_key` in secondary index
-    /// `index_id`.
+    /// One page of the entries under `index_key` in secondary index
+    /// `index_id`: the primary keys of up to `limit` of them, ascending or
+    /// (`reverse`) descending, resuming strictly past the primary key
+    /// `after` when given. The walk is [`Table::walk`]'s over the prefix
+    /// span `[index_key] .. [successor(index_key)]`, with the same node
+    /// observations: a full page observes nothing past its last entry, an
+    /// exhausted one observes through to the end of the span.
     ///
     /// # Panics
     /// Panics when `index_id` is out of range.
-    pub fn secondary_lookup(&self, index_id: usize, index_key: &Key) -> Vec<Key> {
-        self.secondary[index_id]
-            .map
-            .get_cloned(index_key)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default()
-    }
-
-    /// Like [`Table::secondary_lookup`], plus the observation of the index
-    /// node covering `index_key` — a later commit that adds or removes a
-    /// matching `(index key, primary key)` pair bumps it.
-    pub fn secondary_lookup_observed(
+    pub fn index_walk(
         &self,
         index_id: usize,
         index_key: &Key,
-    ) -> (Vec<Key>, NodeObservation) {
-        let (set, obs) = self.secondary[index_id].map.get_observed(index_key);
-        (
-            set.map(|s| s.into_iter().collect()).unwrap_or_default(),
-            obs,
-        )
-    }
-
-    /// Range lookup on a secondary index: all `(index key, primary key)`
-    /// pairs within the bounds, in index order.
-    pub fn secondary_range(
-        &self,
-        index_id: usize,
-        low: Bound<&Key>,
-        high: Bound<&Key>,
-    ) -> Vec<(Key, Key)> {
-        self.secondary[index_id]
-            .map
-            .range_cloned(low, high)
-            .into_iter()
-            .flat_map(|(ik, pks)| pks.into_iter().map(move |pk| (ik.clone(), pk)))
-            .collect()
-    }
-
-    /// Like [`Table::secondary_range`], plus the node observations covering
-    /// the scanned index-key interval.
-    pub fn secondary_range_observed(
-        &self,
-        index_id: usize,
-        low: Bound<&Key>,
-        high: Bound<&Key>,
-    ) -> (Vec<(Key, Key)>, Vec<NodeObservation>) {
-        let page = self.secondary[index_id]
-            .map
-            .walk(low, high, false, usize::MAX);
-        let pairs = page
-            .slots
-            .into_iter()
-            .flat_map(|(ik, pks)| pks.into_iter().map(move |pk| (ik.clone(), pk)))
-            .collect();
-        (pairs, page.nodes)
+        after: Option<&Key>,
+        reverse: bool,
+        limit: usize,
+    ) -> WalkPage<()> {
+        let first = Key::Composite(vec![index_key.clone()]);
+        let end = Key::Composite(vec![successor(index_key)]);
+        let cursor = after.map(|pk| index_entry(index_key.clone(), pk));
+        let (low, high) = match (&cursor, reverse) {
+            (Some(entry), false) => (Bound::Excluded(entry), Bound::Excluded(&end)),
+            (Some(entry), true) => (Bound::Included(&first), Bound::Excluded(entry)),
+            (None, _) => (Bound::Included(&first), Bound::Excluded(&end)),
+        };
+        let mut page = self.secondary[index_id]
+            .entries
+            .walk(low, high, reverse, limit);
+        for (entry, ()) in &mut page.slots {
+            if let Key::Composite(parts) = entry {
+                let pk = parts.pop().expect("an index entry ends in its primary key");
+                *entry = pk;
+            }
+        }
+        page
     }
 
     /// The commit path's membership fence, run after write locks are
-    /// acquired and **before** validation. For every index node whose
-    /// membership this write will change it does two things *atomically per
-    /// node*:
+    /// acquired and **before** validation. It bumps the index node covering
+    /// every entry whose membership this write will change:
     ///
-    /// * **additions** — new `(index key, primary key)` pairs are
-    ///   physically installed into the secondary index, in the same lock
-    ///   acquisition as their version bump. A concurrent lookup therefore
-    ///   either sees the pre-bump version (its validation catches the
-    ///   change) or sees the provisional pair and resolves it through the
-    ///   row record — which this transaction holds locked, so the reader
-    ///   spins until commit or abort and then filters by the row's actual
-    ///   index key. No window exists in which the version is current but
-    ///   the membership is stale.
+    /// * **additions** — a new `[index key, primary key]` entry is
+    ///   physically installed in the same lock acquisition as its bump. A
+    ///   concurrent lookup therefore either sees the pre-bump version (its
+    ///   validation catches the change) or sees the provisional entry and
+    ///   resolves it through the row record — which this transaction holds
+    ///   locked, so the reader spins until commit or abort and then filters
+    ///   by the row's actual index key. No window exists in which the
+    ///   version is current but the membership is stale.
     /// * **removals and primary appear/disappear** — announced with a bump
     ///   only; the physical change happens in the write phase. Readers in
-    ///   the window see a stale pair (or slot) whose record is locked, and
+    ///   the window see a stale entry (or slot) whose record is locked, and
     ///   resolve it the same way.
     ///
     /// Fencing before validation is what closes the write-skew two
@@ -467,153 +445,69 @@ impl Table {
             effect.bumps.push(self.primary.bump_covering(key));
         }
         for (index_id, idx) in self.secondary.iter().enumerate() {
-            let old_key = before.and_then(|t| t.index_key(&idx.def.positions));
-            let new_key = after.and_then(|t| t.index_key(&idx.def.positions));
+            let (old_key, new_key) = (idx.key_of(before), idx.key_of(after));
             if old_key == new_key {
                 continue;
             }
-            if let Some(ok) = &old_key {
-                effect.bumps.push(idx.map.bump_covering(ok));
+            if let Some(ik) = old_key {
+                effect
+                    .bumps
+                    .push(idx.entries.bump_covering(&index_entry(ik, key)));
             }
-            if let Some(nk) = new_key {
-                let added = std::cell::Cell::new(false);
-                let bump = idx.map.update_or_insert(
-                    &nk,
-                    true,
-                    |set| {
-                        if set.insert(key.clone()) {
-                            added.set(true);
-                            UpdateOutcome::Changed
-                        } else {
-                            UpdateOutcome::Unchanged
-                        }
-                    },
-                    || {
-                        added.set(true);
-                        Some(BTreeSet::from([key.clone()]))
-                    },
-                );
-                effect.bumps.extend(bump);
-                if added.get() {
-                    effect.added.push((index_id, nk));
+            if let Some(ik) = new_key {
+                let entry = index_entry(ik, key);
+                if let (_, Some(bump)) = idx.entries.get_or_insert_with(&entry, || ()) {
+                    effect.bumps.push(bump);
+                    effect.added.push((index_id, entry));
                 }
             }
         }
         effect
     }
 
-    /// Undoes the provisional secondary-index additions of a
-    /// [`Table::membership_fence`] whose commit failed validation. Bumps
-    /// the affected nodes again (readers that saw the provisional pair
-    /// resolve it through the aborted record anyway; the extra bump only
-    /// causes safe spurious invalidations).
-    pub fn fence_rollback(&self, key: &Key, added: &[(usize, Key)]) {
-        for (index_id, ik) in added {
-            self.secondary[*index_id].map.update_or_insert(
-                ik,
-                true,
-                |set| {
-                    if set.remove(key) {
-                        if set.is_empty() {
-                            UpdateOutcome::Remove
-                        } else {
-                            UpdateOutcome::Changed
-                        }
-                    } else {
-                        UpdateOutcome::Unchanged
-                    }
-                },
-                || None,
-            );
+    /// Removes the provisional entries of a [`Table::membership_fence`]
+    /// whose commit failed validation, bumping their nodes again (readers
+    /// that saw a provisional entry resolve it through the aborted record
+    /// anyway; the extra bump only causes safe spurious invalidations).
+    pub fn fence_rollback(&self, added: &[(usize, Key)]) {
+        for (index_id, entry) in added {
+            self.secondary[*index_id].entries.remove(entry);
         }
     }
 
-    /// Write-phase counterpart of the fence: quietly removes the stale
-    /// `(old index key, pk)` pairs of a committed update (`after = Some`)
-    /// or delete (`after = None`). The fence already announced these
-    /// removals with a bump, and the additions were already installed, so
-    /// nothing else remains to do here.
+    /// Write-phase counterpart of the fence: removes the stale
+    /// `[old index key, pk]` entries of a committed update (`after = Some`)
+    /// or delete (`after = None`). The removal bumps the entry's node a
+    /// second time, which can only add a spurious abort for a lookup that
+    /// walked it between the fence and now.
     pub fn index_retire_fenced(&self, pk: &Key, before: &Tuple, after: Option<&Tuple>) {
         for idx in &self.secondary {
-            let old_key = before.index_key(&idx.def.positions);
-            let new_key = after.and_then(|t| t.index_key(&idx.def.positions));
+            match idx.key_of(Some(before)) {
+                Some(ik) if Some(&ik) != idx.key_of(after).as_ref() => {
+                    idx.entries.remove(&index_entry(ik, pk));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Moves `pk`'s secondary entries from `before`'s index keys to
+    /// `after`'s, bumping the nodes touched. Used by the bulk loader and
+    /// recovery replay; transactional commits go through
+    /// [`Table::membership_fence`] instead.
+    fn reindex(&self, pk: &Key, before: Option<&Tuple>, after: Option<&Tuple>) {
+        for idx in &self.secondary {
+            let (old_key, new_key) = (idx.key_of(before), idx.key_of(after));
             if old_key == new_key {
                 continue;
             }
-            if let Some(ok) = old_key {
-                idx.map.update_or_insert(
-                    &ok,
-                    false,
-                    |set| {
-                        if set.remove(pk) {
-                            if set.is_empty() {
-                                UpdateOutcome::Remove
-                            } else {
-                                UpdateOutcome::Changed
-                            }
-                        } else {
-                            UpdateOutcome::Unchanged
-                        }
-                    },
-                    || None,
-                );
+            if let Some(ik) = old_key {
+                idx.entries.remove(&index_entry(ik, pk));
+            }
+            if let Some(ik) = new_key {
+                idx.entries.insert(index_entry(ik, pk), ());
             }
         }
-    }
-
-    /// Registers `row` (with primary key `pk`) in every secondary index,
-    /// bumping the affected nodes. Used by the bulk loader and recovery
-    /// replay; transactional commits install additions through
-    /// [`Table::membership_fence`] instead.
-    pub fn index_insert(&self, pk: &Key, row: &Tuple) {
-        for idx in &self.secondary {
-            if let Some(ik) = row.index_key(&idx.def.positions) {
-                idx.map.update_or_insert(
-                    &ik,
-                    true,
-                    |set| {
-                        if set.insert(pk.clone()) {
-                            UpdateOutcome::Changed
-                        } else {
-                            UpdateOutcome::Unchanged
-                        }
-                    },
-                    || Some(BTreeSet::from([pk.clone()])),
-                );
-            }
-        }
-    }
-
-    /// Removes `row`'s entries from every secondary index (bulk loads,
-    /// recovery replay, index maintenance outside commit), bumping nodes.
-    pub fn index_remove(&self, pk: &Key, row: &Tuple) {
-        for idx in &self.secondary {
-            if let Some(ik) = row.index_key(&idx.def.positions) {
-                idx.map.update_or_insert(
-                    &ik,
-                    true,
-                    |set| {
-                        if set.remove(pk) {
-                            if set.is_empty() {
-                                UpdateOutcome::Remove
-                            } else {
-                                UpdateOutcome::Changed
-                            }
-                        } else {
-                            UpdateOutcome::Unchanged
-                        }
-                    },
-                    || None,
-                );
-            }
-        }
-    }
-
-    /// Updates secondary indexes when a row changes from `old` to `new`,
-    /// bumping the affected nodes (bulk-load/replay path).
-    pub fn index_update(&self, pk: &Key, old: &Tuple, new: &Tuple) {
-        self.index_remove(pk, old);
-        self.index_insert(pk, new);
     }
 
     /// Applies one redo record during crash recovery: installs `image` (or a
@@ -637,15 +531,10 @@ impl Table {
         match image {
             Some(row) => {
                 let (record, _created) = self.get_or_create(key.clone(), row.clone());
-                let was_visible = record.is_visible();
-                let before = record.read_unguarded();
+                let before = record.is_visible().then(|| record.read_unguarded());
                 record.lock();
                 record.install(row.clone(), tid);
-                if was_visible {
-                    self.index_update(key, &before, row);
-                } else {
-                    self.index_insert(key, row);
-                }
+                self.reindex(key, before.as_ref(), Some(row));
             }
             None => {
                 // The slot exists whenever the matching insert was replayed;
@@ -653,7 +542,7 @@ impl Table {
                 // committed in an epoch no later than the delete's.
                 if let Some(record) = self.get(key) {
                     if record.is_visible() {
-                        self.index_remove(key, &record.read_unguarded());
+                        self.reindex(key, Some(&record.read_unguarded()), None);
                     }
                     record.lock();
                     record.install_delete(tid);
@@ -725,7 +614,7 @@ impl Table {
         };
         record.lock();
         record.install(row.clone(), tid);
-        self.index_update(key, &before, &row);
+        self.reindex(key, Some(&before), Some(&row));
         Ok(())
     }
 }
@@ -751,6 +640,15 @@ mod tests {
 
     fn row(id: i64, last: &str, bal: f64) -> Tuple {
         Tuple::of([Value::Int(id), Value::Str(last.into()), Value::Float(bal)])
+    }
+
+    /// The unlimited forward walk of `last`'s entries in the `c_last` index.
+    fn under(t: &Table, last: &str) -> WalkPage<()> {
+        t.index_walk(0, &Key::Str(last.into()), None, false, usize::MAX)
+    }
+
+    fn pks(page: WalkPage<()>) -> Vec<Key> {
+        page.slots.into_iter().map(|(pk, ())| pk).collect()
     }
 
     #[test]
@@ -828,47 +726,40 @@ mod tests {
         t.load_row(row(1, "SMITH", 10.0)).unwrap();
         t.load_row(row(2, "SMITH", 20.0)).unwrap();
         t.load_row(row(3, "JONES", 30.0)).unwrap();
-        let smiths = t.secondary_lookup(0, &Key::Str("SMITH".into()));
-        assert_eq!(smiths, vec![Key::Int(1), Key::Int(2)]);
+        assert_eq!(pks(under(&t, "SMITH")), vec![Key::Int(1), Key::Int(2)]);
 
-        // Simulate an update changing the indexed column.
+        // An update changing the indexed column moves the entry.
         let old = row(2, "SMITH", 20.0);
         let new = row(2, "BROWN", 20.0);
-        t.index_update(&Key::Int(2), &old, &new);
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("SMITH".into())),
-            vec![Key::Int(1)]
-        );
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("BROWN".into())),
-            vec![Key::Int(2)]
-        );
+        t.reindex(&Key::Int(2), Some(&old), Some(&new));
+        assert_eq!(pks(under(&t, "SMITH")), vec![Key::Int(1)]);
+        assert_eq!(pks(under(&t, "BROWN")), vec![Key::Int(2)]);
 
-        t.index_remove(&Key::Int(3), &row(3, "JONES", 30.0));
-        assert!(t.secondary_lookup(0, &Key::Str("JONES".into())).is_empty());
+        t.reindex(&Key::Int(3), Some(&row(3, "JONES", 30.0)), None);
+        assert!(pks(under(&t, "JONES")).is_empty());
+        // Neighbouring spans stay apart in either direction.
+        let last = t.index_walk(0, &Key::Str("SMITH".into()), None, true, 1);
+        assert_eq!(pks(last), vec![Key::Int(1)]);
     }
 
     #[test]
-    fn secondary_observation_catches_membership_changes() {
+    fn a_lookup_observes_only_the_span_it_walked() {
         let t = customer_table();
-        t.load_row(row(1, "SMITH", 10.0)).unwrap();
-        let (pks, obs) = t.secondary_lookup_observed(0, &Key::Str("SMITH".into()));
-        assert_eq!(pks.len(), 1);
-        // A new SMITH row changes the key's PK set and bumps the node.
-        t.index_insert(&Key::Int(2), &row(2, "SMITH", 20.0));
-        assert!(!obs.is_current());
-        // Retiring a stale pair after the fence announced it is quiet.
-        let (_, obs2) = t.secondary_lookup_observed(0, &Key::Str("SMITH".into()));
-        t.index_retire_fenced(
-            &Key::Int(2),
-            &row(2, "SMITH", 20.0),
-            Some(&row(2, "BROWN", 20.0)),
-        );
-        assert!(obs2.is_current(), "fenced retirement is quiet");
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("SMITH".into())),
-            vec![Key::Int(1)]
-        );
+        // 200 rows under "M": the index splits inside its span.
+        for i in 0..200 {
+            t.load_row(row(i, "M", 0.0)).unwrap();
+        }
+        let newest = t.index_walk(0, &Key::Str("M".into()), None, true, 1);
+        assert_eq!(newest.slots, vec![(Key::Int(199), ())]);
+        let oldest = t.index_walk(0, &Key::Str("M".into()), None, false, 1);
+        // An entry far from either stop key touches neither observation.
+        t.reindex(&Key::Int(100), Some(&row(100, "M", 0.0)), None);
+        assert!(newest.nodes.iter().all(|o| o.is_current()));
+        assert!(oldest.nodes.iter().all(|o| o.is_current()));
+        // A new newest "M" row lands in the reverse walk's span.
+        t.reindex(&Key::Int(900), None, Some(&row(900, "M", 0.0)));
+        assert!(newest.nodes.iter().any(|o| !o.is_current()));
+        assert!(oldest.nodes.iter().all(|o| o.is_current()));
     }
 
     #[test]
@@ -877,19 +768,16 @@ mod tests {
         t.load_row(row(1, "SMITH", 10.0)).unwrap();
         // Insert: primary bump + secondary addition (installed + bumped).
         let obs_p = t.get_observed(&Key::Int(50)).1;
-        let (_, obs_s) = t.secondary_lookup_observed(0, &Key::Str("NEW".into()));
+        let obs_s = under(&t, "NEW").nodes;
         let effect = t.membership_fence(&Key::Int(50), None, Some(&row(50, "NEW", 0.0)));
         assert_eq!(effect.bumps.len(), 2);
         assert_eq!(effect.added.len(), 1);
-        assert!(!obs_p.is_current() && !obs_s.is_current());
+        assert!(!obs_p.is_current() && obs_s.iter().all(|o| !o.is_current()));
         // The addition is physically visible at fence time...
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("NEW".into())),
-            vec![Key::Int(50)]
-        );
+        assert_eq!(pks(under(&t, "NEW")), vec![Key::Int(50)]);
         // ...and a rollback undoes it (with another bump).
-        t.fence_rollback(&Key::Int(50), &effect.added);
-        assert!(t.secondary_lookup(0, &Key::Str("NEW".into())).is_empty());
+        t.fence_rollback(&effect.added);
+        assert!(pks(under(&t, "NEW")).is_empty());
 
         // Update keeping the indexed column: no bumps at all.
         let effect = t.membership_fence(
@@ -906,51 +794,113 @@ mod tests {
             Some(&row(1, "BROWN", 10.0)),
         );
         assert_eq!(effect.bumps.len(), 2);
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("BROWN".into())),
-            vec![Key::Int(1)]
-        );
-        // The stale SMITH pair stays until the write phase retires it.
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Str("SMITH".into())),
-            vec![Key::Int(1)]
-        );
+        assert_eq!(pks(under(&t, "BROWN")), vec![Key::Int(1)]);
+        // The stale SMITH entry stays until the write phase retires it.
+        assert_eq!(pks(under(&t, "SMITH")), vec![Key::Int(1)]);
         t.index_retire_fenced(
             &Key::Int(1),
             &row(1, "SMITH", 10.0),
             Some(&row(1, "BROWN", 10.0)),
         );
-        assert!(t.secondary_lookup(0, &Key::Str("SMITH".into())).is_empty());
+        assert!(pks(under(&t, "SMITH")).is_empty());
 
         // Delete: primary + secondary announced, retirement at install.
         let effect = t.membership_fence(&Key::Int(1), Some(&row(1, "BROWN", 10.0)), None);
         assert_eq!(effect.bumps.len(), 2);
         assert!(effect.added.is_empty());
         t.index_retire_fenced(&Key::Int(1), &row(1, "BROWN", 10.0), None);
-        assert!(t.secondary_lookup(0, &Key::Str("BROWN".into())).is_empty());
+        assert!(pks(under(&t, "BROWN")).is_empty());
     }
 
     #[test]
-    fn secondary_range_returns_pairs_in_order() {
-        let t = customer_table();
-        t.load_row(row(1, "ADAMS", 1.0)).unwrap();
-        t.load_row(row(2, "BAKER", 2.0)).unwrap();
-        t.load_row(row(3, "CLARK", 3.0)).unwrap();
-        let hits = t.secondary_range(
-            0,
-            Bound::Included(&Key::Str("ADAMS".into())),
-            Bound::Included(&Key::Str("BAKER".into())),
-        );
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].0, Key::Str("ADAMS".into()));
-        assert_eq!(hits[1].1, Key::Int(2));
-        let (pairs, obs) = t.secondary_range_observed(
-            0,
-            Bound::Included(&Key::Str("ADAMS".into())),
-            Bound::Unbounded,
-        );
-        assert_eq!(pairs.len(), 3);
-        assert!(!obs.is_empty());
+    fn successor_is_the_next_key_in_order() {
+        use Key::{Bool, Composite, Int, Str};
+        let keys = [
+            Bool(false),
+            Bool(true),
+            Int(i64::MIN),
+            Int(-1),
+            Int(0),
+            Int(i64::MAX),
+            Str(String::new()),
+            Str("\0".into()),
+            Str("a".into()),
+            Str("a\0".into()),
+            Str("a\0\0".into()),
+            Str("b".into()),
+            Composite(vec![]),
+            Composite(vec![Bool(false)]),
+            Composite(vec![Int(1)]),
+            Composite(vec![Int(1), Bool(false)]),
+            Composite(vec![Int(1), Int(0)]),
+        ];
+        for key in &keys {
+            let next = successor(key);
+            assert!(*key < next, "{key:?}");
+            assert!(
+                keys.iter().all(|k| !(key < k && *k < next)),
+                "nothing lies between {key:?} and {next:?}"
+            );
+        }
+    }
+
+    // Loads rows under random index keys, chosen so that their spans sit
+    // next to each other (neighbouring ints, strings one NUL apart,
+    // composites), then pages the prefix walk of one index key in either
+    // direction with any limit and page size: it returns exactly the
+    // model's primary keys for that key, in order.
+    proptest::proptest! {
+        #[test]
+        fn prefix_walks_return_exactly_the_index_keys_primary_keys(
+            rows in proptest::collection::vec((0usize..6, 0usize..6, 0i64..300), 0..250),
+            probe in (0usize..3, 0usize..6, 0usize..6),
+            limit in 0usize..40,
+            page in 1usize..9,
+            reverse in proptest::bool::ANY
+        ) {
+            const TAGS: [&str; 6] = ["", "\0", "a", "a\0", "ab", "b"];
+            const NS: [i64; 6] = [i64::MIN, -1, 0, 1, i64::MAX - 1, i64::MAX];
+            let schema = Schema::of(
+                &[("id", ColumnType::Int), ("tag", ColumnType::Str), ("n", ColumnType::Int)],
+                &["id"],
+            );
+            let columns = |c: &[&str]| c.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+            let t = Table::with_indexes(
+                "t",
+                schema,
+                &[columns(&["tag"]), columns(&["n"]), columns(&["tag", "n"])],
+            );
+            let mut model: std::collections::BTreeMap<(usize, Key), Vec<Key>> =
+                std::collections::BTreeMap::new();
+            for (tag, n, id) in rows {
+                let row = Tuple::of([Value::Int(id), Value::Str(TAGS[tag].into()), Value::Int(NS[n])]);
+                if t.load_row(row.clone()).is_ok() {
+                    for index_id in 0..3 {
+                        let ik = row.index_key(t.secondary_positions(index_id)).unwrap();
+                        model.entry((index_id, ik)).or_default().push(Key::Int(id));
+                    }
+                }
+            }
+            let (index_id, tag, n) = probe;
+            let ik = Tuple::of([Value::Int(0), Value::Str(TAGS[tag].into()), Value::Int(NS[n])])
+                .index_key(t.secondary_positions(index_id))
+                .unwrap();
+            let mut expected = model.remove(&(index_id, ik.clone())).unwrap_or_default();
+            expected.sort();
+            if reverse {
+                expected.reverse();
+            }
+            expected.truncate(limit);
+
+            let mut got: Vec<Key> = Vec::new();
+            let mut exhausted = false;
+            while got.len() < limit && !exhausted {
+                let walked = t.index_walk(index_id, &ik, got.last(), reverse, page.min(limit - got.len()));
+                exhausted = walked.exhausted;
+                got.extend(pks(walked));
+            }
+            proptest::prop_assert_eq!(got, expected);
+        }
     }
 
     #[test]
@@ -1057,8 +1007,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.get(&Key::Int(1)).unwrap().read_unguarded(), v3);
-        assert_eq!(t.secondary_lookup(0, &Key::Str("MOVED".into())).len(), 1);
-        assert!(t.secondary_lookup(0, &Key::Str("BASE".into())).is_empty());
+        assert_eq!(pks(under(&t, "MOVED")), vec![Key::Int(1)]);
+        assert!(pks(under(&t, "BASE")).is_empty());
         // Idempotence: an already-covered delta is a no-op, not an error.
         t.replay_delta(
             &Key::Int(1),

@@ -12,9 +12,9 @@
 //!    validation fail votes no.
 //! 2. **Membership fence** — before validating, every index node whose
 //!    membership this commit will change is version-bumped: new secondary
-//!    `(index key, PK)` pairs are physically installed *atomically with*
+//!    `(index key ‖ PK)` entries are physically installed *atomically with*
 //!    their bump (readers that see the bumped version also see the
-//!    provisional pair and resolve it through the locked row record);
+//!    provisional entry and resolve it through the locked row record);
 //!    removals and primary appear/disappear are announced by bump and
 //!    applied in the write phase. The transaction's own node set is
 //!    refreshed for these bumps. Fencing *before* validation is what
@@ -31,10 +31,9 @@
 //!    transaction aborts with [`TxnError::Phantom`]).
 //! 4. **Write phase** — a commit TID is generated (greater than every
 //!    observed version, the executor's previous TID, and within the current
-//!    epoch) and all buffered writes are installed; stale secondary pairs
-//!    of updates and deletes are retired (without re-bumping: the fence
-//!    already announced those removals, and additions were installed by
-//!    the fence itself). If any vote was no, all locks are released, the
+//!    epoch) and all buffered writes are installed; stale secondary entries
+//!    of updates and deletes are removed (additions were installed by the
+//!    fence itself). If any vote was no, all locks are released, the
 //!    provisional additions are rolled back, and the transaction aborts
 //!    everywhere — sub-transactions never commit partially (§2.2.3).
 
@@ -241,11 +240,10 @@ impl Coordinator {
             // release every lock without touching record versions. The
             // fence bumps stay — they can only cause spurious (safe)
             // phantom aborts in concurrent scanners, never missed ones;
-            // readers that saw a provisional pair resolve it through the
+            // readers that saw a provisional entry resolve it through the
             // still-uncommitted record and filter it out.
             for (pi, wi, added) in &fence_added {
-                let w = &participants[*pi].writes()[*wi];
-                w.table.fence_rollback(&w.key, added);
+                participants[*pi].writes()[*wi].table.fence_rollback(added);
             }
             for (pi, wi) in &locked {
                 participants[*pi].writes()[*wi].record.unlock();
@@ -259,10 +257,8 @@ impl Coordinator {
 
         // ---- Phase 4: generate the commit TID and install the writes.
         // Secondary-index additions are already in place from the fence;
-        // what remains is retiring stale pairs of updates and deletes —
-        // quietly, because the fence already announced those removals, so
-        // re-bumping here would only double-invalidate scanners that
-        // traversed between fence and install.
+        // what remains is removing the stale entries of updates and
+        // deletes, whose removal the fence already announced.
         let commit_tid = tidgen.next(current_epoch, max_observed);
         for (pi, wi) in &locked {
             let w = &participants[*pi].writes()[*wi];
@@ -779,7 +775,9 @@ mod tests {
         // group 1 into group 0 — changing the membership the lookup
         // depends on without touching any row the lookup read.
         let mut looker = OccTxn::new(ContainerId(0));
-        let hits = looker.secondary_lookup(&t, 0, &Key::Int(0)).unwrap();
+        let hits = looker
+            .secondary_lookup(&t, 0, &Key::Int(0), usize::MAX, false)
+            .unwrap();
         assert_eq!(hits.len(), 5);
         looker
             .update(&t, Tuple::of([Value::Int(0), Value::Int(0), Value::Int(7)]))
@@ -796,7 +794,9 @@ mod tests {
 
         // A retry sees the new membership and succeeds.
         let mut retry = OccTxn::new(ContainerId(0));
-        let hits = retry.secondary_lookup(&t, 0, &Key::Int(0)).unwrap();
+        let hits = retry
+            .secondary_lookup(&t, 0, &Key::Int(0), usize::MAX, false)
+            .unwrap();
         assert_eq!(hits.len(), 6);
         retry
             .update(&t, Tuple::of([Value::Int(0), Value::Int(0), Value::Int(7)]))
@@ -836,15 +836,17 @@ mod tests {
 
         let err = Coordinator::commit(&mut [doomed], &epoch, &gen).unwrap_err();
         assert!(err.is_cc_abort());
-        assert!(
-            t.secondary_lookup(0, &Key::Int(5)).is_empty(),
+        let entries = |grp: i64| {
+            t.index_walk(0, &Key::Int(grp), None, false, usize::MAX)
+                .slots
+                .len()
+        };
+        assert_eq!(
+            entries(5),
+            0,
             "the aborted move's provisional index entry was rolled back"
         );
-        assert_eq!(
-            t.secondary_lookup(0, &Key::Int(0)).len(),
-            4,
-            "the old membership is intact"
-        );
+        assert_eq!(entries(0), 4, "the old membership is intact");
         // Row 1's record is unlocked and unchanged.
         assert_eq!(
             t.get(&Key::Int(1)).unwrap().read_unguarded().at(1),

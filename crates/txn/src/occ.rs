@@ -16,13 +16,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use reactdb_common::{ContainerId, Key, Result, TxnError};
-use reactdb_storage::{NodeBump, NodeObservation, RecordRef, Table, TidWord, Tuple};
-
-/// True when `key` falls within owned `bounds`.
-fn bounds_contain(bounds: &(Bound<Key>, Bound<Key>), key: &Key) -> bool {
-    use std::ops::RangeBounds;
-    (bounds.0.as_ref(), bounds.1.as_ref()).contains(key)
-}
+use reactdb_storage::{NodeBump, NodeObservation, RecordRef, Table, TidWord, Tuple, WalkPage};
 
 /// The kind of buffered write.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +69,7 @@ pub struct OccTxn {
     /// attribute processing cost.
     ops: u64,
     /// Count of scan operations (range scans, full scans, secondary
-    /// lookups/ranges), surfaced in engine statistics.
+    /// lookups), surfaced in engine statistics.
     scans: u64,
     /// Index entries those scans walked, visible or not.
     scan_slots: u64,
@@ -403,19 +397,54 @@ impl OccTxn {
         Ok(())
     }
 
+    /// The paging loop under every bounded read. `walk` returns one page of
+    /// up to the given number of slots, resuming strictly past the cursor
+    /// key (`None` for the first page). Each page collects slot handles
+    /// under one short read-section of the index lock, and `visit` reads
+    /// them outside it, so a read never spins on a record lock while
+    /// holding the index lock. The first page asks for exactly `n` slots —
+    /// all that is needed when the head of the span is live — and later
+    /// pages grow geometrically, so a run of dead slots ahead of the `n`-th
+    /// row costs O(log) lock sections, not one per slot. Every node a page
+    /// walked joins the node set. Stops once `out` holds `n` rows; returns
+    /// whether the walk reached the far end of its span first.
+    fn walk_pages<V>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<(Key, Tuple)>,
+        mut walk: impl FnMut(Option<&Key>, usize) -> WalkPage<V>,
+        mut visit: impl FnMut(&mut Self, Key, V, &mut Vec<(Key, Tuple)>) -> Result<()>,
+    ) -> Result<bool> {
+        self.ops += 1;
+        self.scans += 1;
+        let mut cursor: Option<Key> = None;
+        let mut page_len = n;
+        while out.len() < n {
+            let page = walk(cursor.as_ref(), page_len);
+            self.scan_slots += page.slots.len() as u64;
+            for obs in page.nodes {
+                self.track_node(obs);
+            }
+            cursor = page.slots.last().map(|(key, _)| key.clone());
+            for (key, value) in page.slots {
+                if out.len() >= n {
+                    break;
+                }
+                visit(self, key, value, out)?;
+            }
+            if page.exhausted {
+                return Ok(true);
+            }
+            page_len = page_len.saturating_mul(2);
+        }
+        Ok(false)
+    }
+
     /// Transactional range scan over the primary key that stops once it has
     /// `n` visible rows: the first `n` of the range in key order, or the
     /// last `n` in descending order when `reverse`. Visible means committed
     /// rows merged with this transaction's own writes; an own buffered
     /// delete is skipped and does not count toward `n`.
-    ///
-    /// The index is walked a page at a time. Each page collects slot
-    /// handles under one short read-section of the index lock and reads
-    /// them outside it, so the scan never spins on a record lock while
-    /// holding the index lock. The first page asks for exactly `n` slots —
-    /// all that is needed when the head of the range is live — and later
-    /// pages grow geometrically, so a run of deleted slots ahead of the
-    /// `n`-th visible row costs O(log) lock sections, not one per slot.
     ///
     /// The scan is phantom-safe and validates only what it walked (the
     /// Masstree/Silo node-set protocol): every slot walked up to the `n`-th
@@ -434,49 +463,35 @@ impl OccTxn {
         n: usize,
         reverse: bool,
     ) -> Result<Vec<(Key, Tuple)>> {
-        self.ops += 1;
-        self.scans += 1;
-        let mut out: Vec<(Key, Tuple)> = Vec::new();
-        let mut cursor: Option<Key> = None;
-        let mut page_len = n;
-        while out.len() < n {
-            let (from, to) = match (&cursor, reverse) {
-                (None, _) => (low, high),
-                (Some(last), false) => (Bound::Excluded(last), high),
-                (Some(last), true) => (low, Bound::Excluded(last)),
-            };
-            let page = table.walk(from, to, reverse, page_len);
-            self.scan_slots += page.slots.len() as u64;
-            for obs in page.nodes {
-                self.track_node(obs);
-            }
-            if !page.exhausted {
-                cursor = page.slots.last().map(|(key, _)| key.clone());
-            }
-            // Own inserts need no merge step: the slot was created when
-            // the write was buffered, so the walk already returns it.
-            for (key, record) in page.slots {
-                if out.len() == n {
-                    break;
-                }
-                if let Some(idx) = self.find_write(table, &key) {
-                    match &self.writes[idx].kind {
-                        WriteKind::Insert(t) | WriteKind::Update(t) => out.push((key, t.clone())),
-                        WriteKind::Delete => {}
+        let mut out = Vec::new();
+        self.walk_pages(
+            n,
+            &mut out,
+            |cursor, len| {
+                let (from, to) = match (cursor, reverse) {
+                    (None, _) => (low, high),
+                    (Some(last), false) => (Bound::Excluded(last), high),
+                    (Some(last), true) => (low, Bound::Excluded(last)),
+                };
+                table.walk(from, to, reverse, len)
+            },
+            |txn, key, record, out| {
+                // Own inserts need no merge step: the slot was created when
+                // the write was buffered, so the walk already returns it.
+                if let Some(idx) = txn.find_write(table, &key) {
+                    if let WriteKind::Insert(t) | WriteKind::Update(t) = &txn.writes[idx].kind {
+                        out.push((key, t.clone()));
                     }
-                    continue;
+                    return Ok(());
                 }
                 let (tid, data) = record.read_stable();
-                self.track_read(&record, tid);
+                txn.track_read(&record, tid);
                 if !tid.is_absent() {
                     out.push((key, data));
                 }
-            }
-            if page.exhausted {
-                break;
-            }
-            page_len = page_len.saturating_mul(2);
-        }
+                Ok(())
+            },
+        )?;
         self.scan_rows += out.len() as u64;
         Ok(out)
     }
@@ -499,111 +514,76 @@ impl OccTxn {
         self.scan_range(table, Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Secondary-index equality lookup: returns the matching visible rows.
-    /// The node covering the index key is observed, so a commit that adds
-    /// or removes a matching `(index key, primary key)` pair — membership
-    /// this lookup's result depends on — fails node-set validation.
+    /// Secondary-index lookup: the first `n` visible rows whose index key is
+    /// `index_key`, in primary-key order, or the last `n` in descending
+    /// order when `reverse`. The index holds one `(index key ‖ primary
+    /// key)` entry per row, so the rows of one index key are one span of
+    /// it, paged and validated exactly like a [`OccTxn::scan_limit`] range:
+    /// a commit that adds or removes an entry inside the walked span —
+    /// membership this lookup's result depends on — fails node-set
+    /// validation, and one past the stop entry does not.
     ///
-    /// Fetched rows are re-checked against the index key: an index entry
-    /// can be provisional (a concurrent commit's fence installed it before
-    /// the row image) or superseded by this transaction's own buffered
-    /// update, and the row's actual index key decides. Own buffered writes
-    /// whose index key matches but which are not yet in the index are
-    /// merged in, so read-your-writes holds for index lookups too.
+    /// Each entry's row is read (joining the read set) and re-checked
+    /// against `index_key`: an entry can be provisional (a concurrent
+    /// commit's fence installed it before the row image) or superseded by
+    /// this transaction's own buffered update, and the row decides. Own
+    /// buffered writes that carry `index_key` are not in the index until
+    /// commit; they are merged in walk order, so read-your-writes holds for
+    /// index reads too.
     pub fn secondary_lookup(
         &mut self,
         table: &Arc<Table>,
         index_id: usize,
         index_key: &Key,
+        n: usize,
+        reverse: bool,
     ) -> Result<Vec<(Key, Tuple)>> {
-        self.ops += 1;
-        self.scans += 1;
         let positions = table.secondary_positions(index_id);
-        let (pks, obs) = table.secondary_lookup_observed(index_id, index_key);
-        self.track_node(obs);
-        self.scan_slots += pks.len() as u64;
-        let mut out = Vec::new();
-        for pk in pks {
-            if let Some(row) = self.read(table, &pk)? {
-                if row.index_key(&positions).as_ref() == Some(index_key) {
-                    out.push((pk, row));
+        let matches = |row: &Tuple| row.index_key(positions).as_ref() == Some(index_key);
+        let walk_order = |a: &Key, b: &Key| if reverse { b.cmp(a) } else { a.cmp(b) };
+        let mut own: Vec<(Key, Tuple)> = self
+            .writes
+            .iter()
+            .filter(|w| Arc::ptr_eq(&w.table, table))
+            .filter_map(|w| match &w.kind {
+                WriteKind::Insert(row) | WriteKind::Update(row) if matches(row) => {
+                    Some((w.key.clone(), row.clone()))
                 }
-            }
+                _ => None,
+            })
+            .collect();
+        own.sort_by(|a, b| walk_order(&a.0, &b.0));
+        let mut own = own.into_iter().peekable();
+        let mut out = Vec::new();
+        let exhausted = self.walk_pages(
+            n,
+            &mut out,
+            |after, len| table.index_walk(index_id, index_key, after, reverse, len),
+            |txn, pk, (), out| {
+                while out.len() < n {
+                    match own.next_if(|(key, _)| walk_order(key, &pk).is_lt()) {
+                        Some(row) => out.push(row),
+                        None => break,
+                    }
+                }
+                if out.len() == n {
+                    return Ok(());
+                }
+                // An own write of this very row is resolved by the read.
+                own.next_if(|(key, _)| *key == pk);
+                if let Some(row) = txn.read(table, &pk)? {
+                    if matches(&row) {
+                        out.push((pk, row));
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        if exhausted {
+            out.extend(own.take(n - out.len()));
         }
-        self.merge_own_index_writes(table, &positions, &mut out, |ik| ik == index_key);
-        out.sort_by(|a, b| a.0.cmp(&b.0));
         self.scan_rows += out.len() as u64;
         Ok(out)
-    }
-
-    /// Secondary-index range scan: visible rows whose index key falls in
-    /// the bounds, in index order, with the traversed index nodes observed
-    /// (same phantom protection and own-write merging as
-    /// [`OccTxn::secondary_lookup`]).
-    pub fn secondary_scan(
-        &mut self,
-        table: &Arc<Table>,
-        index_id: usize,
-        low: Bound<&Key>,
-        high: Bound<&Key>,
-    ) -> Result<Vec<(Key, Tuple)>> {
-        self.ops += 1;
-        self.scans += 1;
-        let positions = table.secondary_positions(index_id);
-        let bounds = (low.cloned(), high.cloned());
-        let (pairs, observations) = table.secondary_range_observed(index_id, low, high);
-        for obs in observations {
-            self.track_node(obs);
-        }
-        self.scan_slots += pairs.len() as u64;
-        let mut out = Vec::new();
-        for (_ik, pk) in pairs {
-            if let Some(row) = self.read(table, &pk)? {
-                let in_bounds = row
-                    .index_key(&positions)
-                    .map(|ik| bounds_contain(&bounds, &ik))
-                    .unwrap_or(false);
-                if in_bounds {
-                    out.push((pk, row));
-                }
-            }
-        }
-        self.merge_own_index_writes(table, &positions, &mut out, |ik| {
-            bounds_contain(&bounds, ik)
-        });
-        // Order by (index key, primary key), the order of the index itself.
-        out.sort_by_cached_key(|(pk, row)| (row.index_key(&positions), pk.clone()));
-        self.scan_rows += out.len() as u64;
-        Ok(out)
-    }
-
-    /// Appends this transaction's buffered inserts/updates on `table`
-    /// whose index key (per `positions`) satisfies `matches` and whose
-    /// primary key is not already present in `out`. Buffered writes are
-    /// not in the secondary index until commit, so index reads must merge
-    /// them explicitly.
-    fn merge_own_index_writes(
-        &self,
-        table: &Arc<Table>,
-        positions: &[usize],
-        out: &mut Vec<(Key, Tuple)>,
-        matches: impl Fn(&Key) -> bool,
-    ) {
-        for w in &self.writes {
-            if !Arc::ptr_eq(&w.table, table) {
-                continue;
-            }
-            let row = match &w.kind {
-                WriteKind::Insert(row) | WriteKind::Update(row) => row,
-                WriteKind::Delete => continue,
-            };
-            let Some(ik) = row.index_key(positions) else {
-                continue;
-            };
-            if matches(&ik) && !out.iter().any(|(pk, _)| pk == &w.key) {
-                out.push((w.key.clone(), row.clone()));
-            }
-        }
     }
 
     /// Internal accessors for the commit coordinator.
@@ -878,27 +858,23 @@ mod tests {
         .unwrap();
         txn.delete(&t, &Key::Int(3)).unwrap();
 
-        let hits = txn.secondary_lookup(&t, 0, &Key::Int(0)).unwrap();
-        let pks: Vec<_> = hits.iter().map(|(pk, _)| pk.clone()).collect();
+        let mut lookup = |grp: i64, n: usize, reverse: bool| {
+            let hits = txn.secondary_lookup(&t, 0, &Key::Int(grp), n, reverse);
+            hits.unwrap()
+                .into_iter()
+                .map(|(pk, _)| pk)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            pks,
+            lookup(0, usize::MAX, false),
             vec![Key::Int(0), Key::Int(2), Key::Int(10)],
             "own update leaves grp 0, own insert joins it, own delete drops out"
         );
+        // Limits count merged rows in walk order, in either direction.
+        assert_eq!(lookup(0, 1, true), vec![Key::Int(10)]);
+        assert_eq!(lookup(0, 2, false), vec![Key::Int(0), Key::Int(2)]);
         // The moved row shows up under its new group.
-        let hits = txn.secondary_lookup(&t, 0, &Key::Int(9)).unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, Key::Int(1));
-        // Range scans over the index merge the same way.
-        let hits = txn
-            .secondary_scan(
-                &t,
-                0,
-                Bound::Included(&Key::Int(0)),
-                Bound::Included(&Key::Int(9)),
-            )
-            .unwrap();
-        assert_eq!(hits.len(), 4, "grp 0 members plus the moved row");
+        assert_eq!(lookup(9, usize::MAX, false), vec![Key::Int(1)]);
     }
 
     #[test]

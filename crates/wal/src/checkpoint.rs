@@ -1093,16 +1093,11 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_covered_segments_and_bounds_recovery_to_the_tail() {
-        use reactdb_common::{DurabilityConfig, DurabilityMode, Key, Value};
+        use reactdb_common::{DurabilityConfig, Key, Value};
         use reactdb_storage::{ColumnType, Schema, Tuple};
 
         let dir = temp_dir("e2e");
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
         let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
         let schema = Schema::of(
@@ -1177,7 +1172,7 @@ mod tests {
         wal.sync().unwrap();
         drop(wal); // crash
 
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         let loaded = recovered.checkpoint.as_ref().expect("checkpoint installed");
         assert_eq!(loaded.rows.len(), 20);
         assert_eq!(loaded.epoch, report.epoch);
@@ -1213,16 +1208,11 @@ mod tests {
 
     #[test]
     fn parallel_capture_splits_tables_across_part_files() {
-        use reactdb_common::{DurabilityConfig, DurabilityMode, Key, Value};
+        use reactdb_common::{DurabilityConfig, Key, Value};
         use reactdb_storage::{ColumnType, Schema, Tuple};
 
         let dir = temp_dir("parallel");
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
         let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
         let schema = Schema::of(&[("id", ColumnType::Int)], &["id"]);
@@ -1284,16 +1274,11 @@ mod tests {
 
     #[test]
     fn delta_checkpoints_chain_capture_dirty_rows_and_tombstones() {
-        use reactdb_common::{DurabilityConfig, DurabilityMode, Key, Value};
+        use reactdb_common::{DurabilityConfig, Key, Value};
         use reactdb_storage::{ColumnType, Schema, Tuple};
 
         let dir = temp_dir("delta");
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
         let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
         let schema = Schema::of(&[("id", ColumnType::Int), ("v", ColumnType::Int)], &["id"]);
@@ -1437,14 +1422,9 @@ mod tests {
 
     #[test]
     fn checkpoint_sequence_is_consumed_even_by_failed_attempts() {
-        use reactdb_common::{DurabilityConfig, DurabilityMode};
+        use reactdb_common::DurabilityConfig;
         let dir = temp_dir("seq-consume");
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
         let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
         let ckpt = Checkpointer::new(

@@ -18,8 +18,7 @@
 //!   to `fence - 1`. The fence/drain order guarantees that every record of
 //!   an epoch `<=` the marker is on disk (see `Wal::sync` for the argument).
 //! * **Recovery** ([`recover_and_compact`]): scans every segment in the log
-//!   directory, discards torn tails and (under
-//!   [`DurabilityMode::EpochSync`]) frames beyond the durable epoch, sorts
+//!   directory, discards torn tails and frames beyond the durable epoch, sorts
 //!   the surviving batches by commit TID and hands them to the engine for
 //!   replay into `reactdb_storage::Partition`s; the kept prefix is rewritten
 //!   into a fresh checkpoint segment and stale segments are deleted, so
@@ -30,8 +29,7 @@
 //! group commit bounds the window of acknowledged-but-lost work to one epoch
 //! rather than eliminating it. This matches the repository's goal of
 //! reproducing the performance architecture; early result release is
-//! documented here so nobody mistakes `Buffered`/`EpochSync` for synchronous
-//! commit.
+//! documented here so nobody mistakes `EpochSync` for synchronous commit.
 
 pub mod checkpoint;
 pub mod codec;
@@ -49,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use reactdb_common::{DurabilityConfig, DurabilityMode};
+use reactdb_common::DurabilityConfig;
 use reactdb_obs::{Metrics, Phase, TraceKind};
 use reactdb_storage::TidWord;
 use reactdb_txn::{Coordinator, EpochManager, RedoRecord};
@@ -141,7 +139,6 @@ impl EpochWatch {
 /// commit gate, and the group-commit state.
 pub struct Wal {
     dir: PathBuf,
-    mode: DurabilityMode,
     writers: Vec<Arc<LogWriter>>,
     /// Commit gate: committers hold the read side across epoch read, write
     /// installation and log append; [`Wal::sync`] acquires the write side to
@@ -254,14 +251,11 @@ impl Wal {
         // Resuming instances inherit the previous durable epoch so the
         // marker (and the stats) never move backwards; this seeds the epoch
         // only and does not count as a performed group commit.
-        if config.mode == DurabilityMode::EpochSync {
-            if let Some(durable) = read_marker(&dir)? {
-                stats.seed_durable_epoch(durable);
-            }
+        if let Some(durable) = read_marker(&dir)? {
+            stats.seed_durable_epoch(durable);
         }
         Ok(Arc::new(Self {
             dir,
-            mode: config.mode,
             writers,
             gate: RwLock::new(()),
             sync_lock: Mutex::new(()),
@@ -280,11 +274,6 @@ impl Wal {
     /// The log directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured durability mode (never `Off`).
-    pub fn mode(&self) -> DurabilityMode {
-        self.mode
     }
 
     /// The writer (commit-path [`reactdb_txn::LogSink`]) of one executor.
@@ -376,42 +365,29 @@ impl Wal {
     /// One group commit; the caller holds the sync lock and has verified the
     /// instance is not retired.
     fn group_commit_locked(&self) -> io::Result<u64> {
-        match self.mode {
-            DurabilityMode::EpochSync => {
-                let obs = self.obs();
-                let wait_started = obs.map(|_| Instant::now());
-                let fence = self.epoch.current(); // 1. fence
-                drop(self.gate.write()); // 2. drain in-flight commits
-                if let (Some(m), Some(started)) = (obs, wait_started) {
-                    let ns = m.record_elapsed(Phase::WalSyncWait, usize::MAX, started);
-                    m.trace(usize::MAX, 0, TraceKind::GroupCommitWait, ns);
-                }
-                let fsync_started = obs.map(|_| Instant::now());
-                for writer in &self.writers {
-                    writer.flush(true)?; // 3. flush + fsync
-                }
-                if let (Some(m), Some(started)) = (obs, fsync_started) {
-                    let ns = m.record_elapsed(Phase::WalFsync, usize::MAX, started);
-                    m.trace(usize::MAX, 0, TraceKind::GroupCommitFsync, ns);
-                }
-                let durable = fence.saturating_sub(1);
-                if durable > self.stats.durable_epoch() {
-                    write_marker(&self.dir, durable)?; // 4. advance marker
-                }
-                self.stats.record_sync(durable);
-                self.watch.notify(); // 5. wake durable-epoch waiters
-                Ok(durable)
-            }
-            DurabilityMode::Buffered => {
-                for writer in &self.writers {
-                    writer.flush(false)?;
-                }
-                self.stats.record_sync(self.stats.durable_epoch());
-                self.watch.notify();
-                Ok(self.stats.durable_epoch())
-            }
-            DurabilityMode::Off => unreachable!("Wal::open returns None for Off"),
+        let obs = self.obs();
+        let wait_started = obs.map(|_| Instant::now());
+        let fence = self.epoch.current(); // 1. fence
+        drop(self.gate.write()); // 2. drain in-flight commits
+        if let (Some(m), Some(started)) = (obs, wait_started) {
+            let ns = m.record_elapsed(Phase::WalSyncWait, usize::MAX, started);
+            m.trace(usize::MAX, 0, TraceKind::GroupCommitWait, ns);
         }
+        let fsync_started = obs.map(|_| Instant::now());
+        for writer in &self.writers {
+            writer.flush()?; // 3. flush + fsync
+        }
+        if let (Some(m), Some(started)) = (obs, fsync_started) {
+            let ns = m.record_elapsed(Phase::WalFsync, usize::MAX, started);
+            m.trace(usize::MAX, 0, TraceKind::GroupCommitFsync, ns);
+        }
+        let durable = fence.saturating_sub(1);
+        if durable > self.stats.durable_epoch() {
+            write_marker(&self.dir, durable)?; // 4. advance marker
+        }
+        self.stats.record_sync(durable);
+        self.watch.notify(); // 5. wake durable-epoch waiters
+        Ok(durable)
     }
 
     /// The stable epoch a checkpoint may snapshot against: reads the epoch
@@ -517,13 +493,6 @@ impl Wal {
     /// sync lock and re-check the durable epoch, so a burst of waiters
     /// costs one fsync, not one each.
     pub fn wait_durable(&self, target: u64) -> io::Result<u64> {
-        if self.mode != DurabilityMode::EpochSync {
-            // Buffered mode has no durable-epoch notion; one flush pushes
-            // every appended frame to the OS, which is the strongest
-            // guarantee the mode offers. Callers get back immediately.
-            self.sync()?;
-            return Ok(self.stats.durable_epoch());
-        }
         if self.stats.durable_epoch() >= target {
             return Ok(self.stats.durable_epoch());
         }
@@ -602,9 +571,7 @@ impl Wal {
             let _ = handle.join();
         }
         if flush && !self.closed.load(Ordering::Acquire) {
-            if self.mode == DurabilityMode::EpochSync {
-                self.epoch.advance();
-            }
+            self.epoch.advance();
             let _ = self.sync();
         }
         // Retire the instance: refuse later syncs and release the log
@@ -629,7 +596,6 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("dir", &self.dir)
-            .field("mode", &self.mode)
             .field("writers", &self.writers.len())
             .field("durable_epoch", &self.durable_epoch())
             .finish()
@@ -659,7 +625,7 @@ pub struct RecoveredLog {
     /// checkpoint stamp. The recovered instance resumes beyond it so
     /// pre-crash (epoch, sequence) pairs are never reissued.
     pub max_epoch_seen: u64,
-    /// The durable epoch the scan honoured (`u64::MAX` in buffered mode).
+    /// The durable epoch the scan honoured.
     pub durable_epoch: u64,
     /// Segments whose frame stream ended early (torn tail or mid-file
     /// corruption). Expected to be non-zero after a genuine crash; a
@@ -719,12 +685,11 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
 /// replayable log tail, rewrites the tail as a compacted segment and removes
 /// stale segments.
 ///
-/// Under [`DurabilityMode::EpochSync`] only frames with `tid.epoch() <=`
-/// the on-disk durable-epoch marker survive; later frames belong to epochs
-/// whose group commit never completed and are discarded together with their
-/// segments (that deletion is what prevents a discarded transaction from
-/// resurfacing once the marker later passes its epoch). Under
-/// [`DurabilityMode::Buffered`] every intact frame survives.
+/// Only frames with `tid.epoch() <=` the on-disk durable-epoch marker
+/// survive; later frames belong to epochs whose group commit never
+/// completed and are discarded together with their segments (that deletion
+/// is what prevents a discarded transaction from resurfacing once the
+/// marker later passes its epoch).
 ///
 /// With a checkpoint installed, frames with `tid.epoch() <=` the checkpoint
 /// stamp are additionally skipped: the checkpoint already contains the full
@@ -745,11 +710,8 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
 /// One segment file's byte size and decoded scan (`None` = undecodable).
 type DecodedSegment = (u64, Option<codec::SegmentScan>);
 
-pub fn recover_and_compact(dir: &Path, mode: DurabilityMode) -> io::Result<RecoveredLog> {
-    let durable_epoch = match mode {
-        DurabilityMode::EpochSync => read_marker(dir)?.unwrap_or(0),
-        _ => u64::MAX,
-    };
+pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
+    let durable_epoch = read_marker(dir)?.unwrap_or(0);
 
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1055,13 +1017,8 @@ mod tests {
         }
     }
 
-    fn open(dir: &Path, mode: DurabilityMode, epoch: &Arc<EpochManager>) -> Arc<Wal> {
-        let config = DurabilityConfig {
-            mode,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+    fn open(dir: &Path, epoch: &Arc<EpochManager>) -> Arc<Wal> {
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         Wal::open(&config, 2, Arc::clone(epoch)).unwrap().unwrap()
     }
 
@@ -1077,7 +1034,7 @@ mod tests {
     fn epoch_sync_recovers_only_fenced_epochs() {
         let dir = temp_dir("fence");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
 
         // Epoch 1: two commits, then the epoch advances and we group-commit.
         wal.writer(0)
@@ -1094,7 +1051,7 @@ mod tests {
             .log_commit(TidWord::committed(2, 1), &[record(0, 1, 99.0)]);
         drop(wal); // crash: no shutdown flush
 
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(recovered.durable_epoch, 1);
         assert_eq!(recovered.batches.len(), 2);
         assert_eq!(recovered.max_tid, TidWord::committed(1, 2));
@@ -1112,19 +1069,19 @@ mod tests {
     fn discarded_frames_do_not_resurrect_after_compaction() {
         let dir = temp_dir("resurrect");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
         epoch.advance(); // now 2
         wal.sync().unwrap(); // durable = 1
         wal.writer(0)
             .log_commit(TidWord::committed(2, 1), &[record(0, 1, 50.0)]);
-        // The epoch-2 frame reaches the OS via a buffered-style flush but
-        // its epoch is never fenced: it must be discarded by recovery.
-        wal.writer(0).flush(false).unwrap();
+        // The epoch-2 frame reaches the file, but its epoch is never
+        // fenced: it must be discarded by recovery.
+        wal.writer(0).flush().unwrap();
         drop(wal);
 
-        let first = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let first = recover_and_compact(&dir).unwrap();
         assert_eq!(first.batches.len(), 1);
         assert_eq!(
             first.max_epoch_seen, 2,
@@ -1135,14 +1092,14 @@ mod tests {
         // reappear because compaction removed its segment.
         let epoch2 = Arc::new(EpochManager::new());
         epoch2.advance_to(5);
-        let wal2 = open(&dir, DurabilityMode::EpochSync, &epoch2);
+        let wal2 = open(&dir, &epoch2);
         wal2.writer(0)
             .log_commit(TidWord::committed(5, 1), &[record(0, 9, 1.0)]);
         epoch2.advance();
         wal2.sync().unwrap(); // durable = 5 > 2
         drop(wal2);
 
-        let second = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let second = recover_and_compact(&dir).unwrap();
         assert_eq!(second.batches.len(), 2);
         assert!(
             second
@@ -1156,32 +1113,14 @@ mod tests {
     }
 
     #[test]
-    fn buffered_mode_recovers_flushed_frames_without_marker() {
-        let dir = temp_dir("buffered");
-        let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::Buffered, &epoch);
-        wal.writer(0)
-            .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
-        wal.sync().unwrap();
-        // Never-flushed frame: lost on crash.
-        wal.writer(1)
-            .log_commit(TidWord::committed(1, 2), &[record(1, 2, 20.0)]);
-        drop(wal);
-        let recovered = recover_and_compact(&dir, DurabilityMode::Buffered).unwrap();
-        assert_eq!(recovered.batches.len(), 1);
-        assert_eq!(recovered.durable_epoch, u64::MAX);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn shutdown_flush_covers_the_last_epoch() {
         let dir = temp_dir("shutdown");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
         wal.shutdown(true);
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(
             recovered.batches.len(),
             1,
@@ -1196,7 +1135,7 @@ mod tests {
         assert!(!log_dir_has_state(&dir).unwrap());
         assert!(!log_dir_has_state(&dir.join("missing")).unwrap());
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         drop(wal);
         assert!(log_dir_has_state(&dir).unwrap(), "segments count as state");
         for entry in fs::read_dir(&dir).unwrap() {
@@ -1214,7 +1153,7 @@ mod tests {
     fn failed_group_commit_is_counted() {
         let dir = temp_dir("sync-failure");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 1.0)]);
         epoch.advance();
@@ -1234,15 +1173,10 @@ mod tests {
     fn log_dir_lock_is_exclusive_while_wal_lives() {
         let dir = temp_dir("lock");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         // A second instance — same process or another — must be refused
         // while the first is alive.
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         assert!(
             Wal::open(&config, 1, Arc::clone(&epoch)).is_err(),
             "second live WAL in one directory must be refused"
@@ -1271,7 +1205,7 @@ mod tests {
     fn wait_durable_kicks_a_group_commit_without_a_daemon() {
         let dir = temp_dir("wait-kick");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
         assert_eq!(wal.durable_epoch(), 0);
@@ -1284,7 +1218,7 @@ mod tests {
         wal.wait_durable(1).unwrap();
         assert_eq!(wal.stats().durable_waits(), 1);
         drop(wal);
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(
             recovered.batches.len(),
             1,
@@ -1297,7 +1231,7 @@ mod tests {
     fn wait_durable_waiters_are_woken_by_the_daemon() {
         let dir = temp_dir("wait-daemon");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal = open(&dir, &epoch);
         wal.start_daemon(2);
         // The daemon only syncs when the epoch moves; emulate the engine's
         // background advancer.
@@ -1315,32 +1249,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_durable_in_buffered_mode_degrades_to_flush() {
-        let dir = temp_dir("wait-buffered");
-        let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, DurabilityMode::Buffered, &epoch);
-        wal.writer(0)
-            .log_commit(TidWord::committed(1, 1), &[record(0, 1, 1.0)]);
-        // Must not hang: buffered mode has no durable-epoch notion.
-        wal.wait_durable(u64::MAX).unwrap();
-        drop(wal);
-        let recovered = recover_and_compact(&dir, DurabilityMode::Buffered).unwrap();
-        assert_eq!(recovered.batches.len(), 1, "the flush reached the OS");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn delta_writer_roots_chains_and_rebases_after_rotation() {
         use reactdb_txn::{LogSink, RedoPayload, RowDelta};
         let dir = temp_dir("delta-rebase");
         let epoch = Arc::new(EpochManager::new());
-        let config = DurabilityConfig {
-            mode: DurabilityMode::EpochSync,
-            log_dir: Some(dir.to_string_lossy().into_owned()),
-            group_commit_interval_ms: 0,
-            delta_logging: true,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy())
+            .with_interval_ms(0)
+            .with_delta_logging(true);
         let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
         assert!(wal.writer(0).delta_logging());
 
@@ -1410,7 +1325,7 @@ mod tests {
         drop(wal); // crash
 
         // Recovery: the decoded chain replays to the exact final image.
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(recovered.batches.len(), 4);
         let kinds: Vec<bool> = recovered
             .batches
@@ -1460,11 +1375,11 @@ mod tests {
     #[test]
     fn empty_or_missing_directory_recovers_cleanly() {
         let dir = temp_dir("empty");
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert!(recovered.batches.is_empty());
         assert_eq!(recovered.max_tid, TidWord(0));
         let gone = dir.join("never-created");
-        let recovered = recover_and_compact(&gone, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&gone).unwrap();
         assert!(recovered.batches.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1473,19 +1388,19 @@ mod tests {
     fn generations_do_not_collide_across_instances() {
         let dir = temp_dir("generations");
         let epoch = Arc::new(EpochManager::new());
-        let wal1 = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal1 = open(&dir, &epoch);
         wal1.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 1.0)]);
         wal1.shutdown(true);
         drop(wal1);
         // A second instance in the same directory must not clobber the first
         // instance's segments.
-        let wal2 = open(&dir, DurabilityMode::EpochSync, &epoch);
+        let wal2 = open(&dir, &epoch);
         wal2.writer(0)
             .log_commit(TidWord::committed(epoch.current(), 1), &[record(0, 2, 2.0)]);
         wal2.shutdown(true);
         drop(wal2);
-        let recovered = recover_and_compact(&dir, DurabilityMode::EpochSync).unwrap();
+        let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(recovered.batches.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -38,18 +38,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use reactdb_common::{DurabilityConfig, DurabilityMode, Key, ReactorId};
+use reactdb_common::{DurabilityConfig, Key, ReactorId};
 use reactdb_storage::TidWord;
 use reactdb_txn::{LogSink, RedoPayload, RedoRecord};
 
 use crate::codec;
 use crate::stats::WalStats;
-
-/// Flush threshold for [`DurabilityMode::Buffered`] writers. EpochSync
-/// writers never flush outside a group commit: buffered bytes must not reach
-/// the OS before their epoch is declared durable, or a crash could surface
-/// transactions from an unsynced epoch.
-const BUFFERED_FLUSH_BYTES: usize = 1 << 20;
 
 struct WriterInner {
     buf: Vec<u8>,
@@ -118,12 +112,7 @@ impl WriterInner {
 /// path.
 pub struct LogWriter {
     executor: usize,
-    mode: DurabilityMode,
-    /// Delta logging is active: EpochSync mode with the config knob on.
-    /// (Buffered-mode flushes are per-writer and could persist a delta
-    /// whose cross-writer base never reached the OS, so deltas are
-    /// restricted to the epoch-fenced mode whose recovery filter makes the
-    /// base's durability imply the delta's.)
+    /// Delta logging is active (the config knob is on).
     delta: bool,
     /// Record-level RLE compression of frame bodies.
     compress: bool,
@@ -161,8 +150,7 @@ impl LogWriter {
         Self::write_out(&mut inner)?;
         Ok(Self {
             executor,
-            mode: config.mode,
-            delta: config.delta_logging && config.mode == DurabilityMode::EpochSync,
+            delta: config.delta_logging,
             compress: config.compress_records,
             track_dirty: AtomicBool::new(false),
             inner: Mutex::new(inner),
@@ -193,16 +181,12 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Writes buffered bytes to the OS and optionally fsyncs. Called by the
-    /// group-commit daemon (with `fsync`) and by buffered-mode flushes
-    /// (without).
-    pub(crate) fn flush(&self, fsync: bool) -> std::io::Result<()> {
+    /// Writes buffered bytes to the OS and fsyncs them. Only the group
+    /// commit flushes.
+    pub(crate) fn flush(&self) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         Self::write_out(&mut inner)?;
-        if fsync {
-            inner.file.sync_data()?;
-        }
-        Ok(())
+        inner.file.sync_data()
     }
 
     /// Rotates the writer onto a fresh segment file, returning the retired
@@ -326,11 +310,6 @@ impl LogSink for LogWriter {
         );
         self.stats
             .record_batch(written as u64, records.len() as u64);
-        if self.mode == DurabilityMode::Buffered && inner.buf.len() >= BUFFERED_FLUSH_BYTES {
-            // Opportunistic flush; an I/O error here surfaces on the next
-            // explicit flush, buffered mode offers no durability guarantee.
-            let _ = Self::write_out(&mut inner);
-        }
     }
 }
 
@@ -338,7 +317,6 @@ impl std::fmt::Debug for LogWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogWriter")
             .field("executor", &self.executor)
-            .field("mode", &self.mode)
             .field("delta", &self.delta)
             .field("compress", &self.compress)
             .finish()

@@ -417,16 +417,19 @@ fn order_status(ctx: &mut ReactorCtx<'_>, args: &[Value]) -> Result<Value> {
         "customer",
         &Key::composite([Key::Int(d_id), Key::Int(c_id)]),
     )?;
-    // Most recent order of this customer via the (d_id, o_c_id) index.
-    let orders = ctx.index_lookup(
+    // Most recent order of this customer: the last entry of its
+    // (d_id, o_c_id) index span, whose primary key (d_id, o_id) orders by
+    // o_id.
+    let latest = ctx.index_lookup_rev(
         "orders",
         0,
         &Key::composite([Key::Int(d_id), Key::Int(c_id)]),
+        1,
     )?;
-    let last = orders.iter().map(|(_, t)| t.at(1).as_int()).max();
-    let Some(o_id) = last else {
+    let Some((_, order)) = latest.first() else {
         return Ok(Value::Int(-1));
     };
+    let o_id = order.at(1).as_int();
     let lines = ctx.scan_range(
         "order_line",
         std::ops::Bound::Included(&Key::composite([
@@ -1215,6 +1218,33 @@ mod tests {
             300 * scale.districts,
             "the tombstones are all still there; delivery just never walks them"
         );
+    }
+
+    #[test]
+    fn order_status_cost_does_not_grow_with_the_customers_order_history() {
+        let db = tiny_db(1, DeploymentConfig::shared_everything_with_affinity(1));
+        let w = warehouse_name(0);
+        let visited = || db.metrics().counter("scan_slots_visited").unwrap_or(0);
+        let mut per_status = Vec::new();
+        for round in 0..300i64 {
+            // One more order of 5..=15 lines for the same customer, then
+            // that customer's order status.
+            let items: Vec<_> = (0..5 + round % 11).map(|i| (i, 0, 1)).collect();
+            db.invoke(&w, "new_order", new_order_args(1, 3, &items))
+                .unwrap();
+            let before = visited();
+            let lines = db
+                .invoke(&w, "order_status", vec![Value::Int(1), Value::Int(3)])
+                .unwrap();
+            assert_eq!(lines, Value::Int(items.len() as i64), "the newest order");
+            per_status.push(visited() - before);
+        }
+        // One index entry plus at most 15 order lines, however many orders
+        // the customer placed before.
+        let bound = 1 + 15;
+        let (first, last) = (&per_status[..50], &per_status[250..]);
+        assert!(first.iter().all(|&n| n <= bound), "first 50: {first:?}");
+        assert!(last.iter().all(|&n| n <= bound), "last 50: {last:?}");
     }
 
     #[test]

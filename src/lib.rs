@@ -1,8 +1,7 @@
 //! ReactDB-rs facade crate.
 //!
 //! Re-exports the public API of the workspace crates so that applications
-//! can depend on a single crate. See the README for a quickstart and
-//! `DESIGN.md` for the system inventory.
+//! can depend on a single crate. See the README for a quickstart.
 //!
 //! The primary client surface is the session layer: boot a
 //! [`ReactDB`](engine::ReactDB), open a [`Client`] with

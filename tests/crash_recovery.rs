@@ -324,25 +324,3 @@ fn many_sessions_pipeline_handles_and_all_durable_acks_survive() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn buffered_mode_replays_flushed_commits() {
-    let dir = wal_dir("buffered");
-    let config = DeploymentConfig::shared_everything_with_affinity(2)
-        .with_durability(DurabilityConfig::buffered(&dir));
-
-    let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config.clone());
-    smallbank::load(&db, CUSTOMERS).unwrap();
-    db.invoke(
-        &customer_name(3),
-        "transact_saving",
-        vec![Value::Float(123.0)],
-    )
-    .unwrap();
-    db.wal_sync().unwrap(); // buffered flush, no fsync/marker
-    db.simulate_crash();
-
-    let recovered = ReactDB::recover(smallbank::spec(CUSTOMERS), config).unwrap();
-    assert_eq!(savings_balance(&recovered, 3), INITIAL_BALANCE + 123.0);
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -3,8 +3,10 @@
 //! phantom-classified error, a non-overlapping insert must not, and a
 //! `RetryPolicy`-driven retry must then succeed. A scan that stops at a
 //! limit is held to the same rule over the span it walked, and to no rule
-//! beyond it.
+//! beyond it — and so is a secondary-index lookup, whose entries are one
+//! span of the index per index key.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -288,6 +290,24 @@ fn first_n_args(n: i64, reverse: bool, gated: bool) -> Vec<Value> {
     ]
 }
 
+/// Submits the reader `proc(args)`, which pauses at `gate`, and commits
+/// `insert_entry(insert)` between its reads and its validation. Returns
+/// the reader's outcome.
+fn commit_between_read_and_validation(
+    db: &ReactDB,
+    gate: &Barrier,
+    proc: &str,
+    args: Vec<Value>,
+    insert: Vec<Value>,
+) -> Result<Value, TxnError> {
+    let client = db.client();
+    let reader = client.submit("ledger", proc, args).unwrap();
+    gate.wait(); // the reads have happened
+    client.invoke("ledger", "insert_entry", insert).unwrap();
+    gate.wait(); // on to validation
+    reader.wait()
+}
+
 /// Runs a gated limit-1 scan and commits an insert of `key` between the
 /// scan and the scanner's validation. Returns the scanner's outcome.
 fn limit_scan_racing_insert(
@@ -296,20 +316,9 @@ fn limit_scan_racing_insert(
     reverse: bool,
     key: i64,
 ) -> Result<Value, TxnError> {
-    let client = db.client();
-    let scanner = client
-        .submit("ledger", "first_n", first_n_args(1, reverse, true))
-        .unwrap();
-    gates.scanner.wait(); // the scan has happened
-    client
-        .invoke(
-            "ledger",
-            "insert_entry",
-            vec![Value::Int(key), Value::Bool(false)],
-        )
-        .unwrap();
-    gates.scanner.wait(); // on to validation
-    scanner.wait()
+    let args = first_n_args(1, reverse, true);
+    let insert = vec![Value::Int(key), Value::Bool(false)];
+    commit_between_read_and_validation(db, &gates.scanner, "first_n", args, insert)
 }
 
 #[test]
@@ -393,4 +402,147 @@ fn limit_scans_merge_own_buffered_writes() {
         let got = db.invoke("ledger", "first_n", args).unwrap();
         assert_eq!(got, Value::Str(expect.into()), "reverse={reverse}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Secondary-index lookups: the entries under one index key are one span
+// of the index, and a limited lookup validates what it walked of it.
+// ---------------------------------------------------------------------
+
+/// Groups 0..8 of 50 rows each, ids `grp * 1000 + 0..50`, under an index
+/// on `grp` — 400 entries, so the index has split into several nodes. The
+/// `latest` procedure returns the ids of a group's newest `n` rows and,
+/// when gated, pauses at the returned barrier.
+fn boot_indexed() -> (ReactDB, Arc<Barrier>) {
+    let gate = Arc::new(Barrier::new(2));
+    let scanner = Arc::clone(&gate);
+    let ledger = ReactorType::new("Ledger")
+        .with_relation(
+            RelationDef::new(
+                "entries",
+                Schema::of(
+                    &[
+                        ("id", ColumnType::Int),
+                        ("grp", ColumnType::Int),
+                        ("val", ColumnType::Int),
+                    ],
+                    &["id"],
+                ),
+            )
+            .with_index(&["grp"]),
+        )
+        // args: [grp, n, gated, own_insert] — `own_insert` is an id this
+        // transaction inserts into `grp` before it looks (-1 for none).
+        .with_procedure("latest", move |ctx, args| {
+            let grp = args[0].clone();
+            if args[3].as_int() >= 0 {
+                ctx.insert(
+                    "entries",
+                    Tuple::of([args[3].clone(), grp.clone(), Value::Int(0)]),
+                )?;
+            }
+            let key = Key::Int(grp.as_int());
+            let rows = ctx.index_lookup_rev("entries", 0, &key, args[1].as_int() as usize);
+            if args[2].as_bool() {
+                pause(&scanner);
+            }
+            let ids: Vec<String> = rows?.iter().map(|(_, t)| t.at(0).to_string()).collect();
+            Ok(Value::Str(ids.join(",")))
+        })
+        // args: [id, grp]
+        .with_procedure("insert_entry", |ctx, args| {
+            ctx.insert(
+                "entries",
+                Tuple::of([args[0].clone(), args[1].clone(), Value::Int(0)]),
+            )?;
+            Ok(Value::Null)
+        });
+    let mut spec = ReactorDatabaseSpec::new();
+    spec.add_type(ledger);
+    spec.add_reactor("ledger", "Ledger");
+    let db = ReactDB::boot(
+        spec,
+        DeploymentConfig::shared_everything_without_affinity(2).with_mpl(2),
+    );
+    for grp in 0..8i64 {
+        for i in 0..50 {
+            db.load_row(
+                "ledger",
+                "entries",
+                Tuple::of([Value::Int(grp * 1000 + i), Value::Int(grp), Value::Int(0)]),
+            )
+            .unwrap();
+        }
+    }
+    (db, gate)
+}
+
+fn latest_args(grp: i64, n: i64, gated: bool, own_insert: i64) -> Vec<Value> {
+    vec![
+        Value::Int(grp),
+        Value::Int(n),
+        Value::Bool(gated),
+        Value::Int(own_insert),
+    ]
+}
+
+/// Runs a gated `index_lookup_rev(grp 3, 1)` and commits a row `id` under
+/// `grp` between the lookup and its validation.
+fn index_lookup_racing_insert(
+    db: &ReactDB,
+    gate: &Barrier,
+    id: i64,
+    grp: i64,
+) -> Result<Value, TxnError> {
+    let args = latest_args(3, 1, true, -1);
+    let insert = vec![Value::Int(id), Value::Int(grp)];
+    commit_between_read_and_validation(db, gate, "latest", args, insert)
+}
+
+#[test]
+fn insert_under_the_same_index_key_inside_the_walked_span_phantom_aborts_the_lookup() {
+    let (db, gate) = boot_indexed();
+    // Group 3's newest row is 3049; the reverse walk spans from it to the
+    // end of the group, where a newer row 3999 lands.
+    let err = index_lookup_racing_insert(&db, &gate, 3999, 3).unwrap_err();
+    assert!(matches!(err, TxnError::Phantom), "{err:?}");
+    assert_eq!(db.stats().phantom_aborts(), 1);
+    // Retried, the lookup returns the row that beat it.
+    let got = db.invoke("ledger", "latest", latest_args(3, 1, false, -1));
+    assert_eq!(got.unwrap(), Value::Str("3999".into()));
+}
+
+#[test]
+fn insert_under_an_index_key_in_another_node_does_not_abort_the_lookup() {
+    let (db, gate) = boot_indexed();
+    let table = db.table("ledger", "entries").unwrap();
+    let walked = |grp: i64| -> HashSet<usize> {
+        let page = table.index_walk(0, &Key::Int(grp), None, true, 1);
+        page.nodes.iter().map(|o| o.node_ptr()).collect()
+    };
+    assert!(
+        walked(3).is_disjoint(&walked(7)),
+        "group 7's newest entries sit in another index node"
+    );
+    let got = index_lookup_racing_insert(&db, &gate, 7999, 7)
+        .expect("an insert outside the walked span is not a conflict");
+    assert_eq!(got, Value::Str("3049".into()));
+    assert_eq!(db.stats().phantom_aborts(), 0);
+    // The lookup walked one index entry.
+    assert_eq!(db.stats().scan_slots_visited(), 1);
+}
+
+#[test]
+fn an_index_lookup_returns_its_own_buffered_insert() {
+    let (db, _) = boot_indexed();
+    // The own insert is not in the index until commit; it is merged in
+    // walk order ahead of the committed newest row.
+    let got = db.invoke("ledger", "latest", latest_args(3, 2, false, 3500));
+    assert_eq!(got.unwrap(), Value::Str("3500,3049".into()));
+    // An own insert below the newest committed row merges behind it.
+    let got = db.invoke("ledger", "latest", latest_args(4, 2, false, 3998));
+    assert_eq!(got.unwrap(), Value::Str("4049,4048".into()));
+    let got = db.invoke("ledger", "latest", latest_args(5, 60, false, 3997));
+    let ids = got.unwrap();
+    assert!(ids.as_str().ends_with(",5000,3997"), "{ids:?}");
 }
