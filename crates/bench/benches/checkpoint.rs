@@ -91,9 +91,9 @@ fn bench_checkpoint_now(c: &mut Criterion) {
     });
     println!(
         "checkpoint/checkpoint_now: {} checkpoints, {} ckpt bytes, {} log bytes truncated",
-        db.stats().checkpoints_taken(),
-        db.stats().checkpoint_bytes(),
-        db.stats().log_truncated_bytes(),
+        db.metrics().counter("checkpoints_taken").unwrap(),
+        db.metrics().counter("checkpoint_bytes").unwrap(),
+        db.metrics().counter("log_truncated_bytes").unwrap(),
     );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -121,8 +121,8 @@ fn bench_commits_under_checkpointing(c: &mut Criterion) {
     println!(
         "checkpoint/deposit_while_checkpointing: {} checkpoints taken concurrently, \
          {} truncated segments",
-        db.stats().checkpoints_taken(),
-        db.stats().log_truncated_segments(),
+        db.metrics().counter("checkpoints_taken").unwrap(),
+        db.metrics().counter("log_truncated_segments").unwrap(),
     );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);

@@ -70,8 +70,8 @@ fn bench_wal(c: &mut Criterion) {
     let sync_dir = bench_dir("epoch-sync");
     let epoch_sync = boot(DurabilityConfig::epoch_sync(&sync_dir));
     run_deposits(c, "wal/deposit_epoch_sync_group_commit", &epoch_sync);
-    let synced = epoch_sync.stats().log_syncs();
-    let bytes = epoch_sync.stats().log_bytes();
+    let synced = epoch_sync.metrics().counter("log_syncs").unwrap();
+    let bytes = epoch_sync.metrics().counter("log_bytes").unwrap();
     drop(epoch_sync);
     println!("wal/deposit_epoch_sync_group_commit: {synced} group commits, {bytes} log bytes");
     let _ = std::fs::remove_dir_all(&sync_dir);
@@ -154,7 +154,7 @@ fn bench_durable_ack(c: &mut Criterion) {
          pipelined submit_batch + wait_durable {pipelined_tps:.0} txn/s \
          ({:.2}x, {} durable waits)",
         pipelined_tps / serial_tps,
-        db.stats().durable_waits(),
+        db.metrics().counter("durable_waits").unwrap(),
     );
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -216,15 +216,15 @@ fn measure_bytes_per_txn(durability: DurabilityConfig) -> f64 {
     let config = DeploymentConfig::shared_everything_with_affinity(1).with_durability(durability);
     let db = ReactDB::boot(ledger_spec(), config);
     load_ledger(&db);
-    let base = db.stats().log_bytes();
+    let base = db.metrics().counter("log_bytes").unwrap();
     for _ in 0..DELTA_TXNS {
         db.invoke("ledger-0", "bump", vec![Value::Float(1.0)])
             .unwrap();
     }
     db.wal_sync().unwrap();
-    let bytes = db.stats().log_bytes() - base;
-    let saved = db.stats().log_bytes_saved();
-    let deltas = db.stats().log_delta_records();
+    let bytes = db.metrics().counter("log_bytes").unwrap() - base;
+    let saved = db.metrics().counter("log_bytes_saved").unwrap();
+    let deltas = db.metrics().counter("log_delta_records").unwrap();
     drop(db);
     println!(
         "wal/delta: {bytes} log bytes over {DELTA_TXNS} txns \

@@ -34,13 +34,13 @@ use std::time::Duration;
 
 use reactdb_common::{AckLevel, Result, TxnError, Value};
 use reactdb_core::{FulfillHook, PublishWaker, ReactorFuture};
-use reactdb_obs::{AbortReason, Phase, TraceKind};
+use reactdb_obs::{AbortReason, Count, Phase, TraceKind};
 
 use crate::database::{Inner, CLIENT_TIMEOUT};
 
 /// Per-session counters, shared by every clone of a [`Client`] and by the
 /// handles it issued. The same events also feed the database-wide
-/// client-visible counters in [`crate::DbStats`].
+/// `client_*` and `handles_in_flight*` counts in the metrics registry.
 #[derive(Debug, Default)]
 pub(crate) struct SessionShared {
     submitted: AtomicU64,
@@ -224,14 +224,21 @@ impl Client {
         let reactor_id = self.inner.validate_root(reactor)?;
 
         self.session.on_submit();
-        self.inner.stats.record_client_submit();
+        let metrics = Arc::clone(&self.inner.metrics);
+        let in_flight = metrics.add(Count::HandlesInFlight, 1);
+        metrics.max(Count::HandlesInFlightHwm, in_flight);
         let session = Arc::clone(&self.session);
-        let stats_owner = Arc::clone(&self.inner);
         let hook: FulfillHook = Box::new(move |result| {
             let committed = result.is_ok();
             let reason = result.as_ref().err().map(AbortReason::classify);
             session.on_resolve(committed, reason);
-            stats_owner.stats.record_client_resolve(committed, reason);
+            metrics.sub(Count::HandlesInFlight, 1);
+            let outcome = if committed {
+                Count::ClientCommitted
+            } else {
+                Count::ClientAborted
+            };
+            metrics.add(outcome, 1);
         });
         // enqueue_root cannot fail: a rejected or abandoned request drops
         // its writer, which resolves the future with an error and fires the
@@ -373,7 +380,7 @@ impl TxnHandle {
             // The error came from the timeout, not from the transaction.
             if !self.timeout_recorded.swap(true, Ordering::Relaxed) {
                 self.session.on_timeout();
-                self.inner.stats.record_client_timeout();
+                self.inner.metrics.add(Count::ClientTimeouts, 1);
             }
         }
         result

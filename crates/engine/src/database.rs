@@ -40,11 +40,11 @@ use reactdb_core::{
     ReactorFuture,
 };
 use reactdb_obs::{
-    AbortReason, CommitProbe, Counter, Gauge, HistogramSummary, Metrics, MetricsSnapshot, Phase,
-    TraceEvent, TraceKind,
+    AbortReason, CommitProbe, Count, Counter, Gauge, Metrics, MetricsSnapshot, Phase, TraceEvent,
+    TraceKind,
 };
 use reactdb_storage::{Table, Tuple};
-use reactdb_txn::{Coordinator, EpochManager, LogSink};
+use reactdb_txn::{Coordinator, EpochManager, LogSink, OccTxn};
 use reactdb_wal::{CheckpointReport, CheckpointTable, Checkpointer, LogDirLock, Wal};
 
 use crate::client::{Client, SessionShared};
@@ -52,7 +52,6 @@ use crate::container::Container;
 use crate::executor::ExecutorHandle;
 use crate::request::{Request, RootTxn};
 use crate::router::Router;
-use crate::stats::DbStats;
 
 /// How long a client invocation waits for its result before reporting a
 /// runtime error. Generous: only hit if the engine is mis-configured.
@@ -70,9 +69,9 @@ pub(crate) struct Inner {
     pub(crate) epoch: Arc<EpochManager>,
     active: ActiveSet,
     txn_ids: TxnIdGen,
-    pub(crate) stats: DbStats,
-    /// Observability registry: phase histograms, busy-time accounting and
-    /// the trace ring buffers. Shared with the WAL and its checkpointer.
+    /// Metrics registry: every counter, the phase histograms, busy-time
+    /// accounting and the trace ring buffers. Shared with the WAL, its
+    /// checkpointer and the wire server.
     pub(crate) metrics: Arc<Metrics>,
     /// Write-ahead log; `None` when the deployment's durability mode is off.
     pub(crate) wal: Option<Arc<Wal>>,
@@ -175,7 +174,6 @@ impl ReactDB {
         }
 
         let epoch = Arc::new(EpochManager::new());
-        let stats = DbStats::new();
         let metrics = Arc::new(Metrics::new(executors.len(), &config.tracing));
 
         // ---- Durability: lock the log directory for this instance's
@@ -220,10 +218,8 @@ impl ReactDB {
                     config.checkpoint.replay_workers,
                 )?;
                 metrics.record_elapsed(Phase::RecoveryReplay, usize::MAX, replay_started);
-                stats.record_replay_workers(workers_used as u64);
-                if let Some(checkpoint) = &recovered.checkpoint {
-                    stats.record_recovered_checkpoint_rows(checkpoint.rows.len() as u64);
-                }
+                metrics.max(Count::RecoveryReplayWorkers, workers_used as u64);
+                metrics.add(Count::RecoveredCheckpointRows, checkpoint_rows.len() as u64);
                 // Resume beyond every epoch observed in the log (durable or
                 // discarded) so no pre-crash (epoch, sequence) pair is
                 // reissued.
@@ -232,7 +228,7 @@ impl ReactDB {
                 for exec in &executors {
                     exec.tidgen().observe(recovered.max_tid);
                 }
-                stats.record_recovered(recovered.batches.len() as u64);
+                metrics.add(Count::RecoveredTxns, recovered.batches.len() as u64);
             }
 
             // Fresh log segments for this instance; the WAL takes over the
@@ -242,17 +238,13 @@ impl ReactDB {
                 executors.len(),
                 Arc::clone(&epoch),
                 lock,
+                Arc::clone(&metrics),
             )?)
         } else {
             None
         };
         if let Some(wal) = &wal {
             wal.start_daemon(config.durability.group_commit_interval_ms);
-            stats.attach_wal(Arc::clone(wal.stats()));
-            // The WAL opens before the registry exists; hand it the
-            // registry so group commit and the checkpointer can record
-            // their phases and trace events.
-            wal.attach_metrics(Arc::clone(&metrics));
         }
 
         // ---- Checkpointing: enumerate every table of the deployment and
@@ -297,7 +289,6 @@ impl ReactDB {
             epoch,
             active: ActiveSet::new(),
             txn_ids: TxnIdGen::new(),
-            stats,
             metrics,
             wal,
             checkpointer,
@@ -337,99 +328,42 @@ impl ReactDB {
         &self.inner.config
     }
 
-    /// Database-wide commit/abort statistics.
-    pub fn stats(&self) -> &DbStats {
-        &self.inner.stats
-    }
-
     /// The write-ahead log, when the deployment enables durability.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.inner.wal.as_ref()
     }
 
     /// A point-in-time snapshot of every metric this instance exports:
-    /// commit/abort counters (with the per-[`AbortReason`] breakdown),
-    /// WAL and checkpoint counters, per-table log bytes, per-executor
-    /// queue-depth and utilization gauges, and the per-phase latency
-    /// histograms (p50/p90/p99/p999/max). Render with
-    /// [`MetricsSnapshot::to_prometheus_text`] or
+    /// everything the registry counts (commits, the per-[`AbortReason`]
+    /// breakdown, scans, client handles, recovery, WAL and checkpoint
+    /// work, per-relation log bytes, the wire server's `net_*` counts) and
+    /// the per-phase latency histograms (p50/p90/p99/p999/max), plus what
+    /// only the engine can compute now: the derived `txn_cc_aborts`, the
+    /// durable epoch, and per-executor queue-depth and utilization gauges.
+    /// Render with [`MetricsSnapshot::to_prometheus_text`] or
     /// [`MetricsSnapshot::to_json`], and diff two snapshots with
     /// [`MetricsSnapshot::delta`] for interval rates.
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let m = &inner.metrics;
-        let stats = &inner.stats;
+        let mut snap = m.snapshot();
+        let cc_aborts = AbortReason::ALL
+            .into_iter()
+            .filter(|reason| reason.is_cc())
+            .map(|reason| m.abort_count(reason))
+            .sum();
+        snap.counters.push(Counter {
+            name: "txn_cc_aborts".into(),
+            value: cc_aborts,
+        });
+        snap.counters.push(Counter {
+            name: "durable_epoch".into(),
+            value: self.durable_epoch().unwrap_or(0),
+        });
 
-        let mut counters = vec![Counter {
-            name: "txn_committed".into(),
-            value: stats.committed(),
-        }];
-        for (reason, count) in stats.aborts_by_reason() {
-            counters.push(Counter {
-                name: format!("txn_aborts{{reason=\"{}\"}}", reason.name()),
-                value: count,
-            });
-        }
-        for (name, value) in [
-            ("txn_cc_aborts", stats.cc_aborts()),
-            ("scan_ops", stats.scan_ops()),
-            ("scan_slots_visited", stats.scan_slots_visited()),
-            ("scan_rows_returned", stats.scan_rows_returned()),
-            ("sub_txns_dispatched", stats.sub_txns_dispatched()),
-            ("sub_txns_inlined", stats.sub_txns_inlined()),
-            ("client_committed", stats.client_committed()),
-            ("client_aborted", stats.client_aborted()),
-            ("client_timeouts", stats.client_timeouts()),
-            ("handles_in_flight_hwm", stats.handles_in_flight_hwm()),
-            ("recovered_txns", stats.recovered_txns()),
-            (
-                "recovered_checkpoint_rows",
-                stats.recovered_checkpoint_rows(),
-            ),
-            ("log_bytes", stats.log_bytes()),
-            ("log_records", stats.log_records()),
-            ("log_delta_records", stats.log_delta_records()),
-            ("log_bytes_saved", stats.log_bytes_saved()),
-            ("log_syncs", stats.log_syncs()),
-            ("log_sync_failures", stats.log_sync_failures()),
-            ("durable_epoch", stats.durable_epoch()),
-            ("durable_waits", stats.durable_waits()),
-            ("checkpoints_taken", stats.checkpoints_taken()),
-            ("checkpoints_delta", stats.checkpoints_delta()),
-            ("checkpoint_bytes", stats.checkpoint_bytes()),
-            ("checkpoint_failures", stats.checkpoint_failures()),
-            ("log_truncated_bytes", stats.log_truncated_bytes()),
-            ("log_truncated_segments", stats.log_truncated_segments()),
-            ("recovery_replay_workers", stats.recovery_replay_workers()),
-        ] {
-            counters.push(Counter {
-                name: name.into(),
-                value,
-            });
-        }
-        for usage in stats.log_bytes_per_table() {
-            let labels = format!(
-                "{{reactor=\"{}\",relation=\"{}\"}}",
-                usage.reactor.raw(),
-                usage.relation
-            );
-            counters.push(Counter {
-                name: format!("table_log_bytes{labels}"),
-                value: usage.bytes,
-            });
-            counters.push(Counter {
-                name: format!("table_log_records{labels}"),
-                value: usage.records,
-            });
-        }
-
-        let uptime_ns = m.uptime_ns().max(1);
-        let mut gauges = vec![Gauge {
-            name: "handles_in_flight".into(),
-            value: stats.handles_in_flight() as f64,
-        }];
+        let uptime_ns = m.now_ns().max(1);
         for (idx, exec) in inner.executors.iter().enumerate() {
-            gauges.push(Gauge {
+            snap.gauges.push(Gauge {
                 name: format!("executor_queue_depth{{executor=\"{idx}\"}}"),
                 value: exec.queue_len() as f64,
             });
@@ -438,34 +372,18 @@ impl ReactDB {
             // outer request's span, so the ratio never exceeds 1 per
             // worker).
             let capacity_ns = uptime_ns.saturating_mul(exec.mpl() as u64).max(1);
-            gauges.push(Gauge {
+            snap.gauges.push(Gauge {
                 name: format!("executor_utilization{{executor=\"{idx}\"}}"),
                 value: m.busy_ns(idx) as f64 / capacity_ns as f64,
             });
         }
-
-        let histograms = Phase::ALL
-            .iter()
-            .map(|&phase| {
-                HistogramSummary::of(
-                    format!("phase_{}_ns", phase.name()),
-                    &m.phase_histogram(phase),
-                )
-            })
-            .collect();
-
-        MetricsSnapshot {
-            uptime_us: uptime_ns / 1_000,
-            counters,
-            gauges,
-            histograms,
-        }
+        snap
     }
 
     /// The live observability registry this instance records into — shared
     /// with the WAL, the checkpointer, and (when one fronts this database)
-    /// the wire server, which records its `net_*` request phases here so
-    /// they land in the same [`MetricsSnapshot`] as the engine's phases.
+    /// the wire server, which records its `net_*` counts and phases here so
+    /// they land in the same [`MetricsSnapshot`] as the engine's.
     /// For point-in-time export use [`ReactDB::metrics`].
     pub fn metrics_registry(&self) -> Arc<Metrics> {
         Arc::clone(&self.inner.metrics)
@@ -484,8 +402,8 @@ impl ReactDB {
     /// durable-epoch advance), making every transaction committed so far
     /// durable. Returns the resulting durable epoch. Errors distinguish the
     /// two failure modes: durability not configured, and a group commit
-    /// that failed with an I/O error (also counted in
-    /// [`DbStats::log_sync_failures`]). Tests use this instead of waiting
+    /// that failed with an I/O error (also counted as
+    /// `log_sync_failures`). Tests use this instead of waiting
     /// for the group-commit daemon.
     pub fn wal_sync(&self) -> Result<u64> {
         let wal = self
@@ -512,7 +430,7 @@ impl ReactDB {
     /// manifest and truncates every log segment the checkpoint covers.
     /// Returns a [`CheckpointReport`] — rows, bytes, part count, whether it
     /// was a delta capture, and the cover epoch — so callers and tests need
-    /// not scrape `DbStats`. Requires durability; see `CheckpointConfig` on
+    /// not scrape the metrics. Requires durability; see `CheckpointConfig` on
     /// the deployment for the periodic background variant.
     pub fn checkpoint_now(&self) -> Result<CheckpointReport> {
         let checkpointer = self
@@ -738,12 +656,12 @@ impl ReactDB {
         for exec in &inner.executors {
             exec.tidgen().observe(max_tid);
         }
-        inner.stats.record_recovered(batches.len() as u64);
-        if !checkpoint_rows.is_empty() {
-            inner
-                .stats
-                .record_recovered_checkpoint_rows(checkpoint_rows.len() as u64);
-        }
+        inner
+            .metrics
+            .add(Count::RecoveredTxns, batches.len() as u64);
+        inner
+            .metrics
+            .add(Count::RecoveredCheckpointRows, checkpoint_rows.len() as u64);
         Ok(batches.len())
     }
 
@@ -971,13 +889,15 @@ impl Inner {
                     Err(e) => {
                         // Nothing was installed; drop the buffered
                         // participants — but still account their scan work.
-                        self.stats.record_scans(&root.take_participants());
+                        self.record_scans(&root.take_participants());
                         Err(e)
                     }
                 };
                 match &outcome {
-                    Ok(_) => self.stats.record_commit(),
-                    Err(e) => self.stats.record_abort(AbortReason::classify(e)),
+                    Ok(_) => {
+                        self.metrics.add(Count::TxnCommitted, 1);
+                    }
+                    Err(e) => self.metrics.record_abort(AbortReason::classify(e)),
                 }
                 self.trace_root(executor_idx, &root, &outcome, execute_ns, probe.as_ref());
                 // Thread the commit epoch into the future so durability-
@@ -1003,6 +923,21 @@ impl Inner {
         }
     }
 
+    /// Accounts the scan work of a finished root transaction's
+    /// participants, committed or not.
+    fn record_scans(&self, participants: &[OccTxn]) {
+        let ops: u64 = participants.iter().map(OccTxn::scan_count).sum();
+        if ops == 0 {
+            return;
+        }
+        let m = &self.metrics;
+        m.add(Count::ScanOps, ops);
+        let slots = participants.iter().map(OccTxn::scan_slots_visited).sum();
+        m.add(Count::ScanSlotsVisited, slots);
+        let rows = participants.iter().map(OccTxn::scan_rows_returned).sum();
+        m.add(Count::ScanRowsReturned, rows);
+    }
+
     /// Commits a root transaction's participants. On success returns the
     /// epoch of the commit TID — the epoch whose group commit makes the
     /// transaction durable — or `None` for transactions that touched no
@@ -1014,7 +949,7 @@ impl Inner {
         probe: Option<&mut CommitProbe<'_>>,
     ) -> Result<Option<u64>> {
         let mut participants = root.take_participants();
-        self.stats.record_scans(&participants);
+        self.record_scans(&participants);
         if participants.is_empty() {
             return Ok(None);
         }
@@ -1185,7 +1120,7 @@ impl Inner {
         // Self-call: inlined into the calling sub-transaction, executed
         // synchronously (§2.2.4).
         if target_id == caller_reactor {
-            self.stats.record_sub_inline();
+            self.metrics.add(Count::SubTxnsInlined, 1);
             let result = self.run_subtxn(executor_idx, root, target_id, caller_sub, proc, &args);
             return Ok(ReactorFuture::resolved(result));
         }
@@ -1194,7 +1129,7 @@ impl Inner {
         // synchronously on the calling executor to avoid migration of
         // control (§3.2.1).
         if target_container == caller_container {
-            self.stats.record_sub_inline();
+            self.metrics.add(Count::SubTxnsInlined, 1);
             let sub = root.next_sub();
             let result = self.run_subtxn(executor_idx, root, target_id, sub, proc, &args);
             return Ok(ReactorFuture::resolved(result));
@@ -1202,7 +1137,7 @@ impl Inner {
 
         // Cross-container: route to the affinity executor of the target
         // reactor and return a pending future.
-        self.stats.record_sub_dispatch();
+        self.metrics.add(Count::SubTxnsDispatched, 1);
         let sub = root.next_sub();
         let target_exec = self.router.route_sub(target_id);
         let hook = Arc::new(ExecutorWaitHook {
@@ -1262,6 +1197,13 @@ mod tests {
     use reactdb_common::Key;
     use reactdb_core::ReactorType;
     use reactdb_storage::{ColumnType, RelationDef, Schema};
+
+    /// One exported counter of `db`.
+    fn count(db: &ReactDB, name: &str) -> u64 {
+        db.metrics()
+            .counter(name)
+            .unwrap_or_else(|| panic!("{name} is not exported"))
+    }
 
     /// A minimal two-type reactor database used across the engine tests:
     /// `Account` reactors hold a single-row `balance` relation and support
@@ -1376,7 +1318,7 @@ mod tests {
                 .unwrap();
             let bal = db.invoke("acct-0", "balance", vec![]).unwrap();
             assert_eq!(bal, Value::Float(15.0));
-            assert_eq!(db.stats().committed(), 4 + 3);
+            assert_eq!(count(&db, "txn_committed"), 4 + 3);
         }
     }
 
@@ -1454,7 +1396,7 @@ mod tests {
             saw_dangerous,
             "expected at least one DangerousStructure abort"
         );
-        assert!(db.stats().dangerous_aborts() >= 1);
+        assert!(count(&db, "txn_aborts{reason=\"dangerous_structure\"}") >= 1);
     }
 
     #[test]
@@ -1464,7 +1406,7 @@ mod tests {
             .unwrap();
         let v = db.invoke("acct-2", "self_call", vec![]).unwrap();
         assert_eq!(v, Value::Float(7.0));
-        assert!(db.stats().sub_txns_inlined() >= 1);
+        assert!(count(&db, "sub_txns_inlined") >= 1);
     }
 
     #[test]
@@ -1559,19 +1501,19 @@ mod tests {
             vec![Value::Str("acct-1".into()), Value::Float(10.0)],
         )
         .unwrap();
-        assert!(db.stats().log_bytes() > 0);
-        assert!(db.stats().log_records() >= 4);
+        assert!(count(&db, "log_bytes") > 0);
+        assert!(count(&db, "log_records") >= 4);
 
         // Everything so far becomes durable; the next write is lost in the
         // crash.
         db.wal_sync().unwrap();
-        assert!(db.stats().log_syncs() >= 1);
+        assert!(count(&db, "log_syncs") >= 1);
         db.invoke("acct-0", "deposit", vec![Value::Float(1000.0)])
             .unwrap();
         db.simulate_crash();
 
         let recovered = ReactDB::recover(bank_spec(), config).unwrap();
-        assert!(recovered.stats().recovered_txns() >= 5);
+        assert!(count(&recovered, "recovered_txns") >= 5);
         assert_eq!(
             recovered.invoke("acct-0", "balance", vec![]).unwrap(),
             Value::Float(15.0),
@@ -1609,11 +1551,11 @@ mod tests {
                 .unwrap();
         }
         assert!(
-            db.stats().log_delta_records() >= 19,
+            count(&db, "log_delta_records") >= 19,
             "repeat updates are delta-logged, got {}",
-            db.stats().log_delta_records()
+            count(&db, "log_delta_records")
         );
-        assert!(db.stats().log_bytes_saved() > 0);
+        assert!(count(&db, "log_bytes_saved") > 0);
         db.wal_sync().unwrap();
         db.invoke("acct-0", "deposit", vec![Value::Float(500.0)])
             .unwrap();
@@ -1632,7 +1574,7 @@ mod tests {
         recovered
             .invoke("acct-0", "deposit", vec![Value::Float(1.0)])
             .unwrap();
-        assert!(recovered.stats().log_delta_records() >= 1);
+        assert!(count(&recovered, "log_delta_records") >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1729,22 +1671,31 @@ mod tests {
             .unwrap();
         }
         db.wal_sync().unwrap();
-        let total_before = db.stats().log_bytes();
+        let total_before = count(&db, "log_bytes");
         let outcome = db.checkpoint_now().unwrap();
         assert_eq!(outcome.rows, 4, "one balance row per account");
         assert!(outcome.bytes > 0);
-        assert!(db.stats().checkpoints_taken() >= 1);
-        assert_eq!(db.stats().checkpoint_bytes(), outcome.bytes);
+        assert!(count(&db, "checkpoints_taken") >= 1);
+        assert_eq!(count(&db, "checkpoint_bytes"), outcome.bytes);
         assert!(
-            outcome.truncated_segments >= 1 && db.stats().log_truncated_bytes() > 0,
+            outcome.truncated_segments >= 1 && count(&db, "log_truncated_bytes") > 0,
             "the pre-checkpoint history segments are reclaimed"
         );
         // Per-table accounting observed the deposits.
-        let usage = db.stats().log_bytes_per_table();
-        assert!(!usage.is_empty());
-        assert!(usage.iter().any(|u| u.relation == "balance" && u.bytes > 0));
+        let snap = db.metrics();
         assert!(
-            usage.iter().map(|u| u.bytes).sum::<u64>() <= total_before,
+            snap.counter("table_log_bytes{relation=\"balance\"}")
+                .unwrap()
+                > 0
+        );
+        let per_table: u64 = snap
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("table_log_bytes"))
+            .map(|c| c.value)
+            .sum();
+        assert!(
+            per_table <= total_before,
             "per-table bytes are a breakdown of total log bytes"
         );
 
@@ -1758,14 +1709,14 @@ mod tests {
 
         let recovered = ReactDB::recover(bank_spec(), config).unwrap();
         assert_eq!(
-            recovered.stats().recovered_checkpoint_rows(),
+            count(&recovered, "recovered_checkpoint_rows"),
             4,
             "the checkpoint supplies the base state"
         );
         assert!(
-            recovered.stats().recovered_txns() <= 3,
+            count(&recovered, "recovered_txns") <= 3,
             "recovery replays only the post-checkpoint tail, got {}",
-            recovered.stats().recovered_txns()
+            count(&recovered, "recovered_txns")
         );
         // acct-0: init 0 + 8 pre-checkpoint deposits (i % 4 == 0 of 0..30)
         // + 5 durable tail - lost 1000.
@@ -1791,7 +1742,7 @@ mod tests {
         // The engine's epoch advancer ticks every 10 ms; keep committing
         // until the daemon has demonstrably fired.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while db.stats().checkpoints_taken() < 2 {
+        while count(&db, "checkpoints_taken") < 2 {
             db.invoke("acct-0", "deposit", vec![Value::Float(1.0)])
                 .unwrap();
             assert!(
@@ -1800,12 +1751,12 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(db.stats().checkpoint_failures(), 0);
+        assert_eq!(count(&db, "checkpoint_failures"), 0);
         let committed = db.invoke("acct-0", "balance", vec![]).unwrap().as_float();
         db.shutdown();
         drop(db);
         let recovered = ReactDB::recover(bank_spec(), config).unwrap();
-        assert!(recovered.stats().recovered_checkpoint_rows() >= 1);
+        assert!(count(&recovered, "recovered_checkpoint_rows") >= 1);
         assert_eq!(
             recovered.invoke("acct-0", "balance", vec![]).unwrap(),
             Value::Float(committed),
@@ -1821,12 +1772,16 @@ mod tests {
             db.checkpoint_now().unwrap_err(),
             TxnError::Runtime(_)
         ));
-        assert_eq!(db.stats().checkpoints_taken(), 0);
-        assert!(db.stats().log_bytes_per_table().is_empty());
+        assert_eq!(count(&db, "checkpoints_taken"), 0);
+        let snap = db.metrics();
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|c| c.name.starts_with("table_log_")));
     }
 
     #[test]
-    fn durability_off_keeps_stats_at_zero() {
+    fn durability_off_keeps_log_counters_at_zero() {
         let db = boot(DeploymentConfig::shared_nothing(2));
         db.invoke("acct-0", "deposit", vec![Value::Float(1.0)])
             .unwrap();
@@ -1836,8 +1791,8 @@ mod tests {
             "sync without durability is an error"
         );
         assert_eq!(db.durable_epoch(), None);
-        assert_eq!(db.stats().log_bytes(), 0);
-        assert_eq!(db.stats().log_syncs(), 0);
+        assert_eq!(count(&db, "log_bytes"), 0);
+        assert_eq!(count(&db, "log_syncs"), 0);
     }
 
     #[test]
@@ -1888,9 +1843,9 @@ mod tests {
             Value::Float(3.0)
         );
         // The same outcomes are visible database-wide.
-        assert!(db.stats().client_committed() >= 3);
-        assert!(db.stats().handles_in_flight_hwm() >= 2);
-        assert_eq!(db.stats().handles_in_flight(), 0);
+        assert!(count(&db, "client_committed") >= 3);
+        assert!(count(&db, "handles_in_flight_hwm") >= 2);
+        assert_eq!(db.metrics().gauge("handles_in_flight"), Some(0.0));
     }
 
     #[test]
@@ -1958,7 +1913,7 @@ mod tests {
             db.durable_epoch().unwrap() >= commit_epoch,
             "acknowledgement implies the epoch group-committed"
         );
-        assert!(db.stats().durable_waits() >= 1);
+        assert!(count(&db, "durable_waits") >= 1);
         // With durability off, wait_durable degrades to wait.
         let volatile = boot(DeploymentConfig::shared_nothing(2));
         let h = volatile

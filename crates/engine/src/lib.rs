@@ -21,7 +21,9 @@
 //!   submission of root transactions with validation-time (`wait`) or
 //!   durability-gated (`wait_durable`) acknowledgement, plus
 //!   [`RetryPolicy`]-driven OCC retries,
-//! * [`DbStats`] — commit/abort counters exposed to the benchmark harness.
+//! * [`ReactDB::metrics`] — every count the instance keeps, read from the
+//!   one `reactdb_obs::Metrics` registry it shares with its WAL and any wire
+//!   server in front of it.
 //!
 //! Threading model: each executor owns `mpl` worker threads. A worker that
 //! must wait for a remote sub-transaction keeps draining its own request
@@ -34,7 +36,6 @@ pub mod database;
 pub mod executor;
 pub mod request;
 pub mod router;
-pub mod stats;
 
 pub use client::{Call, Client, RetryPolicy, SessionStats, TxnHandle};
 pub use container::Container;
@@ -47,4 +48,3 @@ pub use reactdb_obs::{
 };
 pub use request::{Request, RootTxn};
 pub use router::Router;
-pub use stats::DbStats;

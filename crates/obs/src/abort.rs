@@ -9,7 +9,7 @@
 use reactdb_common::TxnError;
 
 /// Why a root transaction aborted. Classified once per resolved handle by
-/// [`AbortReason::classify`]; every counter surface (`DbStats`,
+/// [`AbortReason::classify`]; every counter surface (the metrics registry,
 /// `SessionStats`, trace events) uses this taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
@@ -64,8 +64,8 @@ impl AbortReason {
     /// Classifies a transaction error. Total: every `TxnError` maps to
     /// exactly one reason, and the concurrency-control reasons
     /// ([`AbortReason::is_cc`]) are exactly the errors
-    /// `TxnError::is_cc_abort` reports, so legacy `cc_aborts` counters can
-    /// be derived from the breakdown.
+    /// `TxnError::is_cc_abort` reports, so the exported `txn_cc_aborts` is
+    /// derived from the breakdown.
     pub fn classify(error: &TxnError) -> AbortReason {
         match error {
             TxnError::Phantom => AbortReason::Phantom,

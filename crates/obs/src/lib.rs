@@ -23,12 +23,16 @@
 //!   path) of commits, slow transactions above a configurable threshold,
 //!   aborts tagged with the full [`AbortReason`] taxonomy, group commits
 //!   and checkpoint chunks — drainable as structured events.
-//! * [`Metrics`] — the registry an engine instance owns: phase histograms,
-//!   per-executor busy-time accounting and the trace buffer, behind one
-//!   `TracingConfig` toggle (`TracingConfig::off()` compiles the hot path
-//!   down to a branch on a `bool`).
+//! * [`Metrics`] — the registry an engine instance owns and the only place
+//!   a count is stored: one slot per [`Count`] (engine, WAL and wire-server
+//!   counts each on cache lines of their own), the per-[`AbortReason`]
+//!   aborts and the per-relation log bytes, all counted unconditionally;
+//!   plus phase histograms, per-executor busy time and the trace buffer,
+//!   which sit behind one `TracingConfig` toggle (`TracingConfig::off()`
+//!   compiles those down to a branch on a `bool`).
 //! * [`MetricsSnapshot`] — the point-in-time export surface
-//!   (`ReactDB::metrics()`): counters, gauges and histogram summaries with
+//!   ([`Metrics::snapshot`], extended by `ReactDB::metrics()` and the wire
+//!   server): counters, gauges and histogram summaries with
 //!   [`MetricsSnapshot::to_prometheus_text`], [`MetricsSnapshot::to_json`]
 //!   and a [`MetricsSnapshot::delta`] diff helper for rate computation.
 //!
@@ -43,6 +47,6 @@ pub mod tracer;
 
 pub use abort::AbortReason;
 pub use histogram::{Histogram, ShardedHistogram};
-pub use metrics::{CommitProbe, Metrics, Phase};
+pub use metrics::{CommitProbe, Count, Metrics, Phase};
 pub use snapshot::{Counter, Gauge, HistogramSummary, MetricsSnapshot};
 pub use tracer::{TraceBuffer, TraceEvent, TraceKind};

@@ -1,14 +1,19 @@
-//! The metrics registry: phase histograms, busy-time gauges and the trace
-//! buffer behind one tracing toggle.
+//! The metrics registry: every counter and gauge the instance exports, the
+//! phase histograms, busy-time accounting and the trace buffer. Counting is
+//! unconditional; phases, busy time and traces sit behind one tracing
+//! toggle.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use reactdb_common::TracingConfig;
 
+use crate::abort::AbortReason;
 use crate::histogram::{Histogram, ShardedHistogram};
+use crate::snapshot::{Counter, Gauge, HistogramSummary, MetricsSnapshot};
 use crate::tracer::{TraceBuffer, TraceEvent, TraceKind};
-
 /// A traced phase of a transaction's life (or of a background daemon's
 /// work). The first seven are the commit-path phases the export surface
 /// guarantees: where a root transaction's latency goes, end to end.
@@ -126,9 +131,203 @@ impl Phase {
     }
 }
 
-/// The observability registry one database instance owns (shared with its
-/// WAL and checkpointer). With tracing disabled every recording entry
-/// point reduces to a branch on a `bool` — no clock reads, no atomics.
+/// Something the instance counts. Declared grouped by the threads that
+/// write it — engine (executors and client sessions), then WAL (commit-path
+/// appends, group commit, checkpointer), then the wire server's I/O threads
+/// — so each group gets cache lines of its own in [`Metrics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Count {
+    /// Root transactions that committed.
+    TxnCommitted,
+    /// Transactional scan operations (range scans, full scans, secondary
+    /// lookups), committed or aborted.
+    ScanOps,
+    /// Index entries those scans walked, visible or not. Against
+    /// `ScanRowsReturned` it says what a returned row costs.
+    ScanSlotsVisited,
+    /// Rows those scans returned.
+    ScanRowsReturned,
+    /// Sub-transactions dispatched to another container's executor.
+    SubTxnsDispatched,
+    /// Sub-transactions executed synchronously on the calling executor.
+    SubTxnsInlined,
+    /// Client handles that resolved with a commit.
+    ClientCommitted,
+    /// Client handles that resolved with an error.
+    ClientAborted,
+    /// Waits on a client handle that hit their timeout.
+    ClientTimeouts,
+    /// Deepest pipelining observed: the high-water mark of `HandlesInFlight`.
+    HandlesInFlightHwm,
+    /// Client handles submitted and not yet resolved (gauge).
+    HandlesInFlight,
+    /// Log-tail transactions replayed by crash recovery.
+    RecoveredTxns,
+    /// Rows loaded from the newest complete checkpoint by crash recovery.
+    RecoveredCheckpointRows,
+    /// Workers the partitioned recovery replay fanned out to.
+    RecoveryReplayWorkers,
+    /// Bytes of redo frames appended to the write-ahead log.
+    LogBytes,
+    /// Redo records appended to the write-ahead log.
+    LogRecords,
+    /// Redo records logged as field-level deltas instead of full images.
+    LogDeltaRecords,
+    /// Log bytes delta records saved against full-image encodings.
+    LogBytesSaved,
+    /// Group commits (flush + fsync + durable-epoch advance) performed.
+    LogSyncs,
+    /// Group commits that failed with an I/O error.
+    LogSyncFailures,
+    /// Durable-acknowledgement waits that had to block on a group commit.
+    DurableWaits,
+    /// Checkpoints completed.
+    CheckpointsTaken,
+    /// Completed checkpoints that were delta captures.
+    CheckpointsDelta,
+    /// Bytes of checkpoint data files written.
+    CheckpointBytes,
+    /// Checkpoint attempts that failed (the previous one stays in effect).
+    CheckpointFailures,
+    /// Log-segment bytes reclaimed by checkpoint truncation.
+    LogTruncatedBytes,
+    /// Log segments deleted by checkpoint truncation.
+    LogTruncatedSegments,
+    /// Wire connections accepted.
+    NetConnectionsAccepted,
+    /// Wire connections refused at the handshake.
+    NetConnectionsRejected,
+    /// Wire connections killed for a malformed frame or body.
+    NetConnectionsKilledMalformed,
+    /// Wire connections killed for a read or write stall.
+    NetConnectionsKilledTimeout,
+    /// Wire requests dispatched (all kinds).
+    NetRequests,
+    /// Wire responses written (all kinds).
+    NetResponses,
+    /// Returns from the I/O workers' readiness wait: an idle server whose
+    /// count climbs is polling instead of sleeping.
+    NetWorkerWakeups,
+    /// Wire connections open (gauge).
+    NetConnectionsActive,
+    /// Invokes submitted over the wire and not yet replied to (gauge).
+    NetRequestsInFlight,
+}
+
+impl Count {
+    /// Number of counts.
+    pub const COUNT: usize = 36;
+
+    /// Every count, in declaration (and export) order.
+    pub const ALL: [Count; Count::COUNT] = [
+        Count::TxnCommitted,
+        Count::ScanOps,
+        Count::ScanSlotsVisited,
+        Count::ScanRowsReturned,
+        Count::SubTxnsDispatched,
+        Count::SubTxnsInlined,
+        Count::ClientCommitted,
+        Count::ClientAborted,
+        Count::ClientTimeouts,
+        Count::HandlesInFlightHwm,
+        Count::HandlesInFlight,
+        Count::RecoveredTxns,
+        Count::RecoveredCheckpointRows,
+        Count::RecoveryReplayWorkers,
+        Count::LogBytes,
+        Count::LogRecords,
+        Count::LogDeltaRecords,
+        Count::LogBytesSaved,
+        Count::LogSyncs,
+        Count::LogSyncFailures,
+        Count::DurableWaits,
+        Count::CheckpointsTaken,
+        Count::CheckpointsDelta,
+        Count::CheckpointBytes,
+        Count::CheckpointFailures,
+        Count::LogTruncatedBytes,
+        Count::LogTruncatedSegments,
+        Count::NetConnectionsAccepted,
+        Count::NetConnectionsRejected,
+        Count::NetConnectionsKilledMalformed,
+        Count::NetConnectionsKilledTimeout,
+        Count::NetRequests,
+        Count::NetResponses,
+        Count::NetWorkerWakeups,
+        Count::NetConnectionsActive,
+        Count::NetRequestsInFlight,
+    ];
+
+    /// The first WAL-written count; everything before it is engine-written.
+    const FIRST_WAL: usize = Count::LogBytes as usize;
+    /// The first net-written count; everything from it on is net-written.
+    const FIRST_NET: usize = Count::NetConnectionsAccepted as usize;
+
+    /// The exported metric name, label block included.
+    pub fn name(self) -> &'static str {
+        match self {
+            Count::TxnCommitted => "txn_committed",
+            Count::ScanOps => "scan_ops",
+            Count::ScanSlotsVisited => "scan_slots_visited",
+            Count::ScanRowsReturned => "scan_rows_returned",
+            Count::SubTxnsDispatched => "sub_txns_dispatched",
+            Count::SubTxnsInlined => "sub_txns_inlined",
+            Count::ClientCommitted => "client_committed",
+            Count::ClientAborted => "client_aborted",
+            Count::ClientTimeouts => "client_timeouts",
+            Count::HandlesInFlightHwm => "handles_in_flight_hwm",
+            Count::HandlesInFlight => "handles_in_flight",
+            Count::RecoveredTxns => "recovered_txns",
+            Count::RecoveredCheckpointRows => "recovered_checkpoint_rows",
+            Count::RecoveryReplayWorkers => "recovery_replay_workers",
+            Count::LogBytes => "log_bytes",
+            Count::LogRecords => "log_records",
+            Count::LogDeltaRecords => "log_delta_records",
+            Count::LogBytesSaved => "log_bytes_saved",
+            Count::LogSyncs => "log_syncs",
+            Count::LogSyncFailures => "log_sync_failures",
+            Count::DurableWaits => "durable_waits",
+            Count::CheckpointsTaken => "checkpoints_taken",
+            Count::CheckpointsDelta => "checkpoints_delta",
+            Count::CheckpointBytes => "checkpoint_bytes",
+            Count::CheckpointFailures => "checkpoint_failures",
+            Count::LogTruncatedBytes => "log_truncated_bytes",
+            Count::LogTruncatedSegments => "log_truncated_segments",
+            Count::NetConnectionsAccepted => "net_connections_accepted",
+            Count::NetConnectionsRejected => "net_connections_rejected",
+            Count::NetConnectionsKilledMalformed => "net_connections_killed{reason=\"malformed\"}",
+            Count::NetConnectionsKilledTimeout => "net_connections_killed{reason=\"timeout\"}",
+            Count::NetRequests => "net_requests",
+            Count::NetResponses => "net_responses",
+            Count::NetWorkerWakeups => "net_worker_wakeups",
+            Count::NetConnectionsActive => "net_connections_active",
+            Count::NetRequestsInFlight => "net_requests_in_flight",
+        }
+    }
+
+    /// True for the values that go up and down (exported as gauges); the
+    /// rest only grow (exported as counters).
+    pub fn is_gauge(self) -> bool {
+        matches!(
+            self,
+            Count::HandlesInFlight | Count::NetConnectionsActive | Count::NetRequestsInFlight
+        )
+    }
+}
+
+/// Keeps its contents on cache lines of their own, so threads writing one
+/// group of counts do not invalidate another group's lines.
+#[repr(align(64))]
+struct Padded<T>(T);
+
+fn slots<const N: usize>() -> Padded<[AtomicU64; N]> {
+    Padded(std::array::from_fn(|_| AtomicU64::new(0)))
+}
+
+/// The observability registry one database instance owns, shared with its
+/// WAL, its checkpointer and the wire server in front of it. It is the only
+/// place a count is stored. With tracing disabled the phase, busy-time and
+/// trace entry points reduce to a branch on a `bool` — no clock reads.
 pub struct Metrics {
     enabled: bool,
     birth: Instant,
@@ -136,6 +335,14 @@ pub struct Metrics {
     phases: Vec<ShardedHistogram>,
     busy_ns: Vec<AtomicU64>,
     tracer: TraceBuffer,
+    engine: Padded<[AtomicU64; Count::FIRST_WAL]>,
+    /// Aborted root transactions, one slot per [`AbortReason`].
+    aborts: Padded<[AtomicU64; AbortReason::ALL.len()]>,
+    wal: Padded<[AtomicU64; Count::FIRST_NET - Count::FIRST_WAL]>,
+    net: Padded<[AtomicU64; Count::COUNT - Count::FIRST_NET]>,
+    /// Redo bytes and records logged per relation name. Locked once per
+    /// redo record, so kept off the lines the hot paths read.
+    table_log: Padded<Mutex<BTreeMap<String, [u64; 2]>>>,
 }
 
 impl Metrics {
@@ -152,12 +359,67 @@ impl Metrics {
                 .collect(),
             busy_ns: (0..executors).map(|_| AtomicU64::new(0)).collect(),
             tracer: TraceBuffer::new(executors, config.ring_capacity),
+            engine: slots(),
+            aborts: slots(),
+            wal: slots(),
+            net: slots(),
+            table_log: Padded(Mutex::new(BTreeMap::new())),
         }
     }
 
-    /// A disabled registry (`TracingConfig::off()`).
-    pub fn disabled() -> Self {
-        Self::new(1, &TracingConfig::off())
+    fn slot(&self, count: Count) -> &AtomicU64 {
+        let i = count as usize;
+        if i < Count::FIRST_WAL {
+            &self.engine.0[i]
+        } else if i < Count::FIRST_NET {
+            &self.wal.0[i - Count::FIRST_WAL]
+        } else {
+            &self.net.0[i - Count::FIRST_NET]
+        }
+    }
+
+    /// Adds `n` to `count` and returns the new value.
+    pub fn add(&self, count: Count, n: u64) -> u64 {
+        self.slot(count).fetch_add(n, Ordering::Relaxed) + n
+    }
+
+    /// Subtracts `n` from a gauge `count`.
+    pub fn sub(&self, count: Count, n: u64) {
+        self.slot(count).fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Raises `count` to at least `n` (high-water marks).
+    pub fn max(&self, count: Count, n: u64) {
+        self.slot(count).fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// The current value of `count`.
+    pub fn get(&self, count: Count) -> u64 {
+        self.slot(count).load(Ordering::Relaxed)
+    }
+
+    /// Counts one aborted root transaction under its classified reason.
+    pub fn record_abort(&self, reason: AbortReason) {
+        self.aborts.0[reason as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Root transactions aborted for `reason`.
+    pub fn abort_count(&self, reason: AbortReason) -> u64 {
+        self.aborts.0[reason as usize].load(Ordering::Relaxed)
+    }
+
+    /// Attributes `bytes` of one redo record to its relation.
+    pub fn add_table_log(&self, relation: &str, bytes: u64) {
+        let mut tables = self.table_log.0.lock();
+        match tables.get_mut(relation) {
+            Some([b, records]) => {
+                *b += bytes;
+                *records += 1;
+            }
+            None => {
+                tables.insert(relation.to_owned(), [bytes, 1]);
+            }
+        }
     }
 
     /// Whether tracing is enabled.
@@ -168,11 +430,6 @@ impl Metrics {
     /// Nanoseconds since the registry was created (the trace timebase).
     pub fn now_ns(&self) -> u64 {
         self.birth.elapsed().as_nanos() as u64
-    }
-
-    /// Wall-clock nanoseconds this instance has been up.
-    pub fn uptime_ns(&self) -> u64 {
-        self.now_ns()
     }
 
     /// The slow-transaction threshold in nanoseconds.
@@ -247,6 +504,55 @@ impl Metrics {
     pub fn phase_count(&self, phase: Phase) -> u64 {
         self.phases[phase as usize].count()
     }
+
+    /// Everything the registry holds: each [`Count`] as a counter or a
+    /// gauge, the per-reason aborts, the per-relation log counters and one
+    /// histogram per [`Phase`]. Owners append what only they can compute
+    /// (queue depths, the durable epoch, replication progress).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        for count in Count::ALL {
+            let (name, value) = (count.name().to_owned(), self.get(count));
+            if count.is_gauge() {
+                gauges.push(Gauge {
+                    name,
+                    value: value as f64,
+                });
+            } else {
+                counters.push(Counter { name, value });
+            }
+        }
+        for reason in AbortReason::ALL {
+            counters.push(Counter {
+                name: format!("txn_aborts{{reason=\"{}\"}}", reason.name()),
+                value: self.abort_count(reason),
+            });
+        }
+        for (relation, [bytes, records]) in self.table_log.0.lock().iter() {
+            for (metric, value) in [("table_log_bytes", bytes), ("table_log_records", records)] {
+                counters.push(Counter {
+                    name: format!("{metric}{{relation=\"{relation}\"}}"),
+                    value: *value,
+                });
+            }
+        }
+        let histograms = Phase::ALL
+            .iter()
+            .map(|&phase| {
+                HistogramSummary::of(
+                    format!("phase_{}_ns", phase.name()),
+                    &self.phase_histogram(phase),
+                )
+            })
+            .collect();
+        MetricsSnapshot {
+            uptime_us: self.now_ns() / 1_000,
+            counters,
+            gauges,
+            histograms,
+        }
+    }
 }
 
 impl std::fmt::Debug for Metrics {
@@ -309,8 +615,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let m = Metrics::disabled();
+    fn disabled_registry_traces_nothing_but_still_counts() {
+        let m = Metrics::new(1, &TracingConfig::off());
         assert!(!m.enabled());
         assert!(m.clock().is_none());
         assert!(m.commit_probe(0).is_none());
@@ -320,6 +626,69 @@ mod tests {
         assert_eq!(m.phase_count(Phase::Execute), 0);
         assert_eq!(m.busy_ns(0), 0);
         assert!(m.drain_trace().is_empty());
+        m.add(Count::TxnCommitted, 2);
+        m.record_abort(AbortReason::Phantom);
+        assert_eq!(m.get(Count::TxnCommitted), 2);
+        assert_eq!(m.abort_count(AbortReason::Phantom), 1);
+    }
+
+    #[test]
+    fn every_count_has_its_own_slot_and_one_exported_series() {
+        let m = Metrics::new(1, &TracingConfig::off());
+        for (i, count) in Count::ALL.into_iter().enumerate() {
+            assert_eq!(count as usize, i, "ALL is in declaration order");
+            m.add(count, i as u64 + 1);
+        }
+        m.sub(Count::HandlesInFlight, 1);
+        m.max(Count::HandlesInFlightHwm, 3);
+        m.max(Count::HandlesInFlightHwm, 1_000);
+        let snap = m.snapshot();
+        for (i, count) in Count::ALL.into_iter().enumerate() {
+            let expected = match count {
+                Count::HandlesInFlight => i as u64,
+                Count::HandlesInFlightHwm => 1_000,
+                _ => i as u64 + 1,
+            };
+            let exported = if count.is_gauge() {
+                snap.gauge(count.name()).map(|v| v as u64)
+            } else {
+                snap.counter(count.name())
+            };
+            assert_eq!(exported, Some(expected), "{}", count.name());
+        }
+        let mut names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        names.extend(snap.gauges.iter().map(|g| g.name.as_str()));
+        let total = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), total, "a name exported twice");
+        assert_eq!(snap.histograms.len(), Phase::COUNT);
+    }
+
+    #[test]
+    fn table_log_series_are_keyed_by_relation_only() {
+        let m = Metrics::new(1, &TracingConfig::off());
+        m.add_table_log("savings", 100);
+        m.add_table_log("savings", 50);
+        m.add_table_log("checking", 400);
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.counter("table_log_bytes{relation=\"savings\"}"),
+            Some(150)
+        );
+        assert_eq!(
+            snap.counter("table_log_records{relation=\"savings\"}"),
+            Some(2)
+        );
+        assert_eq!(
+            snap.counter("table_log_bytes{relation=\"checking\"}"),
+            Some(400)
+        );
+        let series = snap
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("table_log_"));
+        assert_eq!(series.count(), 4);
     }
 
     #[test]

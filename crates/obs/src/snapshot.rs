@@ -5,8 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing counter sample. Names may carry Prometheus
-/// labels inline (`table_log_bytes{reactor="3",relation="account"}`); the
-/// renderers keep the label block intact and sanitize only the name part.
+/// labels inline (`table_log_bytes{relation="account"}`); the renderers
+/// keep the label block intact and sanitize only the name part.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Counter {
     /// Metric name, optionally with a `{label="value",...}` suffix.
@@ -220,7 +220,7 @@ mod tests {
                     value: 42,
                 },
                 Counter {
-                    name: "table_log_bytes{reactor=\"0\",relation=\"account\"}".into(),
+                    name: "table_log_bytes{relation=\"account\"}".into(),
                     value: 9001,
                 },
             ],
@@ -257,7 +257,7 @@ mod tests {
         let snap = sample();
         let text = snap.to_prometheus_text();
         // Labeled counter: name sanitized, label block preserved verbatim.
-        assert!(text.contains("reactdb_table_log_bytes{reactor=\"0\",relation=\"account\"} 9001\n"));
+        assert!(text.contains("reactdb_table_log_bytes{relation=\"account\"} 9001\n"));
         assert!(text.contains("reactdb_txn_commits 42\n"));
         assert!(text.contains("reactdb_executor_utilization{executor=\"0\"} 0.75\n"));
         assert!(text.contains("# TYPE reactdb_commit_lock_ns summary\n"));
@@ -294,10 +294,7 @@ mod tests {
         let d = later.delta(&earlier);
         assert_eq!(d.uptime_us, 1_000_000);
         assert_eq!(d.counter("txn_commits"), Some(100 - 42));
-        assert_eq!(
-            d.counter("table_log_bytes{reactor=\"0\",relation=\"account\"}"),
-            Some(0)
-        );
+        assert_eq!(d.counter("table_log_bytes{relation=\"account\"}"), Some(0));
         let h = d.histogram("commit_lock_ns").unwrap();
         assert_eq!(h.count, 10 - 4);
         assert_eq!(h.sum_ns, 99_999 - earlier.histograms[0].sum_ns);

@@ -53,8 +53,8 @@
 //!   resumed by the completion wake that frees a slot, not by a socket
 //!   edge (an edge-triggered socket with unread bytes raises no new one).
 //! * **Oversized replies** — a reply whose payload exceeds the frame cap
-//!   (e.g. the metrics of a deployment with tens of thousands of tables)
-//!   is replaced by a `ServerError` naming its size.
+//!   (e.g. a procedure returning a multi-MiB value) is replaced by a
+//!   `ServerError` naming its size.
 //! * **Timeouts** — a connection that stalls mid-frame, or that refuses to
 //!   accept writes while responses are queued, is killed after a deadline.
 //! * **Malformed frames** — a failed length/checksum/body decode kills
@@ -66,11 +66,12 @@
 //!   `Arc<ReactDB>` afterwards releases the `LogDirLock` via the engine's
 //!   own shutdown path.
 //!
-//! The server records its request lifecycle into the engine's metrics
-//! registry (`net_decode` / `net_dispatch` / `net_reply` phases) and
-//! augments [`ReactDB::metrics`] with connection counters and gauges; the
-//! wire protocol's metrics op returns that augmented snapshot rendered as
-//! Prometheus text or JSON — the `GET /metrics` equivalent.
+//! The server counts into the engine's metrics registry (the `net_*`
+//! counters and gauges, and the `net_decode` / `net_dispatch` /
+//! `net_reply` phases), so [`ReactDB::metrics`] already carries them; the
+//! wire protocol's metrics op adds the replication gauges and returns the
+//! snapshot rendered as Prometheus text or JSON — the `GET /metrics`
+//! equivalent.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -93,7 +94,7 @@ use reactdb_client::codec::{self, MetricsFormat, Request, Response};
 use reactdb_common::{AckLevel, ReplicationConfig};
 use reactdb_core::PublishWaker;
 use reactdb_engine::{Client, ReactDB, TxnHandle};
-use reactdb_obs::{Counter, Gauge, Metrics, MetricsSnapshot, Phase};
+use reactdb_obs::{Count, Gauge, Metrics, MetricsSnapshot, Phase};
 use reactdb_wal::{ShipCursor, ShipEvent};
 
 use poll::{Poller, Waker};
@@ -180,71 +181,6 @@ impl ServerConfig {
     }
 }
 
-/// Connection-level counters the server adds to the metrics snapshot.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    accepted: AtomicU64,
-    active: AtomicU64,
-    rejected: AtomicU64,
-    malformed: AtomicU64,
-    timeouts: AtomicU64,
-    requests: AtomicU64,
-    responses: AtomicU64,
-    in_flight: AtomicU64,
-    wakeups: AtomicU64,
-}
-
-impl NetStats {
-    /// Returns from the I/O workers' readiness wait, summed over workers:
-    /// one per socket edge, completion or handoff batch, plus one per
-    /// expired timeout. A count of loop passes, so an idle server whose
-    /// count climbs is polling instead of sleeping.
-    pub fn worker_wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted over the server's lifetime.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently open (post-handshake or still handshaking).
-    pub fn active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused at the handshake (bad magic or version).
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Connections killed for a malformed frame or body.
-    pub fn malformed(&self) -> u64 {
-        self.malformed.load(Ordering::Relaxed)
-    }
-
-    /// Connections killed for a read or write stall.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Requests dispatched (all kinds).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Responses written (all kinds).
-    pub fn responses(&self) -> u64 {
-        self.responses.load(Ordering::Relaxed)
-    }
-
-    /// Invokes submitted to the engine and not yet replied to, across all
-    /// connections.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-}
-
 /// One live follower subscription in the primary's registry.
 #[derive(Debug, Clone)]
 struct FollowerEntry {
@@ -277,8 +213,6 @@ struct FollowerEntry {
 /// re-stall until a quorum of live followers catches up again.
 #[derive(Debug, Default)]
 pub struct ReplState {
-    /// Live follower subscriptions (primary side).
-    followers: AtomicU64,
     /// Highest epoch some (the fastest) follower has durably applied and
     /// acknowledged (primary side). Kept for observability; the
     /// replicated-ack gate is [`ReplState::quorum_epoch`].
@@ -300,7 +234,8 @@ pub struct ReplState {
 impl ReplState {
     /// Live follower subscriptions on this node.
     pub fn followers(&self) -> u64 {
-        self.followers.load(Ordering::Relaxed)
+        let roster = self.roster.lock().unwrap();
+        roster.iter().map(|f| u64::from(f.live)).sum()
     }
 
     /// Highest epoch acknowledged as durably applied by any follower —
@@ -374,7 +309,6 @@ impl ReplState {
                 }),
             }
         }
-        self.followers.fetch_add(1, Ordering::Relaxed);
         FollowerRegistration {
             repl: Arc::clone(self),
             follower_id,
@@ -416,7 +350,6 @@ impl ReplState {
                 roster.remove(pos);
             }
         }
-        self.followers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -437,7 +370,6 @@ impl Drop for FollowerRegistration {
 struct Shared {
     db: Arc<ReactDB>,
     metrics: Arc<Metrics>,
-    stats: NetStats,
     repl: Arc<ReplState>,
     /// Feeder threads serving replication subscriptions; joined at
     /// shutdown.
@@ -449,36 +381,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// The engine snapshot augmented with the server's connection counters
-    /// and gauges — what the wire metrics op renders.
+    /// The engine snapshot (which carries the server's `net_*` counts: they
+    /// live in the same registry) plus the replication gauges computed from
+    /// [`ReplState`] — what the wire metrics op renders.
     fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.db.metrics();
-        let s = &self.stats;
-        for (name, value) in [
-            ("net_connections_accepted", s.accepted()),
-            ("net_connections_rejected", s.rejected()),
-            (
-                "net_connections_killed{reason=\"malformed\"}",
-                s.malformed(),
-            ),
-            ("net_connections_killed{reason=\"timeout\"}", s.timeouts()),
-            ("net_requests", s.requests()),
-            ("net_responses", s.responses()),
-            ("net_worker_wakeups", s.worker_wakeups()),
-        ] {
-            snap.counters.push(Counter {
-                name: name.to_string(),
-                value,
-            });
-        }
-        snap.gauges.push(Gauge {
-            name: "net_connections_active".to_string(),
-            value: s.active() as f64,
-        });
-        snap.gauges.push(Gauge {
-            name: "net_requests_in_flight".to_string(),
-            value: s.in_flight() as f64,
-        });
         let repl = &self.repl;
         snap.gauges.push(Gauge {
             name: "repl_followers".to_string(),
@@ -560,7 +467,6 @@ impl Server {
         let shared = Arc::new(Shared {
             db,
             metrics,
-            stats: NetStats::default(),
             repl: Arc::new(ReplState::default()),
             feeders: Mutex::new(Vec::new()),
             worker_loads: (0..config.workers).map(|_| AtomicUsize::new(0)).collect(),
@@ -612,11 +518,6 @@ impl Server {
         self.local_addr
     }
 
-    /// Live connection counters.
-    pub fn net_stats(&self) -> &NetStats {
-        &self.shared.stats
-    }
-
     /// Replication progress: follower count and acked epoch on a primary,
     /// applied/shipped epochs on a follower. The follower apply loop
     /// ([`run_follower`]) updates the same instance, so the server's
@@ -625,8 +526,8 @@ impl Server {
         Arc::clone(&self.shared.repl)
     }
 
-    /// The engine's metrics snapshot augmented with the server's `net_*`
-    /// counters and gauges.
+    /// The engine's metrics snapshot plus the replication gauges: what the
+    /// wire metrics op returns.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.snapshot()
     }
@@ -681,8 +582,8 @@ fn accept_loop(
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.stats.active.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.add(Count::NetConnectionsAccepted, 1);
+                shared.metrics.add(Count::NetConnectionsActive, 1);
                 let worker = least_loaded(&shared.worker_loads);
                 shared.worker_loads[worker].fetch_add(1, Ordering::Relaxed);
                 let (tx, waker) = &handoffs[worker];
@@ -704,7 +605,7 @@ fn accept_loop(
 
 /// Forgets one live connection of `worker` in the counters.
 fn release(shared: &Shared, worker: usize) {
-    shared.stats.active.fetch_sub(1, Ordering::Relaxed);
+    shared.metrics.sub(Count::NetConnectionsActive, 1);
     shared.worker_loads[worker].fetch_sub(1, Ordering::Relaxed);
 }
 
@@ -845,26 +746,22 @@ fn worker_loop(
                 continue;
             };
             let conn = slot.take().expect("slot checked above");
-            match reason {
-                KillReason::HandshakeRejected => {
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                KillReason::Malformed => {
-                    shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                }
-                KillReason::Stalled => {
-                    shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                KillReason::Gone | KillReason::Drained | KillReason::ReplHandoff => {}
+            let counted = match reason {
+                KillReason::HandshakeRejected => Some(Count::NetConnectionsRejected),
+                KillReason::Malformed => Some(Count::NetConnectionsKilledMalformed),
+                KillReason::Stalled => Some(Count::NetConnectionsKilledTimeout),
+                KillReason::Gone | KillReason::Drained | KillReason::ReplHandoff => None,
+            };
+            if let Some(count) = counted {
+                shared.metrics.add(count, 1);
             }
             // Dropping the connection drops its session and handles; the
             // engine resolves whatever was still in flight on its own, so
             // a mid-run kill leaks nothing. Closing the socket also drops
             // its poller registration.
             shared
-                .stats
-                .in_flight
-                .fetch_sub(conn.inflight.len() as u64, Ordering::Relaxed);
+                .metrics
+                .sub(Count::NetRequestsInFlight, conn.inflight.len() as u64);
             release(&shared, worker_idx);
             // A handed-off socket lives on in its feeder thread (the
             // worker's fd is a duplicate); shutting it down here would
@@ -893,7 +790,7 @@ fn worker_loop(
 
         let timeout = next_look.map(|at| at.saturating_duration_since(Instant::now()));
         poller.wait(timeout, &mut ready);
-        shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.add(Count::NetWorkerWakeups, 1);
         for &token in &ready {
             if token == WAKE {
                 waker.reset();
@@ -1013,7 +910,7 @@ fn service(
                 .metrics
                 .record_elapsed(Phase::NetDecode, worker_idx, since);
         }
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.add(Count::NetRequests, 1);
 
         let dispatch_clock = shared.metrics.clock();
         match request {
@@ -1025,7 +922,7 @@ fn service(
                 args,
             } => match conn.session.submit(&reactor, &procedure, args) {
                 Ok(handle) => {
-                    shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.add(Count::NetRequestsInFlight, 1);
                     conn.inflight.push_back(Pending {
                         correlation_id,
                         handle,
@@ -1204,7 +1101,7 @@ fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) -> bool {
                 error,
             },
         };
-        shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.metrics.sub(Count::NetRequestsInFlight, 1);
         reply(shared, conn, worker_idx, &response);
     }
     conn.inflight = still_pending;
@@ -1230,7 +1127,7 @@ fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Respons
             .metrics
             .record_elapsed(Phase::NetReply, worker_idx, since);
     }
-    shared.stats.responses.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.add(Count::NetResponses, 1);
 }
 
 /// Hands a connection that sent `ReplSubscribe` off to a feeder thread.
@@ -1363,7 +1260,7 @@ fn feeder_loop(
                 .metrics
                 .record_elapsed(Phase::NetReplicate, usize::MAX, since);
         }
-        shared.stats.responses.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.add(Count::NetResponses, 1);
         true
     };
 

@@ -84,6 +84,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use reactdb_common::{CheckpointConfig, ContainerId, Key, ReactorId};
+use reactdb_obs::Count;
 use reactdb_storage::{Table, TidWord};
 use reactdb_txn::{EpochManager, RedoPayload, RedoRecord};
 
@@ -587,11 +588,11 @@ impl Checkpointer {
 
     /// Takes one checkpoint now, returning what it did. On error the
     /// previous checkpoint (if any) remains in effect and the failure is
-    /// counted in the WAL stats.
+    /// counted.
     pub fn checkpoint_now(&self) -> io::Result<CheckpointReport> {
         let result = self.run_once();
         if result.is_err() {
-            self.wal.stats().record_checkpoint_failure();
+            self.wal.metrics().add(Count::CheckpointFailures, 1);
         }
         result
     }
@@ -610,7 +611,7 @@ impl Checkpointer {
         part: u32,
         units: &[&CaptureUnit<'_>],
     ) -> io::Result<PartOutcome> {
-        let obs = self.wal.observability();
+        let obs = self.wal.obs();
         let part_started = obs.map(|_| std::time::Instant::now());
         let tmp = dir.join(part_tmp_name(part));
         let mut file = fs::File::create(&tmp)?;
@@ -873,7 +874,10 @@ impl Checkpointer {
             self.force_full.store(false, Ordering::Release);
         }
 
-        self.wal.stats().record_checkpoint(bytes, delta);
+        let metrics = self.wal.metrics();
+        metrics.add(Count::CheckpointsTaken, 1);
+        metrics.add(Count::CheckpointsDelta, delta as u64);
+        metrics.add(Count::CheckpointBytes, bytes);
         Ok(CheckpointReport {
             seq,
             epoch,
@@ -904,11 +908,11 @@ impl Checkpointer {
             .name("reactdb-checkpoint".into())
             .spawn(move || {
                 let mut last_epoch = epoch.current();
-                let mut last_bytes = ckpt.wal.stats().bytes_logged();
+                let mut last_bytes = ckpt.wal.metrics().get(Count::LogBytes);
                 while !ckpt.stop.load(Ordering::Acquire) {
                     std::thread::sleep(DAEMON_POLL);
                     let current = epoch.current();
-                    let logged = ckpt.wal.stats().bytes_logged();
+                    let logged = ckpt.wal.metrics().get(Count::LogBytes);
                     let epoch_due = interval > 0 && current >= last_epoch.saturating_add(interval);
                     let bytes_due = max_bytes > 0 && logged.saturating_sub(last_bytes) >= max_bytes;
                     if !epoch_due && !bytes_due {
@@ -920,7 +924,7 @@ impl Checkpointer {
                     match ckpt.checkpoint_now() {
                         Ok(report) => {
                             last_epoch = report.cover_epoch.max(current);
-                            last_bytes = ckpt.wal.stats().bytes_logged();
+                            last_bytes = ckpt.wal.metrics().get(Count::LogBytes);
                         }
                         Err(_) => {
                             last_epoch = current;
@@ -1099,7 +1103,10 @@ mod tests {
         let dir = temp_dir("e2e");
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let metrics = Arc::new(reactdb_obs::Metrics::new(1, &Default::default()));
+        let wal = Wal::open(&config, 1, Arc::clone(&epoch), metrics)
+            .unwrap()
+            .unwrap();
         let schema = Schema::of(
             &[("id", ColumnType::Int), ("balance", ColumnType::Float)],
             &["id"],
@@ -1133,7 +1140,7 @@ mod tests {
                 wal.sync().unwrap();
             }
         }
-        let logged_before = wal.stats().bytes_logged();
+        let logged_before = wal.metrics().get(Count::LogBytes);
         assert!(logged_before > 0);
 
         let ckpt = Checkpointer::new(
@@ -1160,9 +1167,12 @@ mod tests {
             "the rotated-out history segment is entirely covered"
         );
         assert!(report.truncated_bytes > 0);
-        assert_eq!(wal.stats().checkpoints_taken(), 1);
-        assert_eq!(wal.stats().checkpoints_delta(), 0);
-        assert_eq!(wal.stats().log_truncated_bytes(), report.truncated_bytes);
+        assert_eq!(wal.metrics().get(Count::CheckpointsTaken), 1);
+        assert_eq!(wal.metrics().get(Count::CheckpointsDelta), 0);
+        assert_eq!(
+            wal.metrics().get(Count::LogTruncatedBytes),
+            report.truncated_bytes
+        );
 
         // Tail: three more commits beyond the checkpoint, synced.
         for i in 0..3i64 {
@@ -1214,7 +1224,10 @@ mod tests {
         let dir = temp_dir("parallel");
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let metrics = Arc::new(reactdb_obs::Metrics::new(1, &Default::default()));
+        let wal = Wal::open(&config, 1, Arc::clone(&epoch), metrics)
+            .unwrap()
+            .unwrap();
         let schema = Schema::of(&[("id", ColumnType::Int)], &["id"]);
         let tables: Vec<CheckpointTable> = (0..4)
             .map(|r| CheckpointTable {
@@ -1280,7 +1293,10 @@ mod tests {
         let dir = temp_dir("delta");
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let metrics = Arc::new(reactdb_obs::Metrics::new(1, &Default::default()));
+        let wal = Wal::open(&config, 1, Arc::clone(&epoch), metrics)
+            .unwrap()
+            .unwrap();
         let schema = Schema::of(&[("id", ColumnType::Int), ("v", ColumnType::Int)], &["id"]);
         let table = Arc::new(Table::new("kv", schema.clone()));
         let ckpt = Checkpointer::new(
@@ -1339,7 +1355,7 @@ mod tests {
             delta.bytes,
             full.bytes
         );
-        assert_eq!(wal.stats().checkpoints_delta(), 1);
+        assert_eq!(wal.metrics().get(Count::CheckpointsDelta), 1);
 
         // A second delta captures only what changed since the first.
         commit(7, Some(700));
@@ -1426,7 +1442,10 @@ mod tests {
         let dir = temp_dir("seq-consume");
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         let epoch = Arc::new(EpochManager::new());
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let metrics = Arc::new(reactdb_obs::Metrics::new(1, &Default::default()));
+        let wal = Wal::open(&config, 1, Arc::clone(&epoch), metrics)
+            .unwrap()
+            .unwrap();
         let ckpt = Checkpointer::new(
             Arc::clone(&wal),
             Vec::new(),
@@ -1439,7 +1458,7 @@ mod tests {
         // Retire the WAL: the next attempt fails mid-protocol...
         wal.shutdown(true);
         assert!(ckpt.checkpoint_now().is_err());
-        assert_eq!(wal.stats().checkpoint_failures(), 1);
+        assert_eq!(wal.metrics().get(Count::CheckpointFailures), 1);
         // ...and a later attempt must NOT reuse the failed attempt's seq —
         // a retry that renamed fresh data over an installed checkpoint's
         // file would invalidate it via the stamp mismatch.

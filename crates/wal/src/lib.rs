@@ -35,20 +35,19 @@ pub mod checkpoint;
 pub mod codec;
 pub mod failpoint;
 pub mod ship;
-pub mod stats;
 pub mod writer;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use reactdb_common::DurabilityConfig;
-use reactdb_obs::{Metrics, Phase, TraceKind};
+use reactdb_obs::{Count, Metrics, Phase, TraceKind};
 use reactdb_storage::TidWord;
 use reactdb_txn::{Coordinator, EpochManager, RedoRecord};
 
@@ -56,7 +55,6 @@ pub use checkpoint::{
     load_checkpoint, CheckpointReport, CheckpointTable, Checkpointer, RecoveredCheckpoint,
 };
 pub use ship::{ShipCursor, ShipEvent};
-pub use stats::{TableLogUsage, WalStats};
 pub use writer::LogWriter;
 
 /// File name of the durable-epoch marker.
@@ -149,13 +147,15 @@ pub struct Wal {
     /// on-disk marker backwards relative to what a caller was told.
     sync_lock: Mutex<()>,
     epoch: Arc<EpochManager>,
-    stats: Arc<WalStats>,
+    /// Highest epoch guaranteed durable: the durable-ack gate. Seeded from
+    /// the on-disk marker at open, advanced only after the marker is.
+    durable_epoch: AtomicU64,
     stop: AtomicBool,
     daemon: Mutex<Option<JoinHandle<()>>>,
     /// Group-commit interval the daemon runs at; zero when no daemon was
     /// started (explicit syncs only). Used to bound how long durable-epoch
     /// waiters park before kicking a sync themselves.
-    daemon_interval_ms: std::sync::atomic::AtomicU64,
+    daemon_interval_ms: AtomicU64,
     /// Wakes [`Wal::wait_durable`] waiters after every group commit.
     watch: EpochWatch,
     /// Set once [`Wal::shutdown`] completed: later syncs are refused so a
@@ -166,10 +166,10 @@ pub struct Wal {
     /// shutdown (released there, not at drop, so a lingering `Arc<Wal>` in
     /// a client handle cannot hold the directory hostage).
     dir_lock: Mutex<Option<LogDirLock>>,
-    /// Observability registry, attached by the engine after boot (the WAL
-    /// opens before the registry exists). Unset or disabled, the group
-    /// commit takes no timestamps.
-    metrics: OnceLock<Arc<Metrics>>,
+    /// The instance's metrics registry: the WAL counts its appends, group
+    /// commits and checkpoints there, and times its phases when tracing
+    /// is on.
+    metrics: Arc<Metrics>,
 }
 
 /// True when `dir` already holds WAL state (segments or a durable-epoch
@@ -203,20 +203,21 @@ pub fn log_dir_has_state(dir: &Path) -> io::Result<bool> {
 impl Wal {
     /// Opens the log for a new database instance: creates the log directory
     /// if needed, acquires the single-instance [`LogDirLock`], and creates a
-    /// fresh segment generation with one writer per executor. Returns `None`
-    /// when durability is off. Callers that must hold the lock *before*
-    /// opening (e.g. across crash recovery) acquire it themselves and use
-    /// [`Wal::open_locked`].
+    /// fresh segment generation with one writer per executor, counting
+    /// into `metrics`. Returns `None` when durability is off. Callers that
+    /// must hold the lock *before* opening (e.g. across crash recovery)
+    /// acquire it themselves and use [`Wal::open_locked`].
     pub fn open(
         config: &DurabilityConfig,
         executors: usize,
         epoch: Arc<EpochManager>,
+        metrics: Arc<Metrics>,
     ) -> io::Result<Option<Arc<Self>>> {
         if !config.is_enabled() {
             return Ok(None);
         }
         let lock = LogDirLock::acquire(&config.log_dir_path()?)?;
-        Self::open_locked(config, executors, epoch, lock).map(Some)
+        Self::open_locked(config, executors, epoch, lock, metrics).map(Some)
     }
 
     /// Like [`Wal::open`], but takes over a [`LogDirLock`] the caller
@@ -228,6 +229,7 @@ impl Wal {
         executors: usize,
         epoch: Arc<EpochManager>,
         lock: LogDirLock,
+        metrics: Arc<Metrics>,
     ) -> io::Result<Arc<Self>> {
         assert!(
             config.is_enabled(),
@@ -236,7 +238,6 @@ impl Wal {
         let dir = config.log_dir_path()?;
         assert_eq!(lock.dir(), dir, "lock must cover the configured log dir");
         let generation = next_generation(&dir)?;
-        let stats = Arc::new(WalStats::new());
         let mut writers = Vec::with_capacity(executors);
         for executor in 0..executors {
             let path = dir.join(segment_name(executor, generation));
@@ -245,29 +246,27 @@ impl Wal {
                 executor,
                 generation,
                 config,
-                Arc::clone(&stats),
+                Arc::clone(&metrics),
             )?));
         }
         // Resuming instances inherit the previous durable epoch so the
-        // marker (and the stats) never move backwards; this seeds the epoch
-        // only and does not count as a performed group commit.
-        if let Some(durable) = read_marker(&dir)? {
-            stats.seed_durable_epoch(durable);
-        }
+        // marker never moves backwards; this seeds the epoch only and does
+        // not count as a performed group commit.
+        let durable_epoch = read_marker(&dir)?.unwrap_or(0);
         Ok(Arc::new(Self {
             dir,
             writers,
             gate: RwLock::new(()),
             sync_lock: Mutex::new(()),
             epoch,
-            stats,
+            durable_epoch: AtomicU64::new(durable_epoch),
             stop: AtomicBool::new(false),
             daemon: Mutex::new(None),
-            daemon_interval_ms: std::sync::atomic::AtomicU64::new(0),
+            daemon_interval_ms: AtomicU64::new(0),
             watch: EpochWatch::default(),
             closed: AtomicBool::new(false),
             dir_lock: Mutex::new(Some(lock)),
-            metrics: OnceLock::new(),
+            metrics,
         }))
     }
 
@@ -287,31 +286,20 @@ impl Wal {
         &self.writers
     }
 
-    /// Durability counters.
-    pub fn stats(&self) -> &Arc<WalStats> {
-        &self.stats
+    /// The registry the WAL counts into.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
-    /// Attaches the engine's observability registry; later calls are
-    /// ignored (first writer wins). The group commit and the checkpointer
-    /// record sync-wait/fsync/chunk timings into it.
-    pub fn attach_metrics(&self, metrics: Arc<Metrics>) {
-        let _ = self.metrics.set(metrics);
-    }
-
-    /// The attached registry, when present and enabled.
-    fn obs(&self) -> Option<&Metrics> {
-        self.metrics.get().map(Arc::as_ref).filter(|m| m.enabled())
-    }
-
-    /// The attached registry for sibling daemons (the checkpointer).
-    pub(crate) fn observability(&self) -> Option<&Metrics> {
-        self.obs()
+    /// The registry when tracing is on: group commit and the checkpointer
+    /// time their phases only then.
+    pub(crate) fn obs(&self) -> Option<&Metrics> {
+        Some(self.metrics()).filter(|m| m.enabled())
     }
 
     /// Highest epoch currently guaranteed durable.
     pub fn durable_epoch(&self) -> u64 {
-        self.stats.durable_epoch()
+        self.durable_epoch.load(Ordering::Acquire)
     }
 
     /// Enters the commit critical section. The engine holds the returned
@@ -345,7 +333,7 @@ impl Wal {
             // keeps climbing and `durable_epoch` visibly stalls. A sync
             // refused because the instance is retired is not a failure of
             // the log device and is not counted.
-            self.stats.record_sync_failure();
+            self.metrics.add(Count::LogSyncFailures, 1);
         }
         result
     }
@@ -382,10 +370,11 @@ impl Wal {
             m.trace(usize::MAX, 0, TraceKind::GroupCommitFsync, ns);
         }
         let durable = fence.saturating_sub(1);
-        if durable > self.stats.durable_epoch() {
+        if durable > self.durable_epoch() {
             write_marker(&self.dir, durable)?; // 4. advance marker
         }
-        self.stats.record_sync(durable);
+        self.durable_epoch.fetch_max(durable, Ordering::AcqRel);
+        self.metrics.add(Count::LogSyncs, 1);
         self.watch.notify(); // 5. wake durable-epoch waiters
         Ok(durable)
     }
@@ -433,8 +422,7 @@ impl Wal {
     /// covered by the checkpoint at `covered_epoch` (all frame epochs `<=
     /// covered_epoch`), applying the same retention policy as offline
     /// compaction: foreign files and segments with torn tails are left
-    /// alone. Returns `(bytes, segments)` reclaimed and records them in the
-    /// stats.
+    /// alone. Returns `(bytes, segments)` reclaimed and counts them.
     pub fn truncate_stale_segments(&self, covered_epoch: u64) -> io::Result<(u64, u64)> {
         let _serial = self.sync_lock.lock();
         if self.closed.load(Ordering::Acquire) {
@@ -463,9 +451,8 @@ impl Wal {
         }
         let segments = delete.len() as u64;
         let bytes = retire_segments(&self.dir, &delete, &[])?;
-        if segments > 0 {
-            self.stats.record_truncation(bytes, segments);
-        }
+        self.metrics.add(Count::LogTruncatedBytes, bytes);
+        self.metrics.add(Count::LogTruncatedSegments, segments);
         Ok((bytes, segments))
     }
 
@@ -493,12 +480,13 @@ impl Wal {
     /// sync lock and re-check the durable epoch, so a burst of waiters
     /// costs one fsync, not one each.
     pub fn wait_durable(&self, target: u64) -> io::Result<u64> {
-        if self.stats.durable_epoch() >= target {
-            return Ok(self.stats.durable_epoch());
+        let durable = self.durable_epoch();
+        if durable >= target {
+            return Ok(durable);
         }
-        self.stats.record_durable_wait();
+        self.metrics.add(Count::DurableWaits, 1);
         loop {
-            let durable = self.stats.durable_epoch();
+            let durable = self.durable_epoch();
             if durable >= target {
                 return Ok(durable);
             }
@@ -510,7 +498,7 @@ impl Wal {
                 // lock, so the wakeup cannot be lost. The bounded wait is
                 // the fallback for a stalled daemon.
                 let mut guard = self.watch.lock.lock();
-                if self.stats.durable_epoch() >= target {
+                if self.durable_epoch() >= target {
                     continue; // re-read and return at the top of the loop
                 }
                 let timed_out = self
@@ -1017,15 +1005,25 @@ mod tests {
         }
     }
 
-    fn open(dir: &Path, epoch: &Arc<EpochManager>) -> Arc<Wal> {
+    fn registry() -> Arc<Metrics> {
+        Arc::new(Metrics::new(2, &reactdb_common::TracingConfig::off()))
+    }
+
+    fn open_counted(dir: &Path, epoch: &Arc<EpochManager>, metrics: &Arc<Metrics>) -> Arc<Wal> {
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
-        Wal::open(&config, 2, Arc::clone(epoch)).unwrap().unwrap()
+        Wal::open(&config, 2, Arc::clone(epoch), Arc::clone(metrics))
+            .unwrap()
+            .unwrap()
+    }
+
+    fn open(dir: &Path, epoch: &Arc<EpochManager>) -> Arc<Wal> {
+        open_counted(dir, epoch, &registry())
     }
 
     #[test]
     fn off_mode_opens_nothing() {
         let epoch = Arc::new(EpochManager::new());
-        assert!(Wal::open(&DurabilityConfig::off(), 2, epoch)
+        assert!(Wal::open(&DurabilityConfig::off(), 2, epoch, registry())
             .unwrap()
             .is_none());
     }
@@ -1153,7 +1151,8 @@ mod tests {
     fn failed_group_commit_is_counted() {
         let dir = temp_dir("sync-failure");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, &epoch);
+        let metrics = registry();
+        let wal = open_counted(&dir, &epoch, &metrics);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 1.0)]);
         epoch.advance();
@@ -1161,7 +1160,7 @@ mod tests {
         // the error must surface *and* be counted.
         fs::remove_dir_all(&dir).unwrap();
         assert!(wal.sync().is_err());
-        assert_eq!(wal.stats().sync_failures(), 1);
+        assert_eq!(metrics.get(Count::LogSyncFailures), 1);
         assert_eq!(
             wal.durable_epoch(),
             0,
@@ -1178,13 +1177,15 @@ mod tests {
         // while the first is alive.
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
         assert!(
-            Wal::open(&config, 1, Arc::clone(&epoch)).is_err(),
+            Wal::open(&config, 1, Arc::clone(&epoch), registry()).is_err(),
             "second live WAL in one directory must be refused"
         );
         assert!(LogDirLock::acquire(&dir).is_err());
         drop(wal);
         // The lock dies with the instance: reopening afterwards succeeds.
-        let wal2 = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let wal2 = Wal::open(&config, 1, Arc::clone(&epoch), registry())
+            .unwrap()
+            .unwrap();
         drop(wal2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1205,7 +1206,8 @@ mod tests {
     fn wait_durable_kicks_a_group_commit_without_a_daemon() {
         let dir = temp_dir("wait-kick");
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, &epoch);
+        let metrics = registry();
+        let wal = open_counted(&dir, &epoch, &metrics);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
         assert_eq!(wal.durable_epoch(), 0);
@@ -1213,10 +1215,10 @@ mod tests {
         let durable = wal.wait_durable(1).unwrap();
         assert!(durable >= 1);
         assert!(wal.durable_epoch() >= 1);
-        assert_eq!(wal.stats().durable_waits(), 1);
+        assert_eq!(metrics.get(Count::DurableWaits), 1);
         // Already-covered epochs return immediately and are not counted.
         wal.wait_durable(1).unwrap();
-        assert_eq!(wal.stats().durable_waits(), 1);
+        assert_eq!(metrics.get(Count::DurableWaits), 1);
         drop(wal);
         let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(
@@ -1256,7 +1258,10 @@ mod tests {
         let config = DurabilityConfig::epoch_sync(dir.to_string_lossy())
             .with_interval_ms(0)
             .with_delta_logging(true);
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch)).unwrap().unwrap();
+        let metrics = registry();
+        let wal = Wal::open(&config, 1, Arc::clone(&epoch), Arc::clone(&metrics))
+            .unwrap()
+            .unwrap();
         assert!(wal.writer(0).delta_logging());
 
         let image = |v: f64| {
@@ -1294,9 +1299,9 @@ mod tests {
             TidWord::committed(1, 2),
             &[delta_record(TidWord::committed(1, 1), &v1, &v2)],
         );
-        assert_eq!(wal.stats().delta_records(), 1);
+        assert_eq!(metrics.get(Count::LogDeltaRecords), 1);
         assert!(
-            wal.stats().delta_bytes_saved() > 0,
+            metrics.get(Count::LogBytesSaved) > 0,
             "a one-field delta over a wide row saves bytes"
         );
         epoch.advance();
@@ -1310,7 +1315,7 @@ mod tests {
             &[delta_record(TidWord::committed(1, 2), &v2, &v3)],
         );
         assert_eq!(
-            wal.stats().delta_records(),
+            metrics.get(Count::LogDeltaRecords),
             1,
             "the first post-rotation touch is re-based, not delta-logged"
         );
@@ -1319,7 +1324,7 @@ mod tests {
             TidWord::committed(2, 2),
             &[delta_record(TidWord::committed(2, 1), &v3, &v4)],
         );
-        assert_eq!(wal.stats().delta_records(), 2);
+        assert_eq!(metrics.get(Count::LogDeltaRecords), 2);
         epoch.advance();
         wal.sync().unwrap();
         drop(wal); // crash

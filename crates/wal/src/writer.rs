@@ -39,11 +39,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use reactdb_common::{DurabilityConfig, Key, ReactorId};
+use reactdb_obs::{Count, Metrics};
 use reactdb_storage::TidWord;
 use reactdb_txn::{LogSink, RedoPayload, RedoRecord};
 
 use crate::codec;
-use crate::stats::WalStats;
 
 struct WriterInner {
     buf: Vec<u8>,
@@ -122,7 +122,7 @@ pub struct LogWriter {
     /// path beyond this one relaxed load.
     track_dirty: AtomicBool,
     inner: Mutex<WriterInner>,
-    stats: Arc<WalStats>,
+    metrics: Arc<Metrics>,
 }
 
 impl LogWriter {
@@ -133,7 +133,7 @@ impl LogWriter {
         executor: usize,
         generation: u32,
         config: &DurabilityConfig,
-        stats: Arc<WalStats>,
+        metrics: Arc<Metrics>,
     ) -> std::io::Result<Self> {
         let file = File::create(path)?;
         let mut header = Vec::with_capacity(16);
@@ -154,7 +154,7 @@ impl LogWriter {
             compress: config.compress_records,
             track_dirty: AtomicBool::new(false),
             inner: Mutex::new(inner),
-            stats,
+            metrics,
         })
     }
 
@@ -278,8 +278,11 @@ impl LogSink for LogWriter {
                         let keep =
                             inner.is_rooted(record) && full_len.is_none_or(|full| delta_len < full);
                         if keep {
-                            self.stats
-                                .record_delta(full_len.map_or(0, |full| (full - delta_len) as u64));
+                            self.metrics.add(Count::LogDeltaRecords, 1);
+                            self.metrics.add(
+                                Count::LogBytesSaved,
+                                full_len.map_or(0, |full| (full - delta_len) as u64),
+                            );
                         } else {
                             let image = row_delta
                                 .image
@@ -303,13 +306,10 @@ impl LogSink for LogWriter {
             tid,
             render,
             self.compress,
-            |record, bytes| {
-                self.stats
-                    .record_table_bytes(record.reactor, &record.relation, bytes);
-            },
+            |record, bytes| self.metrics.add_table_log(&record.relation, bytes),
         );
-        self.stats
-            .record_batch(written as u64, records.len() as u64);
+        self.metrics.add(Count::LogBytes, written as u64);
+        self.metrics.add(Count::LogRecords, records.len() as u64);
     }
 }
 

@@ -55,7 +55,7 @@ fn main() {
             db.wal_sync().expect("group commit"); // many durable epochs
         }
     }
-    let logged_history = db.stats().log_bytes();
+    let logged_history = db.metrics().counter("log_bytes").unwrap();
     let first = db.checkpoint_now().expect("first checkpoint");
     println!(
         "checkpoint #1: E_ckpt {} (cover {}), {} rows, {} bytes, truncated {} segments / {} bytes",
@@ -88,19 +88,14 @@ fn main() {
         second.truncated_bytes
     );
     assert!(
-        db.stats().log_truncated_bytes() > 0,
+        db.metrics().counter("log_truncated_bytes").unwrap() > 0,
         "truncation reclaimed covered segments"
     );
-    let per_table = db.stats().log_bytes_per_table();
-    println!("per-table log accounting (top 3):");
-    for usage in per_table.iter().take(3) {
-        println!(
-            "  reactor {} / {:<10} {:>8} bytes in {:>5} records",
-            usage.reactor.raw(),
-            usage.relation,
-            usage.bytes,
-            usage.records
-        );
+    println!("per-relation log accounting:");
+    for counter in db.metrics().counters {
+        if counter.name.starts_with("table_log_") {
+            println!("  {:<40} {:>8}", counter.name, counter.value);
+        }
     }
 
     // ---- Durable tail beyond the last checkpoint, plus one lost commit.
@@ -128,8 +123,8 @@ fn main() {
 
     // ---- Second life: recovery must be bounded by the last checkpoint.
     let db = ReactDB::recover(smallbank::spec(CUSTOMERS), config).expect("recovery");
-    let replayed = db.stats().recovered_txns();
-    let ckpt_rows = db.stats().recovered_checkpoint_rows();
+    let replayed = db.metrics().counter("recovered_txns").unwrap();
+    let ckpt_rows = db.metrics().counter("recovered_checkpoint_rows").unwrap();
     println!(
         "recovery: {} checkpoint rows + {} replayed tail transactions",
         ckpt_rows, replayed

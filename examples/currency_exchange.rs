@@ -47,6 +47,6 @@ fn main() {
     println!(
         "avg latency: {:.1} µs/txn, sub-transactions dispatched: {}",
         elapsed.as_micros() as f64 / payments as f64,
-        db.stats().sub_txns_dispatched()
+        db.metrics().counter("sub_txns_dispatched").unwrap()
     );
 }

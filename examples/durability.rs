@@ -66,9 +66,9 @@ fn main() {
         "durable ack: commit epoch {:?} <= durable epoch {}, {} group commits, {} redo records, {} log bytes",
         multi.commit_epoch().expect("committed"),
         db.durable_epoch().expect("durability on"),
-        db.stats().log_syncs(),
-        db.stats().log_records(),
-        db.stats().log_bytes(),
+        db.metrics().counter("log_syncs").unwrap(),
+        db.metrics().counter("log_records").unwrap(),
+        db.metrics().counter("log_bytes").unwrap(),
     );
 
     // Validation-time acknowledgement only: committed and visible, but its
@@ -95,7 +95,7 @@ fn main() {
     let db = ReactDB::recover(smallbank::spec(CUSTOMERS), config).expect("recovery");
     println!(
         "recovered {} transactions from the log (durable epoch {})",
-        db.stats().recovered_txns(),
+        db.metrics().counter("recovered_txns").unwrap(),
         db.durable_epoch().unwrap_or(0),
     );
     println!(

@@ -114,7 +114,9 @@ fn main() {
     assert!(phantom >= 1);
     assert!(metrics.counter("txn_cc_aborts").unwrap_or(0) >= phantom);
     assert_eq!(
-        db.stats().phantom_aborts(),
+        db.metrics()
+            .counter("txn_aborts{reason=\"phantom\"}")
+            .unwrap(),
         phantom,
         "snapshot matches stats"
     );

@@ -96,7 +96,8 @@ fn main() {
     // Let the server notice the closed connections, then assert the
     // network acceptance surface on a fresh snapshot.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.net_stats().active() > 0 && std::time::Instant::now() < deadline {
+    let active = |server: &Server| server.metrics_snapshot().gauge("net_connections_active");
+    while active(&server) > Some(0.0) && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     let snapshot = server.metrics_snapshot();

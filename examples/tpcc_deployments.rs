@@ -39,10 +39,14 @@ fn run(label: &str, config: DeploymentConfig) {
         }
     }
     let elapsed = start.elapsed();
+    // The paper's abort rate: concurrency-control aborts over attempts.
+    let snap = db.metrics();
+    let cc_aborts = snap.counter("txn_cc_aborts").unwrap() as f64;
+    let attempts = snap.counter("txn_committed").unwrap() as f64 + cc_aborts;
     println!(
         "{label:<40} committed {committed}/{txns} in {elapsed:>8.2?}  ({:.0} txn/s, abort rate {:.2}%)",
         committed as f64 / elapsed.as_secs_f64(),
-        db.stats().abort_rate() * 100.0
+        cc_aborts / attempts.max(1.0) * 100.0
     );
 }
 

@@ -138,11 +138,11 @@ fn build_history(dir: &Path, backup: &Path, delta: bool) -> (BTreeMap<usize, f64
     db.wal_sync().unwrap();
     if delta {
         assert!(
-            db.stats().log_delta_records() > 0,
+            db.metrics().counter("log_delta_records").unwrap() > 0,
             "the delta run must actually exercise the delta commit path"
         );
     } else {
-        assert_eq!(db.stats().log_delta_records(), 0);
+        assert_eq!(db.metrics().counter("log_delta_records").unwrap(), 0);
     }
     let expected = balances(&db);
     let digest = state_digest(&db);
@@ -262,7 +262,10 @@ fn recovery_tolerates_a_crash_at_every_checkpoint_protocol_step() {
             );
             digests.push(recovered_digest);
             assert_eq!(
-                recovered.stats().recovered_checkpoint_rows(),
+                recovered
+                    .metrics()
+                    .counter("recovered_checkpoint_rows")
+                    .unwrap(),
                 (CUSTOMERS * 3) as u64,
                 "{tag}/{mode}: the committed checkpoint supplies the base state"
             );
@@ -274,9 +277,10 @@ fn recovery_tolerates_a_crash_at_every_checkpoint_protocol_step() {
                     // Only the tail survives on disk: recovery is
                     // tail-bounded.
                     assert!(
-                        recovered.stats().recovered_txns() <= (2 * TAIL_TXNS) as u64,
+                        recovered.metrics().counter("recovered_txns").unwrap()
+                            <= (2 * TAIL_TXNS) as u64,
                         "{tag}/{mode}: expected a tail-bounded replay, got {}",
-                        recovered.stats().recovered_txns()
+                        recovered.metrics().counter("recovered_txns").unwrap()
                     );
                 }
                 CrashPoint::BeforeTruncation | CrashPoint::MidTruncation => {
@@ -284,9 +288,10 @@ fn recovery_tolerates_a_crash_at_every_checkpoint_protocol_step() {
                     // checkpoint-epoch filter, so the replay stays
                     // tail-scale even with the full history restored.
                     assert!(
-                        recovered.stats().recovered_txns() < (HISTORY_TXNS / 2) as u64,
+                        recovered.metrics().counter("recovered_txns").unwrap()
+                            < (HISTORY_TXNS / 2) as u64,
                         "{tag}/{mode}: covered records must not be re-replayed at scale, got {}",
-                        recovered.stats().recovered_txns()
+                        recovered.metrics().counter("recovered_txns").unwrap()
                     );
                 }
             }
@@ -368,7 +373,7 @@ fn checkpoint_under_live_writers(delta: bool) {
             db.checkpoint_now().expect("live checkpoint");
         }
     });
-    assert!(db.stats().checkpoints_taken() >= 3);
+    assert!(db.metrics().counter("checkpoints_taken").unwrap() >= 3);
 
     // Everything committed so far becomes durable, then the crash.
     db.wal_sync().unwrap();
@@ -381,9 +386,15 @@ fn checkpoint_under_live_writers(delta: bool) {
         expected,
         "fuzzy checkpoint + tail replay reproduces the durable state exactly"
     );
-    assert!(recovered.stats().recovered_checkpoint_rows() > 0);
     assert!(
-        recovered.stats().recovered_txns() < (CUSTOMERS * 40) as u64,
+        recovered
+            .metrics()
+            .counter("recovered_checkpoint_rows")
+            .unwrap()
+            > 0
+    );
+    assert!(
+        recovered.metrics().counter("recovered_txns").unwrap() < (CUSTOMERS * 40) as u64,
         "the checkpoints bounded the replayed tail below the full history"
     );
     let _ = fs::remove_dir_all(&dir);
@@ -516,7 +527,10 @@ fn parallel_recovery_is_deterministic_across_worker_counts_and_checkpoint_modes(
                 "{mode}/{workers}w: recovered digest matches the single-lane ground truth"
             );
             assert_eq!(
-                recovered.stats().recovery_replay_workers(),
+                recovered
+                    .metrics()
+                    .counter("recovery_replay_workers")
+                    .unwrap(),
                 workers as u64,
                 "{mode}/{workers}w: the configured lane count was actually used"
             );
@@ -591,7 +605,13 @@ fn history_stays_serializable_across_a_crash_and_parallel_recovery() {
     db.simulate_crash();
 
     let recovered = ReactDB::recover(history::spec(), config).unwrap();
-    assert_eq!(recovered.stats().recovery_replay_workers(), 3);
+    assert_eq!(
+        recovered
+            .metrics()
+            .counter("recovery_replay_workers")
+            .unwrap(),
+        3
+    );
     let mut post = history::run_workload(&recovered);
     for record in &mut post {
         record.label += 3_000_000;

@@ -70,8 +70,8 @@ fn smallbank_prefix_survives_crash_and_database_resumes() {
     .unwrap();
     let durable_epoch = db.wal_sync().expect("durability enabled");
     assert!(durable_epoch >= 1);
-    assert!(db.stats().log_syncs() >= 1);
-    assert!(db.stats().log_bytes() > 0);
+    assert!(db.metrics().counter("log_syncs").unwrap() >= 1);
+    assert!(db.metrics().counter("log_bytes").unwrap() > 0);
 
     // --- Mid-epoch suffix: committed and acknowledged, but never synced;
     // the simulated crash must lose it.
@@ -92,9 +92,9 @@ fn smallbank_prefix_survives_crash_and_database_resumes() {
     // --- Recover and verify the durable prefix, row by row.
     let recovered = ReactDB::recover(smallbank::spec(CUSTOMERS), config.clone()).unwrap();
     assert!(
-        recovered.stats().recovered_txns() >= 5,
+        recovered.metrics().counter("recovered_txns").unwrap() >= 5,
         "expected the synced prefix to replay, got {}",
-        recovered.stats().recovered_txns()
+        recovered.metrics().counter("recovered_txns").unwrap()
     );
     for customer in 0..4 {
         let balance = recovered
@@ -308,9 +308,9 @@ fn many_sessions_pipeline_handles_and_all_durable_acks_survive() {
         }
     });
 
-    assert!(db.stats().client_committed() >= (SESSIONS * PER_SESSION) as u64);
-    assert_eq!(db.stats().handles_in_flight(), 0);
-    assert!(db.stats().handles_in_flight_hwm() >= 1);
+    assert!(db.metrics().counter("client_committed").unwrap() >= (SESSIONS * PER_SESSION) as u64);
+    assert_eq!(db.metrics().gauge("handles_in_flight"), Some(0.0));
+    assert!(db.metrics().counter("handles_in_flight_hwm").unwrap() >= 1);
     db.simulate_crash();
 
     // Every durably acknowledged deposit survives the crash.

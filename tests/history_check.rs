@@ -59,7 +59,7 @@ fn concurrent_histories_are_serializable_under_delta_logging() {
     let records = run_workload(&db);
     check_history(&records, "epoch sync + delta");
     assert!(
-        db.stats().log_delta_records() > 0,
+        db.metrics().counter("log_delta_records").unwrap() > 0,
         "the delta commit path was actually exercised"
     );
     // The log format must not change what recovery computes either: crash,

@@ -3,10 +3,14 @@
 //! breakdown must match what actually happened, and the two renderers must
 //! agree with the snapshot.
 
-use reactdb::common::{DeploymentConfig, DurabilityConfig, Key, Value};
+use std::sync::Arc;
+
+use reactdb::common::{DeploymentConfig, DurabilityConfig, Key, TracingConfig, Value};
 use reactdb::core::{ReactorDatabaseSpec, ReactorType};
 use reactdb::storage::{ColumnType, RelationDef, Schema, Tuple};
 use reactdb::{AbortReason, MetricsSnapshot, Phase, ReactDB, TraceKind};
+use reactdb_client::WireClient;
+use reactdb_server::{Server, ServerConfig};
 
 fn spec() -> ReactorDatabaseSpec {
     let counter = ReactorType::new("Counter")
@@ -112,6 +116,162 @@ fn mixed_workload_fills_the_export_surface() {
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, TraceKind::GroupCommitFsync)));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every name `Server::metrics_snapshot` exports, one per line (the
+/// per-table log counters share one line: they carry the table labels).
+/// perfbench and the CI smoke step read these names; a change to the list
+/// is a change to the export surface.
+const COUNTERS: &str = r#"
+    checkpoint_bytes
+    checkpoint_failures
+    checkpoints_delta
+    checkpoints_taken
+    client_aborted
+    client_committed
+    client_timeouts
+    durable_epoch
+    durable_waits
+    handles_in_flight_hwm
+    log_bytes
+    log_bytes_saved
+    log_delta_records
+    log_records
+    log_sync_failures
+    log_syncs
+    log_truncated_bytes
+    log_truncated_segments
+    net_connections_accepted
+    net_connections_killed{reason="malformed"}
+    net_connections_killed{reason="timeout"}
+    net_connections_rejected
+    net_requests
+    net_responses
+    net_worker_wakeups
+    recovered_checkpoint_rows
+    recovered_txns
+    recovery_replay_workers
+    scan_ops
+    scan_rows_returned
+    scan_slots_visited
+    sub_txns_dispatched
+    sub_txns_inlined
+    table_log_bytes{relation="state"} table_log_records{relation="state"}
+    txn_aborts{reason="dangerous_structure"}
+    txn_aborts{reason="lock_busy"}
+    txn_aborts{reason="occ_read"}
+    txn_aborts{reason="other"}
+    txn_aborts{reason="phantom"}
+    txn_aborts{reason="user_abort"}
+    txn_aborts{reason="wal_failure"}
+    txn_cc_aborts
+    txn_committed
+"#;
+
+const GAUGES: &str = r#"
+    executor_queue_depth{executor="0"}
+    executor_queue_depth{executor="1"}
+    executor_utilization{executor="0"}
+    executor_utilization{executor="1"}
+    handles_in_flight
+    net_connections_active
+    net_requests_in_flight
+    repl_acked_epoch
+    repl_followers
+    repl_lag_epochs
+    repl_quorum_epoch
+    repl_quorum_epoch_lag
+"#;
+
+const HISTOGRAMS: &str = r#"
+    phase_checkpoint_chunk_ns
+    phase_ckpt_part_write_ns
+    phase_durable_ack_ns
+    phase_execute_ns
+    phase_fence_ns
+    phase_follower_apply_ns
+    phase_lock_ns
+    phase_log_ns
+    phase_net_decode_ns
+    phase_net_dispatch_ns
+    phase_net_replicate_ns
+    phase_net_reply_ns
+    phase_recovery_replay_ns
+    phase_session_wait_ns
+    phase_validate_ns
+    phase_wal_fsync_ns
+    phase_wal_sync_wait_ns
+    phase_write_ns
+"#;
+
+fn sorted<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut names: Vec<&str> = names.into_iter().collect();
+    names.sort_unstable();
+    names
+}
+
+#[test]
+fn the_export_surface_names_are_pinned() {
+    let dir = wal_dir("pinned");
+    let config = DeploymentConfig::shared_nothing(2).with_durability(
+        DurabilityConfig::epoch_sync(dir.to_string_lossy().as_ref()).with_interval_ms(0),
+    );
+    let db = Arc::new(ReactDB::boot(spec(), config));
+    db.client().invoke("c-0", "init", vec![]).unwrap();
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    client.invoke("c-0", "bump", vec![]).unwrap();
+    assert!(client.invoke("c-0", "refuse", vec![]).is_err());
+    client.invoke_durable("c-0", "bump", vec![]).unwrap();
+
+    let snap = server.metrics_snapshot();
+    assert_eq!(
+        sorted(snap.counters.iter().map(|c| c.name.as_str())),
+        sorted(COUNTERS.split_whitespace())
+    );
+    assert_eq!(
+        sorted(snap.gauges.iter().map(|g| g.name.as_str())),
+        sorted(GAUGES.split_whitespace())
+    );
+    assert_eq!(
+        sorted(snap.histograms.iter().map(|h| h.name.as_str())),
+        sorted(HISTOGRAMS.split_whitespace())
+    );
+    server.shutdown();
+    drop(client);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn counters_count_with_tracing_off() {
+    let dir = wal_dir("untraced");
+    let config = DeploymentConfig::shared_nothing(2)
+        .with_durability(
+            DurabilityConfig::epoch_sync(dir.to_string_lossy().as_ref()).with_interval_ms(0),
+        )
+        .with_tracing(TracingConfig::off());
+    let db = Arc::new(ReactDB::boot(spec(), config));
+    db.client().invoke("c-0", "init", vec![]).unwrap();
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    let before = server.metrics_snapshot();
+    client.invoke("c-0", "bump", vec![]).unwrap();
+    client.invoke_durable("c-0", "bump", vec![]).unwrap();
+
+    let after = server.metrics_snapshot();
+    let delta = after.delta(&before);
+    assert_eq!(delta.counter("txn_committed"), Some(2));
+    assert!(delta.counter("log_bytes").unwrap() > 0);
+    assert_eq!(delta.counter("net_requests"), Some(2));
+    for h in &after.histograms {
+        assert_eq!(h.count, 0, "{} recorded with tracing off", h.name);
+    }
+    assert!(db.trace_events().is_empty());
+    server.shutdown();
+    drop(client);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

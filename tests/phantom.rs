@@ -73,6 +73,13 @@ fn boot() -> ReactDB {
 /// the scanner is still between its scan and its validation.
 const SPIN: i64 = 40_000_000;
 
+/// Root transactions aborted by node-set validation, as exported.
+fn phantom_aborts(db: &ReactDB) -> u64 {
+    db.metrics()
+        .counter("txn_aborts{reason=\"phantom\"}")
+        .unwrap()
+}
+
 /// Submits a slow scanner of `[0, 1000)` and, while it spins, commits an
 /// insert of `key`. Returns the scanner's outcome.
 fn race_scan_against_insert(db: &ReactDB, key: i64) -> Result<Value, TxnError> {
@@ -115,14 +122,14 @@ fn committed_insert_into_scanned_range_phantom_aborts_the_scanner() {
         "scanner must abort with a phantom-classified error"
     );
     assert!(
-        db.stats().phantom_aborts() >= 1,
+        phantom_aborts(&db) >= 1,
         "phantom aborts are counted separately"
     );
     assert!(
-        db.stats().cc_aborts() >= db.stats().phantom_aborts(),
+        db.metrics().counter("txn_cc_aborts").unwrap() >= phantom_aborts(&db),
         "phantoms are a subset of cc aborts"
     );
-    assert!(db.stats().scan_ops() >= 1);
+    assert!(db.metrics().counter("scan_ops").unwrap() >= 1);
 }
 
 #[test]
@@ -138,7 +145,7 @@ fn non_overlapping_insert_does_not_abort_the_scanner() {
         )
         .unwrap();
     }
-    let phantoms_before = db.stats().phantom_aborts();
+    let phantoms_before = phantom_aborts(&db);
     for attempt in 0..5 {
         // Insert far outside the scanned [0, 1000) window. Only the 50
         // seeded rows fall inside it, and that count must stay stable.
@@ -147,7 +154,7 @@ fn non_overlapping_insert_does_not_abort_the_scanner() {
         assert_eq!(value, Value::Int(50), "the scanned prefix is stable");
     }
     assert_eq!(
-        db.stats().phantom_aborts(),
+        phantom_aborts(&db),
         phantoms_before,
         "no phantom was signalled for disjoint ranges"
     );
@@ -331,10 +338,10 @@ fn insert_beyond_a_limit_scans_stop_key_does_not_abort_it() {
             .expect("an insert past the stop key is not a conflict");
         assert_eq!(got, Value::Str(stop.into()));
     }
-    assert_eq!(db.stats().phantom_aborts(), 0);
+    assert_eq!(phantom_aborts(&db), 0);
     // The walk stopped where the caller had enough: one slot per scan.
-    assert_eq!(db.stats().scan_slots_visited(), 2);
-    assert_eq!(db.stats().scan_rows_returned(), 2);
+    assert_eq!(db.metrics().counter("scan_slots_visited").unwrap(), 2);
+    assert_eq!(db.metrics().counter("scan_rows_returned").unwrap(), 2);
 }
 
 #[test]
@@ -349,7 +356,7 @@ fn insert_inside_a_limit_scans_walked_span_phantom_aborts_it() {
             "reverse={reverse}: {err:?}"
         );
     }
-    assert_eq!(db.stats().phantom_aborts(), 2);
+    assert_eq!(phantom_aborts(&db), 2);
 }
 
 #[test]
@@ -506,7 +513,7 @@ fn insert_under_the_same_index_key_inside_the_walked_span_phantom_aborts_the_loo
     // end of the group, where a newer row 3999 lands.
     let err = index_lookup_racing_insert(&db, &gate, 3999, 3).unwrap_err();
     assert!(matches!(err, TxnError::Phantom), "{err:?}");
-    assert_eq!(db.stats().phantom_aborts(), 1);
+    assert_eq!(phantom_aborts(&db), 1);
     // Retried, the lookup returns the row that beat it.
     let got = db.invoke("ledger", "latest", latest_args(3, 1, false, -1));
     assert_eq!(got.unwrap(), Value::Str("3999".into()));
@@ -527,9 +534,9 @@ fn insert_under_an_index_key_in_another_node_does_not_abort_the_lookup() {
     let got = index_lookup_racing_insert(&db, &gate, 7999, 7)
         .expect("an insert outside the walked span is not a conflict");
     assert_eq!(got, Value::Str("3049".into()));
-    assert_eq!(db.stats().phantom_aborts(), 0);
+    assert_eq!(phantom_aborts(&db), 0);
     // The lookup walked one index entry.
-    assert_eq!(db.stats().scan_slots_visited(), 1);
+    assert_eq!(db.metrics().counter("scan_slots_visited").unwrap(), 1);
 }
 
 #[test]

@@ -70,7 +70,7 @@ fn concurrent_multi_transfers_conserve_money_across_deployments() {
             "money not conserved under {config:?}: {total}"
         );
         assert_eq!(
-            db.stats().committed() as usize,
+            db.metrics().counter("txn_committed").unwrap() as usize,
             total_commits + customers,
             "commit accounting"
         );

@@ -233,7 +233,12 @@ fn remote_counters_reflect_cross_reactor_work() {
         committed, 60,
         "one stock_update_batch per remote warehouse is a safe structure"
     );
-    assert_eq!(db.stats().dangerous_aborts(), 0);
+    assert_eq!(
+        db.metrics()
+            .counter("txn_aborts{reason=\"dangerous_structure\"}")
+            .unwrap(),
+        0
+    );
     let remote_updates: i64 = (0..warehouses)
         .map(|w| {
             db.table(&tpcc::warehouse_name(w), "stock")
@@ -249,7 +254,7 @@ fn remote_counters_reflect_cross_reactor_work() {
         "100% remote items must bump remote counters"
     );
     assert!(
-        db.stats().sub_txns_dispatched() > 0,
+        db.metrics().counter("sub_txns_dispatched").unwrap() > 0,
         "cross-container sub-transactions were dispatched"
     );
 }
@@ -259,10 +264,14 @@ fn remote_counters_reflect_cross_reactor_work() {
 #[test]
 fn low_contention_mix_has_negligible_abort_rate() {
     let (db, _) = run_mix(DeploymentConfig::shared_nothing(2), 200, 17);
-    assert!(
-        db.stats().abort_rate() < 0.05,
-        "abort rate {}",
-        db.stats().abort_rate()
+    let snap = db.metrics();
+    let cc_aborts = snap.counter("txn_cc_aborts").unwrap() as f64;
+    let abort_rate = cc_aborts / (snap.counter("txn_committed").unwrap() as f64 + cc_aborts);
+    assert!(abort_rate < 0.05, "abort rate {abort_rate}");
+    assert_eq!(
+        db.metrics()
+            .counter("txn_aborts{reason=\"dangerous_structure\"}")
+            .unwrap(),
+        0
     );
-    assert_eq!(db.stats().dangerous_aborts(), 0);
 }

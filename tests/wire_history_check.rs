@@ -43,11 +43,14 @@ fn wire_histories_are_serializable() {
     assert_commit_mix(&records, "wire");
     check_history(&records, "wire");
 
-    let stats = server.net_stats();
-    assert!(stats.requests() > 0, "requests flowed over the wire");
+    let snap = server.metrics_snapshot();
+    assert!(
+        snap.counter("net_requests").unwrap() > 0,
+        "requests flowed over the wire"
+    );
     assert_eq!(
-        stats.in_flight(),
-        0,
+        snap.gauge("net_requests_in_flight"),
+        Some(0.0),
         "no transaction left in flight after the workload joined"
     );
     server.shutdown();

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Value};
+use reactdb::core::{ReactorDatabaseSpec, ReactorType};
 use reactdb::engine::ReactDB;
 use reactdb::workloads::smallbank;
 use reactdb_client::{codec, WireClient};
@@ -25,6 +26,16 @@ fn boot_server(config: ServerConfig) -> (Server, Arc<ReactDB>) {
     load(&db);
     let server = Server::start(Arc::clone(&db), config).unwrap();
     (server, db)
+}
+
+/// One of the server's exported counters.
+fn counter(server: &Server, name: &str) -> u64 {
+    server.metrics_snapshot().counter(name).unwrap()
+}
+
+/// One of the server's exported gauges.
+fn gauge(server: &Server, name: &str) -> f64 {
+    server.metrics_snapshot().gauge(name).unwrap()
 }
 
 /// Polls until `cond` holds or the deadline passes.
@@ -58,7 +69,7 @@ fn version_mismatch_is_rejected_with_the_server_version_echoed() {
     let mut scratch = [0u8; 1];
     assert_eq!(raw.read(&mut scratch).unwrap(), 0, "connection closed");
     eventually("rejected connection accounted", || {
-        server.net_stats().rejected() == 1
+        counter(&server, "net_connections_rejected") == 1
     });
 
     // A correct-version client on the same server is unaffected.
@@ -92,7 +103,7 @@ fn malformed_frames_kill_only_the_offending_connection() {
     let mut scratch = [0u8; 64];
     assert_eq!(evil.read(&mut scratch).unwrap(), 0, "offender disconnected");
     eventually("malformed kill accounted", || {
-        server.net_stats().malformed() == 1
+        counter(&server, "net_connections_killed{reason=\"malformed\"}") == 1
     });
 
     // ...and a frame announcing more than the 1 MiB cap dies the same way,
@@ -110,7 +121,7 @@ fn malformed_frames_kill_only_the_offending_connection() {
         "oversized disconnected"
     );
     eventually("oversized kill accounted", || {
-        server.net_stats().malformed() == 2
+        counter(&server, "net_connections_killed{reason=\"malformed\"}") == 2
     });
 
     // The healthy session never noticed.
@@ -148,7 +159,7 @@ fn pipelining_beyond_the_in_flight_cap_is_absorbed_by_backpressure() {
     }
     assert!(committed > 0, "some of the flood commits");
     assert!(!client.is_dead(), "backpressure must not kill the session");
-    assert_eq!(server.net_stats().in_flight(), 0);
+    assert_eq!(gauge(&server, "net_requests_in_flight"), 0.0);
     server.shutdown();
     drop(db);
 }
@@ -174,10 +185,10 @@ fn an_abruptly_killed_connection_leaks_nothing_and_wedges_nobody() {
     // The server notices the death, resolves or discards the in-flight
     // transactions, and the gauge returns to zero.
     eventually("victim's in-flight drained", || {
-        server.net_stats().in_flight() == 0
+        gauge(&server, "net_requests_in_flight") == 0.0
     });
     eventually("victim connection reaped", || {
-        server.net_stats().active() == 1
+        gauge(&server, "net_connections_active") == 1.0
     });
 
     // The survivor keeps transacting, and new connections are served.
@@ -190,10 +201,10 @@ fn an_abruptly_killed_connection_leaks_nothing_and_wedges_nobody() {
 }
 
 #[test]
-fn a_reply_over_the_frame_cap_is_an_error_not_a_crash() {
-    // 10 000 SmallBank customers are 30 000 tables, and with durability on
-    // each one reports per-table log counters: the metrics text runs to
-    // several MiB, past the 1 MiB frame cap.
+fn the_metrics_reply_of_30000_tables_fits_its_frame() {
+    // 10 000 SmallBank customers are 30 000 tables of three relations. Log
+    // accounting is per relation, so the reply carries three
+    // `table_log_bytes` series, not one per table.
     let dir = std::env::temp_dir().join(format!("reactdb-wire-bigreply-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let customers = 10_000;
@@ -204,18 +215,41 @@ fn a_reply_over_the_frame_cap_is_an_error_not_a_crash() {
     let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let client = WireClient::connect(server.local_addr()).unwrap();
 
-    match client.metrics_prometheus() {
-        Ok(text) => assert!(text.len() <= codec::MAX_FRAME_LEN as usize),
-        Err(e) => assert!(
-            e.to_string().contains("exceeds the frame cap"),
-            "unexpected error: {e}"
-        ),
-    }
+    let text = client.metrics_prometheus().unwrap();
+    assert!(text.len() <= codec::MAX_FRAME_LEN as usize);
+    let series: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("reactdb_table_log_bytes{"))
+        .collect();
+    assert_eq!(series.len(), 3, "{series:?}");
+    assert!(series
+        .iter()
+        .all(|line| line.starts_with("reactdb_table_log_bytes{relation=\"")));
+    server.shutdown();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reply_over_the_frame_cap_is_an_error_and_the_connection_lives() {
+    let blob =
+        ReactorType::new("Blob").with_procedure("big", |_, _| Ok(Value::Str("x".repeat(2 << 20))));
+    let mut spec = ReactorDatabaseSpec::new();
+    spec.add_type(blob);
+    spec.add_reactor("blob", "Blob");
+    let db = Arc::new(ReactDB::boot(spec, DeploymentConfig::shared_nothing(1)));
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let client = WireClient::connect(server.local_addr()).unwrap();
+
+    let error = client.invoke("blob", "big", vec![]).unwrap_err();
+    assert!(
+        error.to_string().contains("exceeds the frame cap"),
+        "unexpected error: {error}"
+    );
     client.ping().unwrap();
     assert!(!client.is_dead());
     server.shutdown();
     drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -224,11 +258,11 @@ fn sequential_pings_cost_a_bounded_number_of_worker_wakeups() {
     let client = WireClient::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
 
-    let before = server.net_stats().worker_wakeups();
+    let before = counter(&server, "net_worker_wakeups");
     for _ in 0..500 {
         client.ping().unwrap();
     }
-    let spent = server.net_stats().worker_wakeups() - before;
+    let spent = counter(&server, "net_worker_wakeups") - before;
     assert!(spent <= 3 * 500, "{spent} wakeups for 500 pings");
     server.shutdown();
     drop(db);
@@ -240,14 +274,10 @@ fn an_idle_connection_lets_the_workers_sleep() {
     let client = WireClient::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
 
-    let before = server.net_stats().worker_wakeups();
+    let before = counter(&server, "net_worker_wakeups");
     std::thread::sleep(Duration::from_millis(200));
-    let spent = server.net_stats().worker_wakeups() - before;
+    let spent = counter(&server, "net_worker_wakeups") - before;
     assert!(spent <= 5, "{spent} wakeups while idle for 200 ms");
-    assert_eq!(
-        server.metrics_snapshot().counter("net_worker_wakeups"),
-        Some(server.net_stats().worker_wakeups())
-    );
     client.ping().unwrap();
     server.shutdown();
     drop(db);
@@ -279,7 +309,7 @@ fn graceful_shutdown_drains_and_releases_the_log_dir_lock() {
     // finish (otherwise shutdown can win the race before the worker ever
     // sees the frames, especially on a single-core machine).
     eventually("server observed the submissions", || {
-        server.net_stats().requests() > 0
+        counter(&server, "net_requests") > 0
     });
     server.shutdown();
     let mut drained = 0;

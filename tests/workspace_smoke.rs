@@ -54,10 +54,10 @@ fn facade_delta_mode_commits_crash_and_recover() {
             .unwrap();
     }
     assert!(
-        db.stats().log_delta_records() > 0,
+        db.metrics().counter("log_delta_records").unwrap() > 0,
         "repeat balance updates ship as deltas"
     );
-    assert!(db.stats().log_bytes_saved() > 0);
+    assert!(db.metrics().counter("log_bytes_saved").unwrap() > 0);
     db.wal_sync().unwrap();
     let expected = balances(&db);
     // One unsynced deposit is lost by the crash.
@@ -92,6 +92,6 @@ fn facade_delta_mode_commits_crash_and_recover() {
             vec![Value::Float(1.0)],
         )
         .unwrap();
-    assert!(recovered.stats().log_delta_records() >= 1);
+    assert!(recovered.metrics().counter("log_delta_records").unwrap() >= 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
