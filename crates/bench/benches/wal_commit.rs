@@ -65,8 +65,9 @@ fn bench_wal(c: &mut Criterion) {
     run_deposits(c, "wal/deposit_durability_off", &off);
     drop(off);
 
-    // Group commit with the default 10 ms daemon: commits only pay the
-    // buffered append; the daemon fsyncs on epoch boundaries concurrently.
+    // Group commit at the default 10 ms interval: commits only pay the
+    // buffered append; the sync thread fsyncs on epoch boundaries
+    // concurrently.
     let sync_dir = bench_dir("epoch-sync");
     let epoch_sync = boot(DurabilityConfig::epoch_sync(&sync_dir));
     run_deposits(c, "wal/deposit_epoch_sync_group_commit", &epoch_sync);
@@ -101,8 +102,9 @@ fn run_serial_invoke(db: &ReactDB) {
 }
 
 /// Pipelined durable acknowledgement: the whole batch is in flight at
-/// once, then every handle demands `wait_durable` — the group commit is
-/// paid once per batch, not once per transaction.
+/// once, then every handle waits durable — each wait demands its epoch
+/// from the WAL's sync thread, and the group commit is paid once per
+/// batch, not once per transaction.
 fn run_pipelined_durable(db: &ReactDB) {
     let client = db.client();
     let handles = client.submit_batch(batch_calls()).unwrap();
@@ -114,8 +116,8 @@ fn run_pipelined_durable(db: &ReactDB) {
 }
 
 fn bench_durable_ack(c: &mut Criterion) {
-    // Interval 0: no daemon, so the durable path pays exactly the group
-    // commits `wait_durable` kicks — the honest cost of durable
+    // Interval 0: no timed group commits, so the durable path pays exactly
+    // the group commits `wait_durable` demands — the honest cost of durable
     // acknowledgement, deterministic across hosts. MPL 1 keeps same-reactor
     // deposits serial per executor, so the comparison measures pipelining
     // vs round trips rather than OCC retry behaviour.

@@ -89,7 +89,7 @@ pub enum DeploymentStrategy {
 pub enum DurabilityMode {
     /// No logging: every commit is volatile (the seed behaviour).
     Off,
-    /// Full epoch-based group commit: a daemon flushes and fsyncs all log
+    /// Full epoch-based group commit: the WAL flushes and fsyncs all log
     /// writers on epoch boundaries and advances the durable-epoch marker.
     /// Recovery replays exactly the transactions of fully synced epochs.
     EpochSync,
@@ -103,9 +103,9 @@ pub struct DurabilityConfig {
     /// Directory holding the log segments and the durable-epoch marker.
     /// Required unless `mode` is [`DurabilityMode::Off`].
     pub log_dir: Option<String>,
-    /// Period of the group-commit daemon in milliseconds. `0` disables the
-    /// background daemon; syncs then happen only on explicit request (used
-    /// by deterministic tests) and on clean shutdown.
+    /// Longest gap in milliseconds between group commits while epochs move;
+    /// a durable waiter's demand runs one at once instead. `0`: no timed
+    /// group commits, only demanded, explicit and shutdown ones.
     pub group_commit_interval_ms: u64,
     /// Delta redo logging: repeat updates of a row ship only the changed
     /// fields (a field-level delta against the overwritten image) instead of
@@ -140,8 +140,8 @@ impl DurabilityConfig {
         Self::default()
     }
 
-    /// Epoch-based group commit into `log_dir` with the default daemon
-    /// period.
+    /// Epoch-based group commit into `log_dir` with the default 10 ms
+    /// interval.
     pub fn epoch_sync(log_dir: impl Into<String>) -> Self {
         Self {
             mode: DurabilityMode::EpochSync,
@@ -151,7 +151,7 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets the group-commit daemon period (`0` = manual syncs only).
+    /// Sets the group-commit interval (`0` = no timed group commits).
     pub fn with_interval_ms(mut self, ms: u64) -> Self {
         self.group_commit_interval_ms = ms;
         self

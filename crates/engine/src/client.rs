@@ -404,6 +404,9 @@ impl TxnHandle {
     /// `EpochSync` durability, a transaction acknowledged by
     /// `wait_durable` survives any crash.
     ///
+    /// The call demands that group commit rather than wait out the
+    /// interval. One that fails meanwhile is returned as the error.
+    ///
     /// With durability off there is no log to wait for, so the call is
     /// equivalent to [`TxnHandle::wait`]. Degenerate cases resolve
     /// immediately either way: aborted transactions (the error propagates;

@@ -243,9 +243,6 @@ impl ReactDB {
         } else {
             None
         };
-        if let Some(wal) = &wal {
-            wal.start_daemon(config.durability.group_commit_interval_ms);
-        }
 
         // ---- Checkpointing: enumerate every table of the deployment and
         // hand the checkpointer its walk list. Always constructed when
@@ -404,7 +401,7 @@ impl ReactDB {
     /// two failure modes: durability not configured, and a group commit
     /// that failed with an I/O error (also counted as
     /// `log_sync_failures`). Tests use this instead of waiting
-    /// for the group-commit daemon.
+    /// for the WAL's sync thread.
     pub fn wal_sync(&self) -> Result<u64> {
         let wal = self
             .inner
@@ -665,8 +662,8 @@ impl ReactDB {
         Ok(batches.len())
     }
 
-    /// Stops every worker thread, the epoch advancer and the group-commit
-    /// daemon (flushing the log unless a crash is being simulated). Called
+    /// Stops every worker thread, the epoch advancer and the WAL's sync
+    /// thread (flushing the log unless a crash is being simulated). Called
     /// by `Drop`; explicit shutdown lets callers join deterministically.
     pub fn shutdown(&mut self) {
         self.inner
@@ -963,7 +960,7 @@ impl Inner {
             ));
         }
         // Hold the WAL's commit gate across the serialization point and the
-        // log append: the group-commit daemon drains these guards before
+        // log append: every group commit drains these guards before
         // declaring an epoch durable (see `reactdb_wal::Wal::sync`).
         let wal = self.wal.as_deref();
         let _commit_gate = wal.map(|w| w.commit_guard());
@@ -1897,8 +1894,8 @@ mod tests {
     fn wait_durable_blocks_until_the_commit_epoch_is_synced() {
         use reactdb_common::DurabilityConfig;
         let dir = wal_dir("durable-ack");
-        // Interval 0: no daemon, so wait_durable must kick the group commit
-        // itself — the strictest path.
+        // Interval 0: no timed group commits, so only the waiter's demand
+        // can make the commit durable — the strictest path.
         let config = DeploymentConfig::shared_nothing(2)
             .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(0));
         let db = boot(config);
@@ -1906,7 +1903,12 @@ mod tests {
         let handle = client
             .submit("acct-0", "deposit", vec![Value::Float(9.0)])
             .unwrap();
+        handle.wait().unwrap();
+        let syncs = count(&db, "log_syncs");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(count(&db, "log_syncs"), syncs, "nothing syncs unasked");
         let value = handle.wait_durable().unwrap();
+        assert_eq!(count(&db, "log_syncs"), syncs + 1, "one demanded commit");
         assert_eq!(value, Value::Float(9.0));
         let commit_epoch = handle.commit_epoch().expect("committed write");
         assert!(

@@ -9,17 +9,18 @@
 //!
 //! **Readiness loop** (Linux only; the loop is built on epoll). Each
 //! worker sleeps in one epoll instance that holds its nonblocking sockets
-//! (edge-triggered, readable or peer hang-up) and one eventfd. The eventfd
-//! is written by the engine right after it *publishes* the result of a
-//! transaction submitted through one of the worker's sessions (a
-//! [`reactdb_core::PublishWaker`], so the worker always finds the result it
-//! was woken for), by the acceptor when it hands the worker a connection,
+//! (edge-triggered: readable, peer hang-up, or a full send buffer that
+//! drained) and one eventfd. The eventfd is written by the engine right
+//! after it *publishes* the result of a transaction submitted through one
+//! of the worker's sessions (a [`reactdb_core::PublishWaker`], so the
+//! worker always finds the result it was woken for), by the WAL's
+//! group-commit thread after the durable epoch a reply demanded advances,
+//! by [`ReplState::observe_ack`] when a follower's ack may have moved the
+//! quorum epoch, by the acceptor when it hands the worker a connection,
 //! and by [`Server::shutdown`]. A worker therefore runs a pass only when a
-//! socket, a completion or a handoff gave it work. The one timed wait left
-//! is bounded at 100 µs: while a durable or replicated reply waits on the
-//! group-commit or quorum epoch (which wake nobody), or a send buffer holds
-//! bytes the socket refused. Otherwise the wait ends at the nearest read
-//! stall deadline, or never. The acceptor sleeps the same way on the
+//! socket, a completion, an epoch or a handoff gave it work, and no I/O
+//! thread ever syncs the log. Timed waits end only at a stall deadline or
+//! the shutdown drain deadline. The acceptor sleeps the same way on the
 //! listener plus a shutdown eventfd.
 //!
 //! Each accepted connection performs the version handshake and then maps
@@ -86,7 +87,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,7 +96,7 @@ use reactdb_common::{AckLevel, ReplicationConfig};
 use reactdb_core::PublishWaker;
 use reactdb_engine::{Client, ReactDB, TxnHandle};
 use reactdb_obs::{Count, Gauge, Metrics, MetricsSnapshot, Phase};
-use reactdb_wal::{ShipCursor, ShipEvent};
+use reactdb_wal::{DurableWaker, ShipCursor, ShipEvent};
 
 use poll::{Poller, Waker};
 
@@ -229,6 +230,9 @@ pub struct ReplState {
     shipped_epoch: AtomicU64,
     /// Set while this node tails a primary; cleared by promotion.
     follower_mode: AtomicBool,
+    /// The I/O workers' wakers, called when an ack raises a follower's
+    /// epoch; held weakly, so a stopped server leaves nothing behind.
+    wakers: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
 }
 
 impl ReplState {
@@ -315,18 +319,26 @@ impl ReplState {
         }
     }
 
-    /// Monotonically raises `follower_id`'s acked epoch (primary side).
-    /// Unregistered ids are ignored: an ack can only advance the quorum
-    /// through a live registry entry.
+    /// Monotonically raises `follower_id`'s acked epoch (primary side) and
+    /// wakes the I/O workers, whose replicated replies may now clear the
+    /// quorum. Unregistered ids are ignored: an ack can only advance the
+    /// quorum through a live registry entry.
     pub fn observe_ack(&self, follower_id: u64, applied_epoch: u64) {
         {
             let mut roster = self.roster.lock().unwrap();
             let Some(entry) = roster.iter_mut().find(|f| f.id == follower_id) else {
                 return;
             };
-            entry.acked = entry.acked.max(applied_epoch);
+            if applied_epoch <= entry.acked {
+                return;
+            }
+            entry.acked = applied_epoch;
         }
         self.acked_epoch.fetch_max(applied_epoch, Ordering::AcqRel);
+        let wakers = self.wakers.lock().unwrap();
+        for wake in wakers.iter().filter_map(Weak::upgrade) {
+            wake();
+        }
     }
 
     /// Records follower-side apply progress.
@@ -376,6 +388,10 @@ struct Shared {
     feeders: Mutex<Vec<JoinHandle<()>>>,
     /// Live connections per I/O worker, for pinning new ones.
     worker_loads: Vec<AtomicUsize>,
+    /// Per I/O worker: the lowest commit epoch a reply of its last pass
+    /// waits to see durable (`u64::MAX`: none). A durable-epoch advance
+    /// wakes only the workers it lets reply.
+    awaiting_durable: Vec<Arc<AtomicU64>>,
     config: ServerConfig,
     shutdown: AtomicBool,
 }
@@ -470,6 +486,9 @@ impl Server {
             repl: Arc::new(ReplState::default()),
             feeders: Mutex::new(Vec::new()),
             worker_loads: (0..config.workers).map(|_| AtomicUsize::new(0)).collect(),
+            awaiting_durable: (0..config.workers)
+                .map(|_| Arc::new(AtomicU64::new(u64::MAX)))
+                .collect(),
             config,
             shutdown: AtomicBool::new(false),
         });
@@ -624,8 +643,8 @@ struct Conn {
     wbuf: Vec<u8>,
     inflight: VecDeque<Pending>,
     handshaken: bool,
-    /// The socket may hold unread bytes: set by its (edge-triggered)
-    /// readiness event, cleared when a read reports `WouldBlock`.
+    /// The socket may hold unread bytes: set by any of its (edge-triggered)
+    /// readiness events, cleared when a read reports `WouldBlock`.
     readable: bool,
     /// Last time a read made progress; the read-stall clock only matters
     /// while the peer owes bytes (mid-handshake or mid-frame).
@@ -657,15 +676,6 @@ enum KillReason {
 /// Soft cap on a connection's buffered bytes; reads pause above it.
 const WBUF_HIGH_WATER: usize = 4 << 20;
 
-/// Minimum spacing between WAL sync kicks a worker issues on behalf of
-/// stalled durable acknowledgements.
-const WAL_KICK_INTERVAL: Duration = Duration::from_millis(1);
-
-/// Bound on a worker's wait while something it owes a client advances
-/// without waking it: a durable or replicated reply waiting on the
-/// group-commit or quorum epoch, or a send buffer the socket refused.
-const BUSY_WAIT: Duration = Duration::from_micros(100);
-
 fn worker_loop(
     shared: Arc<Shared>,
     rx: mpsc::Receiver<TcpStream>,
@@ -676,11 +686,33 @@ fn worker_loop(
     // Connection slots; a connection's poller token is its slot index.
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut ready = Vec::new();
-    let session_waker: PublishWaker = {
+    // What wakes the worker besides its sockets: published results and
+    // follower acks (`wake`), and a durable-epoch advance that lets one of
+    // its replies go. The roster and the WAL hold these weakly, so they go
+    // when the worker does; they capture no `Shared`, so the last engine
+    // handle can never drop on the thread that runs them.
+    let wake: PublishWaker = {
         let waker = Arc::clone(&waker);
         Arc::new(move || waker.wake())
     };
-    let mut last_wal_kick = Instant::now();
+    let durable_wake: Arc<DurableWaker> = {
+        let waker = Arc::clone(&waker);
+        let awaiting = Arc::clone(&shared.awaiting_durable[worker_idx]);
+        Arc::new(move |durable| {
+            if durable >= awaiting.load(Ordering::SeqCst) {
+                waker.wake();
+            }
+        })
+    };
+    shared
+        .repl
+        .wakers
+        .lock()
+        .unwrap()
+        .push(Arc::downgrade(&wake));
+    if let Some(wal) = shared.db.wal() {
+        wal.add_waker(&durable_wake);
+    }
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
@@ -706,7 +738,7 @@ fn worker_loop(
             let now = Instant::now();
             conns[slot] = Some(Conn {
                 stream,
-                session: shared.db.client().with_waker(Arc::clone(&session_waker)),
+                session: shared.db.client().with_waker(Arc::clone(&wake)),
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 inflight: VecDeque::new(),
@@ -720,25 +752,11 @@ fn worker_loop(
         }
 
         let mut next_look = drain_deadline;
-        let mut want_wal_kick = false;
+        // Lowered below by every reply still waiting on the durable epoch.
+        shared.awaiting_durable[worker_idx].store(u64::MAX, Ordering::SeqCst);
         for conn in conns.iter_mut().flatten() {
-            let look = service(
-                &shared,
-                &poller,
-                conn,
-                worker_idx,
-                shutting,
-                &mut want_wal_kick,
-            );
+            let look = service(&shared, &poller, conn, worker_idx, shutting);
             next_look = [next_look, look].into_iter().flatten().min();
-        }
-
-        // A durable acknowledgement is waiting on group commit; nudge the
-        // WAL rather than trusting the interval daemon alone, rate-limited
-        // per worker.
-        if want_wal_kick && last_wal_kick.elapsed() >= WAL_KICK_INTERVAL {
-            last_wal_kick = Instant::now();
-            let _ = shared.db.wal_sync();
         }
 
         for slot in conns.iter_mut() {
@@ -811,7 +829,6 @@ fn service(
     conn: &mut Conn,
     worker_idx: usize,
     shutting: bool,
-    want_wal_kick: &mut bool,
 ) -> Option<Instant> {
     if conn.kill.is_some() {
         return None;
@@ -832,8 +849,7 @@ fn service(
 
     // Completions first: a reply frees an in-flight slot, so this same pass
     // resumes reading a pipeline the cap paused.
-    let awaiting_epoch = poll_inflight(shared, conn, worker_idx);
-    *want_wal_kick |= awaiting_epoch;
+    poll_inflight(shared, conn, worker_idx);
 
     let reading = !paused(conn);
     if reading && conn.readable {
@@ -1030,30 +1046,27 @@ fn service(
         return None;
     }
 
-    // When to look again without an event. Completions and socket edges
-    // wake the worker; epoch progress and send-buffer space do not.
-    let now = Instant::now();
+    // When to look again without an event. Completions, epoch progress,
+    // socket edges and send-buffer space all wake the worker; only a
+    // stall deadline, or bytes left unread at the high-water mark, do not.
     let reading = !paused(conn);
     if reading && conn.readable {
-        Some(now) // stopped at the high-water mark with bytes left unread
-    } else if awaiting_epoch || !conn.wbuf.is_empty() {
-        Some(now + BUSY_WAIT)
-    } else if reading && owes_bytes {
-        Some(conn.last_read + shared.config.read_timeout)
-    } else {
-        None
+        return Some(Instant::now());
     }
+    let read_stall = (reading && owes_bytes).then(|| conn.last_read + shared.config.read_timeout);
+    let write_stall =
+        (!conn.wbuf.is_empty()).then(|| conn.last_write + shared.config.write_timeout);
+    read_stall.into_iter().chain(write_stall).min()
 }
 
-/// Replies to every in-flight transaction that reached its ack point.
-/// Returns true when a resolved commit is still waiting on the durable or
-/// quorum epoch.
-fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) -> bool {
+/// Replies to every in-flight transaction that reached its ack point. A
+/// commit still short of the durable epoch demands its group commit from
+/// the WAL, whose sync thread wakes the worker once it is durable.
+fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) {
     if conn.inflight.is_empty() {
-        return false;
+        return;
     }
-    let mut awaiting_epoch = false;
-    let durable_epoch = shared.db.durable_epoch();
+    let wal = shared.db.wal();
     // The quorum epoch takes the roster lock; compute it at most once per
     // pass, and only when some pending invoke actually asked for a
     // replicated ack.
@@ -1069,23 +1082,24 @@ fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) -> bool {
         };
         // A durable-ack commit waits until group commit covers its epoch;
         // a replicated-ack commit additionally waits until a *quorum* of
-        // followers has acknowledged durably applying it. Aborts are
-        // never durable and reply immediately. With no WAL configured
-        // both levels degrade to validated, like the in-process
-        // `wait_durable`.
-        if pending.ack.requires_durable() && outcome.is_ok() {
-            let covered = match (pending.handle.commit_epoch(), durable_epoch) {
-                (Some(commit), Some(durable)) => commit <= durable,
-                (_, None) => true,
-                (None, Some(_)) => true,
-            };
+        // followers has acknowledged durably applying it. Aborts, and
+        // commits that wrote nothing, are never durable and reply
+        // immediately. With no WAL configured both levels degrade to
+        // validated, like the in-process `wait_durable`.
+        let commit = pending.handle.commit_epoch();
+        if let (Some(wal), Some(commit), true) = (wal, commit, pending.ack.requires_durable()) {
+            let mut durable = commit <= wal.durable_epoch();
+            if !durable {
+                // Publish the wait and demand, then read again: either the
+                // read sees the advance, or the advance sees both and
+                // wakes this worker.
+                shared.awaiting_durable[worker_idx].fetch_min(commit, Ordering::SeqCst);
+                wal.demand_durable(commit);
+                durable = commit <= wal.durable_epoch();
+            }
             let replicated = !pending.ack.requires_replicated()
-                || durable_epoch.is_none()
-                || pending.handle.commit_epoch().is_none_or(|commit| {
-                    commit <= *quorum_epoch.get_or_insert_with(|| shared.repl.quorum_epoch())
-                });
-            if !(covered && replicated) {
-                awaiting_epoch = true;
+                || commit <= *quorum_epoch.get_or_insert_with(|| shared.repl.quorum_epoch());
+            if !(durable && replicated) {
                 still_pending.push_back(pending);
                 continue;
             }
@@ -1105,7 +1119,6 @@ fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) -> bool {
         reply(shared, conn, worker_idx, &response);
     }
     conn.inflight = still_pending;
-    awaiting_epoch
 }
 
 /// Encodes a response and queues it on the connection's send buffer,

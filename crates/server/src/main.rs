@@ -22,7 +22,8 @@
 //!   --net-workers N       I/O worker threads (default 2)
 //!   --max-in-flight N     per-connection pipeline cap (default 128)
 //!   --wal-dir PATH        enable epoch-sync durability in PATH (default off)
-//!   --wal-interval-ms N   group-commit interval (default 10)
+//!   --wal-interval-ms N   longest gap between group commits (default 10;
+//!                         0 = none); durable replies demand theirs at once
 //!   --checkpoint-interval-epochs N
 //!                         background checkpoint every N epochs (default 0 = off)
 //!   --checkpoint-max-log-bytes N

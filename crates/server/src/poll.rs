@@ -16,6 +16,7 @@ const EPOLL_CLOEXEC: c_int = 0o2_000_000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 const EFD_CLOEXEC: c_int = 0o2_000_000;
@@ -90,11 +91,12 @@ impl Poller {
     }
 
     /// Registers `fd` for readability and peer hang-up under `token`.
-    /// `edge` selects edge-triggered delivery: the owner must then read
-    /// until `WouldBlock` before it can expect the next event.
+    /// `edge` selects edge-triggered delivery, for sockets: the owner must
+    /// then read until `WouldBlock` before it can expect the next event; it
+    /// also hears when a send buffer drains after a write hit `WouldBlock`.
     pub(crate) fn add(&self, fd: RawFd, token: u64, edge: bool) -> io::Result<()> {
         let mut event = EpollEvent {
-            events: EPOLLIN | EPOLLRDHUP | if edge { EPOLLET } else { 0 },
+            events: EPOLLIN | EPOLLRDHUP | if edge { EPOLLOUT | EPOLLET } else { 0 },
             data: token,
         };
         // SAFETY: `event` is a live, correctly laid-out `epoll_event` for

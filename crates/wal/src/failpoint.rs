@@ -24,6 +24,7 @@
 //! truncate-under-cursor=err:1  err once, then disarmed
 //! feeder-stall=stall:50        stall 50 ms every pass
 //! ack-drop=err:3               (ack-drop treats err as "drop the ack")
+//! wal-sync@mydir=stall:500:1   stall one group commit of log dir "mydir"
 //! ```
 //!
 //! Arming merges into the existing registry; [`clear`] disarms everything

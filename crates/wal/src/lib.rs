@@ -12,11 +12,15 @@
 //!   the commit path. 2PC commits log the records of every participating
 //!   container in the same frame.
 //! * **Group commit** ([`Wal::sync`]): driven by the
-//!   [`reactdb_txn::EpochManager`], a daemon periodically fences the current
+//!   [`reactdb_txn::EpochManager`], a group commit fences the current
 //!   epoch, drains in-flight commits through a reader-writer gate, flushes
 //!   and fsyncs every writer, and advances the on-disk durable-epoch marker
 //!   to `fence - 1`. The fence/drain order guarantees that every record of
 //!   an epoch `<=` the marker is on disk (see `Wal::sync` for the argument).
+//!   One `reactdb-wal-sync` thread per log decides when the next one runs:
+//!   when the configured interval elapses, or as soon as a waiter demands
+//!   an epoch beyond the durable one ([`Wal::demand_durable`]). After each
+//!   advance it wakes whoever waits, in process or on a socket.
 //! * **Recovery** ([`recover_and_compact`]): scans every segment in the log
 //!   directory, discards torn tails and frames beyond the durable epoch, sorts
 //!   the surviving batches by commit TID and hands them to the engine for
@@ -41,7 +45,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,18 +122,40 @@ impl LogDirLock {
     }
 }
 
-/// Parks threads waiting for the durable epoch to reach a target; the
-/// group-commit path notifies after every successful sync.
+/// Called with the new durable epoch after it advances ([`Wal::add_waker`]).
+pub type DurableWaker = dyn Fn(u64) + Send + Sync;
+
+/// Group-commit progress shared by a [`Wal`] and its sync thread, which
+/// holds the `Wal` only weakly and parks here: dropping the last `Wal`
+/// handle still releases the log directory.
 #[derive(Default)]
-struct EpochWatch {
-    lock: Mutex<()>,
+struct Schedule {
+    /// Highest epoch guaranteed durable: the durable-ack gate. Seeded from
+    /// the on-disk marker at open, advanced only after the marker is.
+    durable: AtomicU64,
+    /// Highest epoch a waiter has asked to become durable. Lowered only by
+    /// a failed group commit, which drops the demand it served.
+    demand: AtomicU64,
+    /// Set by shutdown or drop: the sync thread exits.
+    stop: AtomicBool,
+    /// The latest failed group commit of the sync thread, as (kind,
+    /// message): `io::Error` is not `Clone`.
+    failure: Mutex<Option<(io::ErrorKind, String)>>,
+    /// Wakes the sync thread (demand rose, or stop) and the
+    /// [`Wal::wait_durable`] waiters (a group commit ended, or shutdown).
+    /// Sleepers check their condition under `failure`.
     cond: Condvar,
 }
 
-impl EpochWatch {
+impl Schedule {
     fn notify(&self) {
-        let _guard = self.lock.lock();
+        let _guard = self.failure.lock();
         self.cond.notify_all();
+    }
+
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.notify();
     }
 }
 
@@ -142,22 +168,17 @@ pub struct Wal {
     /// installation and log append; [`Wal::sync`] acquires the write side to
     /// drain them before flushing.
     gate: RwLock<()>,
-    /// Serializes [`Wal::sync`] calls: the daemon and explicit syncs would
-    /// otherwise race on the shared marker temp file and could move the
-    /// on-disk marker backwards relative to what a caller was told.
+    /// Serializes [`Wal::sync`] calls: the sync thread and explicit syncs
+    /// would otherwise race on the shared marker temp file and could move
+    /// the on-disk marker backwards relative to what a caller was told.
     sync_lock: Mutex<()>,
     epoch: Arc<EpochManager>,
-    /// Highest epoch guaranteed durable: the durable-ack gate. Seeded from
-    /// the on-disk marker at open, advanced only after the marker is.
-    durable_epoch: AtomicU64,
-    stop: AtomicBool,
-    daemon: Mutex<Option<JoinHandle<()>>>,
-    /// Group-commit interval the daemon runs at; zero when no daemon was
-    /// started (explicit syncs only). Used to bound how long durable-epoch
-    /// waiters park before kicking a sync themselves.
-    daemon_interval_ms: AtomicU64,
-    /// Wakes [`Wal::wait_durable`] waiters after every group commit.
-    watch: EpochWatch,
+    schedule: Arc<Schedule>,
+    /// The `reactdb-wal-sync` thread; joined at shutdown.
+    syncer: Mutex<Option<JoinHandle<()>>>,
+    /// Called with the new durable epoch after every advance; held weakly,
+    /// so an owner that goes away unregisters itself.
+    wakers: Mutex<Vec<Weak<DurableWaker>>>,
     /// Set once [`Wal::shutdown`] completed: later syncs are refused so a
     /// lingering client handle cannot write into a directory another
     /// instance may have taken over.
@@ -252,22 +273,31 @@ impl Wal {
         // Resuming instances inherit the previous durable epoch so the
         // marker never moves backwards; this seeds the epoch only and does
         // not count as a performed group commit.
-        let durable_epoch = read_marker(&dir)?.unwrap_or(0);
-        Ok(Arc::new(Self {
+        let schedule = Arc::new(Schedule::default());
+        schedule
+            .durable
+            .store(read_marker(&dir)?.unwrap_or(0), Ordering::SeqCst);
+        let wal = Arc::new(Self {
             dir,
             writers,
             gate: RwLock::new(()),
             sync_lock: Mutex::new(()),
             epoch,
-            durable_epoch: AtomicU64::new(durable_epoch),
-            stop: AtomicBool::new(false),
-            daemon: Mutex::new(None),
-            daemon_interval_ms: AtomicU64::new(0),
-            watch: EpochWatch::default(),
+            schedule: Arc::clone(&schedule),
+            syncer: Mutex::new(None),
+            wakers: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             dir_lock: Mutex::new(Some(lock)),
             metrics,
-        }))
+        });
+        let interval = (config.group_commit_interval_ms > 0)
+            .then(|| Duration::from_millis(config.group_commit_interval_ms));
+        let weak = Arc::downgrade(&wal);
+        let handle = std::thread::Builder::new()
+            .name("reactdb-wal-sync".into())
+            .spawn(move || sync_loop(weak, schedule, interval))?;
+        *wal.syncer.lock() = Some(handle);
+        Ok(wal)
     }
 
     /// The log directory.
@@ -299,7 +329,7 @@ impl Wal {
 
     /// Highest epoch currently guaranteed durable.
     pub fn durable_epoch(&self) -> u64 {
-        self.durable_epoch.load(Ordering::Acquire)
+        self.schedule.durable.load(Ordering::SeqCst)
     }
 
     /// Enters the commit critical section. The engine holds the returned
@@ -328,8 +358,8 @@ impl Wal {
         }
         let result = self.sync_inner();
         if result.is_err() && !self.closed.load(Ordering::Acquire) {
-            // Make persistent I/O failures observable: the daemon (and the
-            // engine's `wal_sync`) drop the error itself, but the counter
+            // Make persistent I/O failures observable: callers such as the
+            // sync thread's timed commits drop the error, but the counter
             // keeps climbing and `durable_epoch` visibly stalls. A sync
             // refused because the instance is retired is not a failure of
             // the log device and is not counted.
@@ -353,6 +383,8 @@ impl Wal {
     /// One group commit; the caller holds the sync lock and has verified the
     /// instance is not retired.
     fn group_commit_locked(&self) -> io::Result<u64> {
+        let scope = self.dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        failpoint::check_scoped("wal-sync", scope)?;
         let obs = self.obs();
         let wait_started = obs.map(|_| Instant::now());
         let fence = self.epoch.current(); // 1. fence
@@ -373,9 +405,14 @@ impl Wal {
         if durable > self.durable_epoch() {
             write_marker(&self.dir, durable)?; // 4. advance marker
         }
-        self.durable_epoch.fetch_max(durable, Ordering::AcqRel);
+        let before = self.schedule.durable.fetch_max(durable, Ordering::SeqCst);
         self.metrics.add(Count::LogSyncs, 1);
-        self.watch.notify(); // 5. wake durable-epoch waiters
+        self.schedule.notify(); // 5. wake waiters
+        if durable > before {
+            self.wakers
+                .lock()
+                .retain(|waker| waker.upgrade().map(|wake| wake(durable)).is_some());
+        }
         Ok(durable)
     }
 
@@ -456,6 +493,27 @@ impl Wal {
         Ok((bytes, segments))
     }
 
+    /// Asks the sync thread to make `epoch` durable, without waiting: it
+    /// runs a group commit as soon as the demand exceeds the durable epoch,
+    /// then calls the wakers ([`Wal::add_waker`]). A caller that reads
+    /// [`Wal::durable_epoch`] after demanding either sees the advance or is
+    /// woken by it.
+    pub fn demand_durable(&self, epoch: u64) {
+        let schedule = &self.schedule;
+        if schedule.demand.fetch_max(epoch, Ordering::SeqCst) < epoch
+            && epoch > self.durable_epoch()
+        {
+            schedule.notify();
+        }
+    }
+
+    /// Registers `waker` to be called with the new durable epoch after
+    /// every advance. The WAL holds it weakly: once its owner drops the
+    /// last strong handle, it is forgotten.
+    pub fn add_waker(&self, waker: &Arc<DurableWaker>) {
+        self.wakers.lock().push(Arc::downgrade(waker));
+    }
+
     /// Blocks until the durable epoch reaches `target`, i.e. until the group
     /// commit covering epoch `target` completed. Returns the durable epoch
     /// at that point (`>= target`).
@@ -465,97 +523,46 @@ impl Wal {
     /// epoch `e` is guaranteed on disk exactly when `durable_epoch() >= e`
     /// (Silo's group-commit acknowledgement rule).
     ///
-    /// Waiters normally park on the epoch watch and are woken by the
-    /// group-commit daemon after each sync. Two situations make a waiter
-    /// *kick* a group commit itself instead of parking forever:
-    ///
-    /// * no daemon is running (interval 0, the explicit-sync mode tests and
-    ///   latency-sensitive clients use), or
-    /// * the daemon missed its deadline by more than two intervals (daemon
-    ///   death must not strand acknowledgements).
-    ///
-    /// The kick first raises the global epoch beyond `target` — the fence
-    /// read by the sync must exceed the target for `fence - 1 >= target` —
-    /// then performs one group commit. Concurrent kickers serialize on the
-    /// sync lock and re-check the durable epoch, so a burst of waiters
-    /// costs one fsync, not one each.
+    /// The waiter demands `target` ([`Wal::demand_durable`]) and parks until
+    /// the sync thread's group commit covers it, so it never waits out the
+    /// configured interval and never syncs itself. Every waiter that arrives
+    /// during one group commit shares the next. If the group commit serving
+    /// the demand fails, the wait returns its error and the commit is not
+    /// acknowledged; a later wait demands it again. A retired WAL fails the
+    /// wait too.
     pub fn wait_durable(&self, target: u64) -> io::Result<u64> {
         let durable = self.durable_epoch();
         if durable >= target {
             return Ok(durable);
         }
         self.metrics.add(Count::DurableWaits, 1);
+        let schedule = &self.schedule;
+        let mut failure = schedule.failure.lock();
+        if schedule.demand.fetch_max(target, Ordering::SeqCst) < target {
+            schedule.cond.notify_all();
+        }
         loop {
             let durable = self.durable_epoch();
             if durable >= target {
                 return Ok(durable);
             }
-            let interval = self.daemon_interval_ms.load(Ordering::Acquire);
-            let daemon_alive = interval > 0 && !self.stop.load(Ordering::Acquire);
-            if daemon_alive {
-                // Check-park under the watch lock: a sync completing between
-                // the check above and the park below notifies under the same
-                // lock, so the wakeup cannot be lost. The bounded wait is
-                // the fallback for a stalled daemon.
-                let mut guard = self.watch.lock.lock();
-                if self.durable_epoch() >= target {
-                    continue; // re-read and return at the top of the loop
-                }
-                let timed_out = self
-                    .watch
-                    .cond
-                    .wait_for(&mut guard, Duration::from_millis(2 * interval))
-                    .timed_out();
-                drop(guard);
-                if !timed_out {
-                    continue;
-                }
+            if self.closed.load(Ordering::Acquire) {
+                return Err(io::Error::other("WAL is shut down"));
             }
-            // Kick: advance the epoch past the target and group-commit.
-            self.epoch.advance_to(target + 1);
-            let durable = self.sync()?;
-            if durable >= target {
-                return Ok(durable);
+            if schedule.demand.load(Ordering::SeqCst) < target {
+                let (kind, message) = failure.clone().expect("only a failure drops demand");
+                return Err(io::Error::new(kind, message));
             }
+            schedule.cond.wait(&mut failure);
         }
     }
 
-    /// Starts the group-commit daemon with the configured interval; a zero
-    /// interval means syncs happen only on explicit [`Wal::sync`] calls and
-    /// on clean shutdown.
-    pub fn start_daemon(self: &Arc<Self>, interval_ms: u64) {
-        if interval_ms == 0 {
-            return;
-        }
-        self.daemon_interval_ms
-            .store(interval_ms, Ordering::Release);
-        let wal = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("reactdb-wal-sync".into())
-            .spawn(move || {
-                let period = Duration::from_millis(interval_ms);
-                let mut last_fence = 0u64;
-                while !wal.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(period);
-                    // Skip the I/O when no new epoch can have completed.
-                    let fence = wal.epoch.current();
-                    if fence == last_fence {
-                        continue;
-                    }
-                    last_fence = fence;
-                    let _ = wal.sync();
-                }
-            })
-            .expect("spawn wal daemon");
-        *self.daemon.lock() = Some(handle);
-    }
-
-    /// Stops the daemon and, unless the caller simulates a crash, performs a
-    /// final flush that makes every committed transaction durable (the
-    /// epoch is advanced first so the marker can cover the last epoch).
+    /// Stops the sync thread and, unless the caller simulates a crash,
+    /// performs a final flush that makes every committed transaction durable
+    /// (the epoch is advanced first so the marker can cover the last epoch).
     pub fn shutdown(&self, flush: bool) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.daemon.lock().take() {
+        self.schedule.halt();
+        if let Some(handle) = self.syncer.lock().take() {
             let _ = handle.join();
         }
         if flush && !self.closed.load(Ordering::Acquire) {
@@ -569,14 +576,77 @@ impl Wal {
         // before the release (directory still ours) or re-checks `closed`
         // under the lock and is refused — it can never write into a
         // directory a successor has taken over. Waiters parked in
-        // `wait_durable` observe the stop flag, fall through to the kick
-        // path and get the shutdown error.
+        // `wait_durable` wake, observe `closed` and get the shutdown error.
         {
             let _serial = self.sync_lock.lock();
             self.closed.store(true, Ordering::Release);
             *self.dir_lock.lock() = None;
         }
-        self.watch.notify();
+        self.schedule.notify();
+    }
+}
+
+impl Drop for Wal {
+    fn drop(&mut self) {
+        // A crash-style drop skips `shutdown`; the sync thread still has to
+        // go. No join: this may run on that very thread.
+        self.schedule.halt();
+    }
+}
+
+/// The `reactdb-wal-sync` thread: the one place that decides when a group
+/// commit runs. It parks until a waiter demands an epoch beyond the durable
+/// one, the interval (`None`: no timed syncs) elapses, or the WAL stops.
+/// A demanded commit first raises the global epoch past the demand, since
+/// the fence it reads must exceed the demand for `fence - 1 >= demand`. A
+/// timed one is skipped when no new epoch can have completed.
+fn sync_loop(wal: Weak<Wal>, schedule: Arc<Schedule>, interval: Option<Duration>) {
+    let mut next_tick = interval.map(|i| Instant::now() + i);
+    let mut last_fence = 0u64;
+    loop {
+        let demanded = {
+            let mut failure = schedule.failure.lock();
+            loop {
+                if schedule.stop.load(Ordering::Acquire) {
+                    return;
+                }
+                if schedule.demand.load(Ordering::SeqCst) > schedule.durable.load(Ordering::SeqCst)
+                {
+                    break true;
+                }
+                match next_tick {
+                    Some(at) if Instant::now() >= at => break false,
+                    Some(at) => {
+                        let left = at.saturating_duration_since(Instant::now());
+                        schedule.cond.wait_for(&mut failure, left);
+                    }
+                    None => schedule.cond.wait(&mut failure),
+                }
+            }
+        };
+        let Some(wal) = wal.upgrade() else {
+            return;
+        };
+        next_tick = interval.map(|i| Instant::now() + i);
+        let demand = schedule.demand.load(Ordering::SeqCst);
+        if demanded {
+            wal.epoch.advance_to(demand + 1);
+        } else if wal.epoch.current() == last_fence {
+            continue;
+        }
+        last_fence = wal.epoch.current();
+        if let Err(e) = wal.sync() {
+            // Drop the demand this attempt served, unless a newer one arrived
+            // meanwhile: its waiters fail, and whoever still wants
+            // durability demands again, so a dead disk is retried at the
+            // pace of new demand or of the interval, not in a spin.
+            let mut failure = schedule.failure.lock();
+            *failure = Some((e.kind(), e.to_string()));
+            let durable = schedule.durable.load(Ordering::SeqCst);
+            let seq = Ordering::SeqCst;
+            let _ = schedule.demand.compare_exchange(demand, durable, seq, seq);
+            schedule.cond.notify_all();
+        }
     }
 }
 
@@ -1203,22 +1273,27 @@ mod tests {
     }
 
     #[test]
-    fn wait_durable_kicks_a_group_commit_without_a_daemon() {
-        let dir = temp_dir("wait-kick");
+    fn wait_durable_demands_a_group_commit_from_the_sync_thread() {
+        let dir = temp_dir("wait-demand");
         let epoch = Arc::new(EpochManager::new());
         let metrics = registry();
         let wal = open_counted(&dir, &epoch, &metrics);
         wal.writer(0)
             .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
+        // Interval 0: nothing syncs unasked...
+        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(wal.durable_epoch(), 0);
-        // No daemon (interval 0): the waiter must drive the sync itself.
+        assert_eq!(metrics.get(Count::LogSyncs), 0);
+        // ...until a waiter demands the epoch: the sync thread runs one
+        // group commit for it.
         let durable = wal.wait_durable(1).unwrap();
         assert!(durable >= 1);
-        assert!(wal.durable_epoch() >= 1);
+        assert_eq!(metrics.get(Count::LogSyncs), 1);
         assert_eq!(metrics.get(Count::DurableWaits), 1);
         // Already-covered epochs return immediately and are not counted.
         wal.wait_durable(1).unwrap();
         assert_eq!(metrics.get(Count::DurableWaits), 1);
+        assert_eq!(metrics.get(Count::LogSyncs), 1);
         drop(wal);
         let recovered = recover_and_compact(&dir).unwrap();
         assert_eq!(
@@ -1230,21 +1305,43 @@ mod tests {
     }
 
     #[test]
-    fn wait_durable_waiters_are_woken_by_the_daemon() {
-        let dir = temp_dir("wait-daemon");
+    fn a_failed_demanded_group_commit_fails_the_waiter_and_the_next_wait_succeeds() {
+        let dir = temp_dir("wait-fail");
+        let scope = dir.file_name().unwrap().to_str().unwrap().to_string();
         let epoch = Arc::new(EpochManager::new());
-        let wal = open(&dir, &epoch);
-        wal.start_daemon(2);
-        // The daemon only syncs when the epoch moves; emulate the engine's
-        // background advancer.
-        let advancer = epoch.start_advancer(Duration::from_millis(1));
+        let metrics = registry();
+        let wal = open_counted(&dir, &epoch, &metrics);
         wal.writer(0)
-            .log_commit(TidWord::committed(epoch.current(), 1), &[record(0, 1, 1.0)]);
-        let target = epoch.current();
-        let durable = wal.wait_durable(target).unwrap();
-        assert!(durable >= target);
-        epoch.stop();
-        let _ = advancer.join();
+            .log_commit(TidWord::committed(1, 1), &[record(0, 1, 10.0)]);
+        failpoint::arm(&format!("wal-sync@{scope}=err:1")).unwrap();
+        assert!(wal.wait_durable(1).is_err(), "a failed commit is no ack");
+        assert_eq!(metrics.get(Count::LogSyncFailures), 1);
+        assert_eq!(wal.durable_epoch(), 0);
+        let durable = wal.wait_durable(1).unwrap();
+        assert!(durable >= 1);
+        assert_eq!(metrics.get(Count::LogSyncFailures), 1);
+        drop(wal);
+        let recovered = recover_and_compact(&dir).unwrap();
+        assert_eq!(recovered.batches.len(), 1, "recovery finds the commit");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_interval_syncs_a_moving_epoch_without_demand() {
+        let dir = temp_dir("interval");
+        let epoch = Arc::new(EpochManager::new());
+        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(2);
+        let wal = Wal::open(&config, 2, Arc::clone(&epoch), registry())
+            .unwrap()
+            .unwrap();
+        wal.writer(0)
+            .log_commit(TidWord::committed(1, 1), &[record(0, 1, 1.0)]);
+        epoch.advance();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while wal.durable_epoch() < 1 {
+            assert!(Instant::now() < deadline, "no timed group commit");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         wal.shutdown(true);
         drop(wal);
         fs::remove_dir_all(&dir).unwrap();

@@ -30,7 +30,7 @@ fn balance(db: &ReactDB, customer: usize) -> f64 {
 fn main() {
     let dir = std::env::temp_dir().join("reactdb-durability-example");
     let _ = std::fs::remove_dir_all(&dir);
-    // Interval 0: no group-commit daemon, so durability is paid exactly
+    // Interval 0: no timed group commits, so durability is paid exactly
     // where `wait_durable()` demands it — the walkthrough stays
     // deterministic.
     let config = DeploymentConfig::shared_nothing(4).with_durability(

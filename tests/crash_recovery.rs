@@ -19,8 +19,8 @@ fn wal_dir(tag: &str) -> String {
 }
 
 fn durable_config(dir: &str) -> DeploymentConfig {
-    // Manual group commit (interval 0) makes the durable/lost boundary
-    // deterministic; the daemon path is exercised by the engine unit tests.
+    // No timed group commits (interval 0) makes the durable/lost boundary
+    // deterministic; the timed path is exercised by the WAL unit tests.
     DeploymentConfig::shared_nothing(4)
         .with_durability(DurabilityConfig::epoch_sync(dir).with_interval_ms(0))
 }
@@ -266,10 +266,10 @@ fn many_sessions_pipeline_handles_and_all_durable_acks_survive() {
     const SESSIONS: usize = 4;
     const PER_SESSION: usize = 25;
     let dir = wal_dir("many-sessions");
-    // Real group-commit daemon: durable waiters park on the epoch watch
-    // and are woken by the daemon's syncs. MPL 1 serializes each session's
-    // same-customer deposits on its executor, so none of the pipelined
-    // handles can abort on OCC validation.
+    // Timed group commits too: durable waiters park until the sync
+    // thread's group commit (timed or demanded) covers them. MPL 1
+    // serializes each session's same-customer deposits on its executor, so
+    // none of the pipelined handles can abort on OCC validation.
     let config = DeploymentConfig::shared_nothing(4)
         .with_mpl(1)
         .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(1));

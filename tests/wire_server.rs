@@ -7,12 +7,14 @@ mod support;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Value};
 use reactdb::core::{ReactorDatabaseSpec, ReactorType};
 use reactdb::engine::ReactDB;
+use reactdb::wal::failpoint;
 use reactdb::workloads::smallbank;
 use reactdb_client::{codec, WireClient};
 use reactdb_server::{Server, ServerConfig};
@@ -326,5 +328,77 @@ fn graceful_shutdown_drains_and_releases_the_log_dir_lock() {
     drop(db);
     let recovered = ReactDB::recover(spec(), config).unwrap();
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server over a fresh durable engine with group-commit interval
+/// `interval_ms`, and its log directory.
+fn boot_durable_server(
+    tag: &str,
+    interval_ms: u64,
+    config: ServerConfig,
+) -> (Server, Arc<ReactDB>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("reactdb-wire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability =
+        DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(interval_ms);
+    let db = Arc::new(ReactDB::boot(
+        spec(),
+        DeploymentConfig::shared_nothing(SHARDS).with_durability(durability),
+    ));
+    load(&db);
+    let server = Server::start(Arc::clone(&db), config).unwrap();
+    (server, db, dir)
+}
+
+#[test]
+fn a_stalled_group_commit_does_not_stall_the_io_worker() {
+    let (server, db, dir) =
+        boot_durable_server("stall", 0, ServerConfig::default().with_workers(1));
+    let durable_conn = WireClient::connect(server.local_addr()).unwrap();
+    let ping_conn = WireClient::connect(server.local_addr()).unwrap();
+    ping_conn.ping().unwrap();
+
+    // Scoped by the log directory's name: no other test's commits stall.
+    let point = format!("wal-sync@{}", dir.file_name().unwrap().to_string_lossy());
+    failpoint::arm(&format!("{point}=stall:500:1")).unwrap();
+    let pending = durable_conn
+        .submit_durable("shard-0", "rmw", vec![Value::Int(5), Value::Int(1)])
+        .unwrap();
+    eventually("the demanded group commit stalls", || {
+        failpoint::hits(&point) == 1
+    });
+    // The other connection on the same (only) worker is served while the
+    // group commit its neighbour waits on is stuck.
+    let started = Instant::now();
+    ping_conn.ping().unwrap();
+    let rtt = started.elapsed();
+    assert!(rtt < Duration::from_millis(100), "ping took {rtt:?}");
+    assert!(
+        pending.try_result().is_none(),
+        "the durable reply waits on the stalled commit"
+    );
+    pending.wait().unwrap();
+    server.shutdown();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn durable_replies_cost_a_bounded_number_of_worker_wakeups() {
+    let (server, db, dir) = boot_durable_server("wakeups", 5, ServerConfig::default());
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+
+    let before = counter(&server, "net_worker_wakeups");
+    for _ in 0..200 {
+        client
+            .invoke_durable("shard-1", "rmw", vec![Value::Int(4), Value::Int(1)])
+            .unwrap();
+    }
+    let spent = counter(&server, "net_worker_wakeups") - before;
+    assert!(spent <= 3 * 200, "{spent} wakeups for 200 durable invokes");
+    server.shutdown();
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
