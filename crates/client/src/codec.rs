@@ -32,6 +32,7 @@
 //! never a panic, and string/argument lengths are checked against the bytes
 //! actually present before any allocation.
 
+use reactdb_common::bytes::crc32;
 use reactdb_common::{AckLevel, TxnError, Value};
 
 /// Magic bytes opening both handshake directions.
@@ -61,41 +62,6 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Hard cap on the number of procedure arguments in one invoke.
 pub const MAX_ARGS: usize = 1024;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data`, as used in the frame header.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Error taxonomy.
@@ -964,13 +930,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frame_roundtrip() {

@@ -304,9 +304,6 @@ pub struct ReplicationConfig {
     /// Largest file chunk (bytes) shipped per replication frame. Clamped
     /// well under the wire protocol's 1 MiB frame cap.
     pub chunk_bytes: usize,
-    /// Primary-side poll period (milliseconds) for new durable log bytes
-    /// when the shipping cursor has caught up.
-    pub poll_interval_ms: u64,
     /// Replication quorum: how many followers must durably apply a commit
     /// epoch before the primary acknowledges it at
     /// `AckLevel::Replicated` — so a replicated ack means "durable on at
@@ -321,7 +318,6 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
             chunk_bytes: 256 * 1024,
-            poll_interval_ms: 2,
             quorum: 1,
         }
     }
@@ -331,12 +327,6 @@ impl ReplicationConfig {
     /// Sets the per-frame shipping chunk size (clamped to at least 4 KiB).
     pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
         self.chunk_bytes = bytes.max(4 * 1024);
-        self
-    }
-
-    /// Sets the caught-up poll period in milliseconds.
-    pub fn with_poll_interval_ms(mut self, ms: u64) -> Self {
-        self.poll_interval_ms = ms;
         self
     }
 
@@ -876,11 +866,8 @@ mod tests {
         assert!(!old_json.contains("replication"));
         let back = DeploymentConfig::from_json(&old_json).unwrap();
         assert_eq!(back, cfg, "missing replication section defaults");
-        let tuned = ReplicationConfig::default()
-            .with_chunk_bytes(1024)
-            .with_poll_interval_ms(7);
+        let tuned = ReplicationConfig::default().with_chunk_bytes(1024);
         assert_eq!(tuned.chunk_bytes, 4 * 1024, "chunk size clamps to 4 KiB");
-        assert_eq!(tuned.poll_interval_ms, 7);
         let cfg2 = DeploymentConfig::shared_nothing(2).with_replication(tuned);
         let back2 = DeploymentConfig::from_json(&cfg2.to_json()).unwrap();
         assert_eq!(cfg2, back2);

@@ -11,6 +11,7 @@
 //! control layer or the runtime; it is the bottom of the dependency stack.
 
 pub mod ack;
+pub mod bytes;
 pub mod config;
 pub mod error;
 pub mod ids;

@@ -33,14 +33,19 @@
 //! actually resolve (responses carry the request's correlation id, so
 //! ordering is the client's problem by design).
 //!
-//! **Replication** — a connection that sends `ReplSubscribe` is handed off
-//! from its I/O worker to a dedicated feeder thread that streams the
-//! engine's log directory through a [`reactdb_wal::ShipCursor`]: the
-//! newest checkpoint chain first, then the durable tail of every log
-//! segment, interleaved with durable-epoch announcements. `ReplAck`
-//! frames flowing back advance that follower's entry in the per-follower
-//! registry; [`ReplState::quorum_epoch`] — the `quorum`-th-highest acked
-//! epoch across live followers — is the gate
+//! **Replication** — a follower is a connection. One that sends
+//! `ReplSubscribe` stays on its I/O worker and gains a subscription: a
+//! [`reactdb_wal::ShipCursor`] over the engine's log directory that ships
+//! the newest checkpoint chain first, then the durable tail of every log
+//! segment, interleaved with durable-epoch announcements. The worker polls
+//! the cursor in the pass that accepts the subscription and again whenever
+//! the WAL's durable epoch passes the last one announced (the same wake
+//! durable replies use), and frames what it finds into the connection's
+//! send buffer, whose high-water mark bounds the follower like any other
+//! peer: a follower that stops reading is evicted by the write-stall
+//! deadline. `ReplAck` frames flowing back advance that follower's entry
+//! in the per-follower registry; [`ReplState::quorum_epoch`] — the
+//! `quorum`-th-highest acked epoch across live followers — is the gate
 //! [`AckLevel::Replicated`](reactdb_common::AckLevel) invokes wait
 //! behind, so a transaction is acknowledged at that level only once a
 //! quorum of followers has durably applied its commit epoch. The
@@ -96,6 +101,7 @@ use reactdb_common::{AckLevel, ReplicationConfig};
 use reactdb_core::PublishWaker;
 use reactdb_engine::{Client, ReactDB, TxnHandle};
 use reactdb_obs::{Count, Gauge, Metrics, MetricsSnapshot, Phase};
+use reactdb_wal::failpoint::{self, FpAction};
 use reactdb_wal::{DurableWaker, ShipCursor, ShipEvent};
 
 use poll::{Poller, Waker};
@@ -123,8 +129,8 @@ pub struct ServerConfig {
     /// Upper bound on how long [`Server::shutdown`] waits for in-flight
     /// transactions and send buffers to drain before force-closing.
     pub drain_timeout: Duration,
-    /// Shipping knobs (chunk size, poll interval) for replication
-    /// subscriptions; defaults match
+    /// Replication knobs: the shipping chunk size of every subscription and
+    /// the replicated-ack quorum; defaults match
     /// [`reactdb_common::ReplicationConfig::default`].
     pub replication: ReplicationConfig,
 }
@@ -191,12 +197,12 @@ struct FollowerEntry {
     /// Highest epoch this follower has durably applied and acknowledged.
     acked: u64,
     /// Live subscriptions carrying this id: briefly 2 while a resubscribe
-    /// overlaps the dying feeder it replaces; the entry is pruned at 0.
+    /// overlaps the dying connection it replaces; the entry is pruned at 0.
     live: u32,
 }
 
-/// Replication progress shared between the wire server, its feeder
-/// threads, and (on a follower) the apply loop in [`replica`].
+/// Replication progress shared between the wire server's I/O workers and
+/// (on a follower) the apply loop in [`replica`].
 ///
 /// One struct serves both roles because a promoted follower *becomes* a
 /// primary without restarting its server: the primary-side fields start
@@ -208,10 +214,10 @@ struct FollowerEntry {
 /// it — not the fastest follower's ack — gates
 /// [`AckLevel::Replicated`](reactdb_common::AckLevel) replies, so a
 /// replicated ack means "durable on at least quorum + 1 nodes". Dead
-/// followers are pruned when their feeder exits (via the registration
-/// guard's drop, so even a panicking feeder prunes), which can move
-/// `quorum_epoch` *backwards*: pending replicated acks then correctly
-/// re-stall until a quorum of live followers catches up again.
+/// followers are pruned when their connection drops (via the registration
+/// guard the connection owns, so every way a connection dies prunes),
+/// which can move `quorum_epoch` *backwards*: pending replicated acks then
+/// correctly re-stall until a quorum of live followers catches up again.
 #[derive(Debug, Default)]
 pub struct ReplState {
     /// Highest epoch some (the fastest) follower has durably applied and
@@ -298,9 +304,9 @@ impl ReplState {
 
     /// Enters `follower_id` into the registry (or revives its entry on a
     /// reconnect) and returns a guard whose drop deregisters it. The
-    /// feeder holds the guard for the life of the subscription, so a
-    /// follower that dies — or a feeder that panics — is pruned and the
-    /// `repl_followers` gauge stays truthful.
+    /// subscribed connection holds the guard, so a follower whose
+    /// connection closes — hang-up, stall, malformed frame, a failpoint or
+    /// shutdown — is pruned and the `repl_followers` gauge stays truthful.
     pub fn register_follower(self: &Arc<Self>, follower_id: u64) -> FollowerRegistration {
         {
             let mut roster = self.roster.lock().unwrap();
@@ -383,14 +389,12 @@ struct Shared {
     db: Arc<ReactDB>,
     metrics: Arc<Metrics>,
     repl: Arc<ReplState>,
-    /// Feeder threads serving replication subscriptions; joined at
-    /// shutdown.
-    feeders: Mutex<Vec<JoinHandle<()>>>,
     /// Live connections per I/O worker, for pinning new ones.
     worker_loads: Vec<AtomicUsize>,
-    /// Per I/O worker: the lowest commit epoch a reply of its last pass
-    /// waits to see durable (`u64::MAX`: none). A durable-epoch advance
-    /// wakes only the workers it lets reply.
+    /// Per I/O worker: the lowest durable epoch its last pass waits for —
+    /// a reply's commit epoch, or the epoch after the last one a
+    /// subscription announced (`u64::MAX`: none). A durable-epoch advance
+    /// wakes only the workers it lets reply or ship.
     awaiting_durable: Vec<Arc<AtomicU64>>,
     config: ServerConfig,
     shutdown: AtomicBool,
@@ -484,7 +488,6 @@ impl Server {
             db,
             metrics,
             repl: Arc::new(ReplState::default()),
-            feeders: Mutex::new(Vec::new()),
             worker_loads: (0..config.workers).map(|_| AtomicUsize::new(0)).collect(),
             awaiting_durable: (0..config.workers)
                 .map(|_| Arc::new(AtomicU64::new(u64::MAX)))
@@ -570,10 +573,6 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let feeders = std::mem::take(&mut *self.shared.feeders.lock().unwrap());
-        for feeder in feeders {
-            let _ = feeder.join();
-        }
     }
 }
 
@@ -651,8 +650,25 @@ struct Conn {
     last_read: Instant,
     /// Last time a write drained bytes while responses were queued.
     last_write: Instant,
+    /// The log stream this connection is owed, once it sent `ReplSubscribe`.
+    subscription: Option<Subscription>,
+    /// The connection's last frame is queued (a `ReplEnd`): it reads no
+    /// more and closes once `wbuf` drains.
+    closing: bool,
     /// Set when the connection must be closed.
     kill: Option<KillReason>,
+}
+
+/// A follower's subscription, held by its connection: dropping the
+/// connection drops the registration and so deregisters the follower.
+struct Subscription {
+    cursor: ShipCursor,
+    correlation_id: u64,
+    registration: FollowerRegistration,
+    /// The WAL's durable epoch at the last poll (`None` before the first):
+    /// nothing new is shippable until it moves, so the connection's other
+    /// passes skip the poll's directory walk.
+    polled_at: Option<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -665,15 +681,13 @@ enum KillReason {
     Malformed,
     /// Read or write stall exceeded its deadline; counted as timeout.
     Stalled,
-    /// Graceful shutdown finished draining this connection.
+    /// The connection drained its send buffer before closing: graceful
+    /// shutdown, or a replication stream that ended.
     Drained,
-    /// The connection subscribed as a replication follower and its socket
-    /// was handed to a feeder thread; the worker forgets the connection
-    /// without shutting the socket down.
-    ReplHandoff,
 }
 
-/// Soft cap on a connection's buffered bytes; reads pause above it.
+/// Soft cap on a connection's buffered bytes; reads pause above it, and so
+/// does a subscription's shipping (whose acks are still read).
 const WBUF_HIGH_WATER: usize = 4 << 20;
 
 fn worker_loop(
@@ -688,9 +702,10 @@ fn worker_loop(
     let mut ready = Vec::new();
     // What wakes the worker besides its sockets: published results and
     // follower acks (`wake`), and a durable-epoch advance that lets one of
-    // its replies go. The roster and the WAL hold these weakly, so they go
-    // when the worker does; they capture no `Shared`, so the last engine
-    // handle can never drop on the thread that runs them.
+    // its replies go or gives a subscription something to ship. The roster
+    // and the WAL hold these weakly, so they go when the worker does; they
+    // capture no `Shared`, so the last engine handle can never drop on the
+    // thread that runs them.
     let wake: PublishWaker = {
         let waker = Arc::clone(&waker);
         Arc::new(move || waker.wake())
@@ -747,6 +762,8 @@ fn worker_loop(
                 readable: true,
                 last_read: now,
                 last_write: now,
+                subscription: None,
+                closing: false,
                 kill: None,
             });
         }
@@ -755,7 +772,7 @@ fn worker_loop(
         // Lowered below by every reply still waiting on the durable epoch.
         shared.awaiting_durable[worker_idx].store(u64::MAX, Ordering::SeqCst);
         for conn in conns.iter_mut().flatten() {
-            let look = service(&shared, &poller, conn, worker_idx, shutting);
+            let look = service(&shared, conn, worker_idx, shutting);
             next_look = [next_look, look].into_iter().flatten().min();
         }
 
@@ -768,25 +785,20 @@ fn worker_loop(
                 KillReason::HandshakeRejected => Some(Count::NetConnectionsRejected),
                 KillReason::Malformed => Some(Count::NetConnectionsKilledMalformed),
                 KillReason::Stalled => Some(Count::NetConnectionsKilledTimeout),
-                KillReason::Gone | KillReason::Drained | KillReason::ReplHandoff => None,
+                KillReason::Gone | KillReason::Drained => None,
             };
             if let Some(count) = counted {
                 shared.metrics.add(count, 1);
             }
-            // Dropping the connection drops its session and handles; the
-            // engine resolves whatever was still in flight on its own, so
-            // a mid-run kill leaks nothing. Closing the socket also drops
-            // its poller registration.
+            // Dropping the connection drops its session and handles, and a
+            // follower's registration; the engine resolves whatever was
+            // still in flight on its own, so a mid-run kill leaks nothing.
+            // Closing the socket also drops its poller registration.
             shared
                 .metrics
                 .sub(Count::NetRequestsInFlight, conn.inflight.len() as u64);
             release(&shared, worker_idx);
-            // A handed-off socket lives on in its feeder thread (the
-            // worker's fd is a duplicate); shutting it down here would
-            // sever the replication stream.
-            if reason != KillReason::ReplHandoff {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
 
         if shutting {
@@ -820,25 +832,23 @@ fn worker_loop(
 }
 
 /// Services one connection once: poll in-flight transactions, read,
-/// handshake, decode/dispatch, flush, and check stall deadlines. Returns
-/// the time by which the worker must service it again even if no event
-/// arrives, or `None` when only an event can give it work.
-fn service(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conn: &mut Conn,
-    worker_idx: usize,
-    shutting: bool,
-) -> Option<Instant> {
+/// handshake, decode/dispatch, ship a follower's log stream, flush, and
+/// check stall deadlines. Returns the time by which the worker must
+/// service it again even if no event arrives, or `None` when only an event
+/// can give it work.
+fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) -> Option<Instant> {
     if conn.kill.is_some() {
         return None;
     }
-    // Not reading — shutting down, backpressured, or buffers backed up
-    // past the high-water mark.
+    // Not reading — shutting down, closing, backpressured, or buffers
+    // backed up past the high-water mark. A follower's acks are read past
+    // its send buffer's mark: they are tiny, and a follower blocked on
+    // writing them must never deadlock against the stream it is owed.
     let paused = |conn: &Conn| {
         shutting
+            || conn.closing
             || conn.inflight.len() >= shared.config.max_in_flight
-            || conn.wbuf.len() >= WBUF_HIGH_WATER
+            || (conn.wbuf.len() >= WBUF_HIGH_WATER && conn.subscription.is_none())
             || conn.rbuf.len() >= WBUF_HIGH_WATER
     };
     if paused(conn) {
@@ -985,28 +995,59 @@ fn service(
                 // so re-shipping is merely redundant, never wrong.
                 from_epoch: _,
                 follower_id,
-            } => {
-                subscribe_follower(
+            } => match shared.db.wal() {
+                // The stream starts in this pass: the first poll follows
+                // the decode loop. Chunks must fit the wire frame cap with
+                // room for the envelope.
+                Some(wal) => {
+                    let chunk = shared.config.replication.chunk_bytes;
+                    let chunk = chunk.min(codec::MAX_FRAME_LEN as usize / 2);
+                    conn.subscription = Some(Subscription {
+                        cursor: ShipCursor::new(wal.dir(), chunk),
+                        correlation_id,
+                        registration: shared.repl.register_follower(follower_id),
+                        polled_at: None,
+                    })
+                }
+                None => reply(
                     shared,
-                    poller,
                     conn,
                     worker_idx,
-                    correlation_id,
-                    follower_id,
-                );
-                return None;
+                    &Response::ReplEnd {
+                        correlation_id,
+                        reason: "primary has durability off: nothing to replicate".to_string(),
+                    },
+                ),
+            },
+            // An ack counts only on the subscribed connection it belongs
+            // to; one arriving on an ordinary connection has no registered
+            // follower behind it and is dropped — it must not advance any
+            // quorum it never subscribed to.
+            Request::ReplAck { applied_epoch, .. } => {
+                // `ack-drop`: the follower applied and acked, but the
+                // primary never hears it — the quorum gate must stall, not
+                // lie.
+                if let Some(sub) = &conn.subscription {
+                    if failpoint::fire_scoped("ack-drop", failpoint_scope(shared))
+                        != Some(FpAction::Err)
+                    {
+                        shared
+                            .repl
+                            .observe_ack(sub.registration.follower_id, applied_epoch);
+                    }
+                }
             }
-            // Acks are read by the feeder on the subscribed connection
-            // they belong to; one arriving on an ordinary connection has
-            // no registered follower behind it and is dropped — it must
-            // not advance any quorum it never subscribed to.
-            Request::ReplAck { .. } => {}
         }
         if let Some(since) = dispatch_clock {
             shared
                 .metrics
                 .record_elapsed(Phase::NetDispatch, worker_idx, since);
         }
+    }
+
+    let ship_deferred = ship(shared, conn, worker_idx, shutting);
+    if conn.kill.is_some() {
+        return None;
     }
 
     // Flush the send buffer.
@@ -1045,12 +1086,17 @@ fn service(
         conn.kill = Some(KillReason::Stalled);
         return None;
     }
+    if conn.closing && conn.wbuf.is_empty() {
+        conn.kill = Some(KillReason::Drained);
+        return None;
+    }
 
     // When to look again without an event. Completions, epoch progress,
     // socket edges and send-buffer space all wake the worker; only a
-    // stall deadline, or bytes left unread at the high-water mark, do not.
+    // stall deadline, bytes left unread at the high-water mark, or a ship
+    // poll deferred there whose buffer has since drained below it, do not.
     let reading = !paused(conn);
-    if reading && conn.readable {
+    if (reading && conn.readable) || (ship_deferred && conn.wbuf.len() < WBUF_HIGH_WATER) {
         return Some(Instant::now());
     }
     let read_stall = (reading && owes_bytes).then(|| conn.last_read + shared.config.read_timeout);
@@ -1122,9 +1168,9 @@ fn poll_inflight(shared: &Shared, conn: &mut Conn, worker_idx: usize) {
 }
 
 /// Encodes a response and queues it on the connection's send buffer,
-/// recording the reply phase. A payload over the frame cap is replaced by
-/// a `ServerError` saying so: the client learns why, and the worker keeps
-/// serving.
+/// recording the reply phase (`net_replicate` for replication stream
+/// frames). A payload over the frame cap is replaced by a `ServerError`
+/// saying so: the client learns why, and the worker keeps serving.
 fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Response) {
     let clock = shared.metrics.clock();
     let mut payload = codec::encode_response(response);
@@ -1136,246 +1182,111 @@ fn reply(shared: &Shared, conn: &mut Conn, worker_idx: usize, response: &Respons
     }
     conn.wbuf.extend_from_slice(&codec::frame(&payload));
     if let Some(since) = clock {
-        shared
-            .metrics
-            .record_elapsed(Phase::NetReply, worker_idx, since);
+        let phase = match response {
+            Response::ReplFile { .. } | Response::ReplEpoch { .. } | Response::ReplEnd { .. } => {
+                Phase::NetReplicate
+            }
+            _ => Phase::NetReply,
+        };
+        shared.metrics.record_elapsed(phase, worker_idx, since);
     }
     shared.metrics.add(Count::NetResponses, 1);
 }
 
-/// Hands a connection that sent `ReplSubscribe` off to a feeder thread.
+/// The failpoint scope of this server's replication points: its log
+/// directory's name, as the shipping cursor's own points use.
+fn failpoint_scope(shared: &Shared) -> &str {
+    let dir = shared.db.wal().map(|wal| wal.dir());
+    dir.and_then(|d| d.file_name())
+        .and_then(|n| n.to_str())
+        .unwrap_or("")
+}
+
+/// Ships what a subscribed connection's cursor finds new into its send
+/// buffer, as `ReplFile` and `ReplEpoch` frames.
 ///
-/// The worker's readiness loop is the wrong shape for a one-way bulk
-/// stream, so the subscription gets a dedicated thread working a
-/// duplicated socket handle in blocking mode; the worker then forgets the
-/// connection via [`KillReason::ReplHandoff`] (which closes the worker's
-/// duplicate without shutting the socket down). Whatever responses were
-/// still queued on the connection are shipped first, in order.
-fn subscribe_follower(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conn: &mut Conn,
-    worker_idx: usize,
-    correlation_id: u64,
-    follower_id: u64,
-) {
-    let Some(dir) = shared.db.wal().map(|w| w.dir().to_path_buf()) else {
-        // Nothing to ship without a log; tell the follower and move on.
+/// The cursor is polled only below the high-water mark, so a follower
+/// that reads slowly holds at most one poll's worth past it, and one that
+/// stops reading is evicted by the write-stall deadline. It is polled once
+/// when the subscription starts and then only when the durable epoch has
+/// moved. Before looking, the connection publishes the next durable epoch
+/// it waits for: either the look sees an advance, or the advance sees the
+/// published epoch and wakes the worker. A cursor error (e.g. a checkpoint
+/// truncated a tracked segment) or shutdown ends the stream with a clean
+/// `ReplEnd`, so the follower resubscribes instead of seeing a drop.
+///
+/// The `ship-kill` failpoint (scoped to the log directory's name) is
+/// passed on every such pass: `err` drops the connection without a
+/// `ReplEnd`, as a crash would; `stall` holds the worker. Returns true
+/// when a poll was due but deferred at the high-water mark.
+fn ship(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) -> bool {
+    let Some(sub) = conn.subscription.as_mut() else {
+        return false;
+    };
+    if shutting {
+        end_stream(shared, conn, worker_idx, "primary shutting down".into());
+        return false;
+    }
+    if conn.wbuf.len() >= WBUF_HIGH_WATER {
+        return true;
+    }
+    if failpoint::fire_scoped("ship-kill", failpoint_scope(shared)) == Some(FpAction::Err) {
+        conn.kill = Some(KillReason::Gone);
+        return false;
+    }
+    shared.awaiting_durable[worker_idx]
+        .fetch_min(sub.cursor.announced_epoch() + 1, Ordering::SeqCst);
+    // Read after publishing: an advance past this read wakes the worker.
+    let durable = shared.db.durable_epoch();
+    if sub.polled_at == durable {
+        return false;
+    }
+    sub.polled_at = durable;
+    let events = match sub.cursor.poll() {
+        Ok(events) => events,
+        Err(e) => {
+            end_stream(shared, conn, worker_idx, e.to_string());
+            return false;
+        }
+    };
+    let correlation_id = sub.correlation_id;
+    for event in events {
+        let response = match event {
+            ShipEvent::File {
+                name,
+                offset,
+                bytes,
+            } => Response::ReplFile {
+                correlation_id,
+                name,
+                offset,
+                bytes,
+            },
+            ShipEvent::DurableEpoch(epoch) => Response::ReplEpoch {
+                correlation_id,
+                epoch,
+            },
+        };
+        reply(shared, conn, worker_idx, &response);
+    }
+    false
+}
+
+/// Ends a subscription with a `ReplEnd` naming `reason`. The follower is
+/// deregistered now, and the connection closes once the frame is flushed.
+fn end_stream(shared: &Shared, conn: &mut Conn, worker_idx: usize, reason: String) {
+    if let Some(sub) = conn.subscription.take() {
+        let correlation_id = sub.correlation_id;
         reply(
             shared,
             conn,
             worker_idx,
             &Response::ReplEnd {
                 correlation_id,
-                reason: "primary has durability off: nothing to replicate".to_string(),
+                reason,
             },
         );
-        return;
-    };
-    // The registration belongs to the socket, not to the worker's
-    // descriptor, and the feeder's duplicate keeps the socket open: without
-    // this, every follower ack would keep waking the worker.
-    if poller.delete(conn.stream.as_raw_fd()).is_err() {
-        conn.kill = Some(KillReason::Gone);
-        return;
-    }
-    let stream = match conn.stream.try_clone() {
-        Ok(stream) => stream,
-        Err(_) => {
-            conn.kill = Some(KillReason::Gone);
-            return;
-        }
-    };
-    let backlog = std::mem::take(&mut conn.wbuf);
-    conn.kill = Some(KillReason::ReplHandoff);
-
-    let shared_for_feeder = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
-        .name("reactdb-repl-feed".into())
-        .spawn(move || {
-            // The registration guard deregisters on drop, so the follower
-            // count and quorum roster stay truthful even if the feeder
-            // panics or bails early — the gauge can no longer leak.
-            let registration = shared_for_feeder.repl.register_follower(follower_id);
-            feeder_loop(
-                &shared_for_feeder,
-                stream,
-                backlog,
-                correlation_id,
-                follower_id,
-                &dir,
-            );
-            drop(registration);
-        });
-    match spawned {
-        Ok(handle) => shared.feeders.lock().unwrap().push(handle),
-        Err(_) => conn.kill = Some(KillReason::Gone),
-    }
-}
-
-/// Streams the log directory to one follower until the stream ends.
-///
-/// Blocking socket with a short read timeout: each round ships whatever
-/// the [`ShipCursor`] found new, then drains any `ReplAck` frames the
-/// follower sent back into [`ReplState::observe_ack`] under this
-/// subscription's `follower_id`. A cursor error (e.g. a checkpoint
-/// truncated a segment mid-ship) ends the stream with a clean `ReplEnd`
-/// so the follower reconnects and resubscribes instead of seeing a
-/// connection drop.
-///
-/// Failpoints (scoped to the log directory's name): `feeder-stall`
-/// delays each round (or, armed as `err`, kills the feeder abruptly —
-/// no `ReplEnd`, exercising the registration guard), `ack-drop` discards
-/// follower acks before they reach the quorum registry.
-fn feeder_loop(
-    shared: &Arc<Shared>,
-    mut stream: TcpStream,
-    backlog: Vec<u8>,
-    correlation_id: u64,
-    follower_id: u64,
-    dir: &std::path::Path,
-) {
-    let fp_scope = dir
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("")
-        .to_string();
-    let poll_interval = Duration::from_millis(shared.config.replication.poll_interval_ms.max(1));
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(poll_interval)).is_err()
-        || stream
-            .set_write_timeout(Some(shared.config.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    if !backlog.is_empty() && stream.write_all(&backlog).is_err() {
-        return;
-    }
-    // Chunks must fit the wire frame cap with room for the envelope.
-    let chunk = shared
-        .config
-        .replication
-        .chunk_bytes
-        .min(codec::MAX_FRAME_LEN as usize / 2);
-    let mut cursor = ShipCursor::new(dir, chunk);
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut chunk_buf = [0u8; 16 * 1024];
-
-    let send = |stream: &mut TcpStream, shared: &Shared, response: &Response| -> bool {
-        let clock = shared.metrics.clock();
-        let framed = codec::frame(&codec::encode_response(response));
-        if stream.write_all(&framed).is_err() {
-            return false;
-        }
-        if let Some(since) = clock {
-            shared
-                .metrics
-                .record_elapsed(Phase::NetReplicate, usize::MAX, since);
-        }
-        shared.metrics.add(Count::NetResponses, 1);
-        true
-    };
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = send(
-                &mut stream,
-                shared,
-                &Response::ReplEnd {
-                    correlation_id,
-                    reason: "primary shutting down".to_string(),
-                },
-            );
-            return;
-        }
-        // A `stall` spec sleeps inside `fire_scoped`; an `err` spec kills
-        // the feeder abruptly, as a panic or a crashed thread would.
-        if matches!(
-            reactdb_wal::failpoint::fire_scoped("feeder-stall", &fp_scope),
-            Some(reactdb_wal::failpoint::FpAction::Err)
-        ) {
-            return;
-        }
-
-        let events = match cursor.poll() {
-            Ok(events) => events,
-            Err(e) => {
-                let _ = send(
-                    &mut stream,
-                    shared,
-                    &Response::ReplEnd {
-                        correlation_id,
-                        reason: e.to_string(),
-                    },
-                );
-                return;
-            }
-        };
-        let idle = events.is_empty();
-        for event in events {
-            let response = match event {
-                ShipEvent::File {
-                    name,
-                    offset,
-                    bytes,
-                } => Response::ReplFile {
-                    correlation_id,
-                    name,
-                    offset,
-                    bytes,
-                },
-                ShipEvent::DurableEpoch(epoch) => Response::ReplEpoch {
-                    correlation_id,
-                    epoch,
-                },
-            };
-            if !send(&mut stream, shared, &response) {
-                return;
-            }
-        }
-
-        // Drain follower acknowledgements. The read timeout doubles as the
-        // idle pacing: an idle round blocks here for one poll interval.
-        loop {
-            match stream.read(&mut chunk_buf) {
-                Ok(0) => return, // follower hung up
-                Ok(n) => {
-                    rbuf.extend_from_slice(&chunk_buf[..n]);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-            if !idle {
-                break; // more shipping to do; don't linger on the socket
-            }
-        }
-        loop {
-            match codec::decode_frame(&rbuf) {
-                Ok(None) => break,
-                Ok(Some((payload, consumed))) => {
-                    match codec::decode_request(payload) {
-                        Ok(Request::ReplAck { applied_epoch, .. }) => {
-                            // `ack-drop`: the follower applied and acked,
-                            // but the primary never hears it — the quorum
-                            // gate must stall, not lie.
-                            if reactdb_wal::failpoint::fire_scoped("ack-drop", &fp_scope)
-                                != Some(reactdb_wal::failpoint::FpAction::Err)
-                            {
-                                shared.repl.observe_ack(follower_id, applied_epoch);
-                            }
-                        }
-                        Ok(_) => {} // a subscribed connection is repl-only
-                        Err(_) => return,
-                    }
-                    rbuf.drain(..consumed);
-                }
-                Err(_) => return,
-            }
-        }
+        conn.closing = true;
     }
 }
 

@@ -14,7 +14,6 @@ use std::time::Duration;
 
 const EPOLL_CLOEXEC: c_int = 0o2_000_000;
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLRDHUP: u32 = 0x2000;
@@ -102,20 +101,6 @@ impl Poller {
         // SAFETY: `event` is a live, correctly laid-out `epoll_event` for
         // the duration of the call; the kernel copies it.
         let rc = unsafe { epoll_ctl(self.epoll.as_raw_fd(), EPOLL_CTL_ADD, fd, &mut event) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Deregisters `fd`. Needed whenever a duplicate of the descriptor
-    /// outlives this registration: epoll tracks the open file description,
-    /// so closing one duplicate does not remove it.
-    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
-        let mut unused = EpollEvent { events: 0, data: 0 };
-        // SAFETY: as in `add`; the event argument is ignored for DEL but
-        // must be non-null on old kernels.
-        let rc = unsafe { epoll_ctl(self.epoll.as_raw_fd(), EPOLL_CTL_DEL, fd, &mut unused) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }

@@ -30,9 +30,9 @@
 //!
 //! **Resubscribing is not restarting.** A recoverable stream loss — the
 //! primary's checkpoint truncated a segment under the shipping cursor, a
-//! failpoint cut the feeder, a transient disconnect — re-enters step 1
-//! with the follower's state intact: every subscription stages into a
-//! fresh *generation* subdirectory of the staging dir (the new
+//! failpoint dropped the subscribed connection, a transient disconnect —
+//! re-enters step 1 with the follower's state intact: every subscription
+//! stages into a fresh *generation* subdirectory of the staging dir (the new
 //! subscription re-ships the bootstrap from the primary's *new*
 //! checkpoint chain, which must not be spliced into stale staged bytes),
 //! the checkpoint is re-loaded from that side generation, and only rows
@@ -260,7 +260,7 @@ pub fn run_follower(
             Err(e) => {
                 // A subscription that streamed anything replenishes the
                 // reconnect budget: recoverable races (checkpoint
-                // truncations, feeder faults) can recur indefinitely
+                // truncations, dropped streams) can recur indefinitely
                 // without adding up to a spurious promotion, while a
                 // primary that is really gone yields dead connection
                 // after dead connection and runs the budget out.
@@ -351,6 +351,12 @@ fn follow_once(
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
+        // Stage everything this read completed, then apply once through
+        // the newest epoch it announced: a follower that fell behind a
+        // primary announcing every group commit catches up in one apply
+        // and one local group commit, not one per epoch.
+        let mut announced = None;
+        let mut ended = None;
         loop {
             let (payload, consumed) = match codec::decode_frame(&rbuf) {
                 Ok(None) => break,
@@ -379,30 +385,34 @@ fn follow_once(
                     stage_chunk(&gen_dir, tail, &name, offset, &bytes)?;
                     tail.progress += 1;
                 }
-                Response::ReplEpoch { epoch, .. } => {
-                    if epoch > tail.applied {
-                        apply_through(db, &gen_dir, opts, tail, epoch)?;
-                        tail.progress += 1;
-                        // Local state (and metrics) reflect the applied
-                        // epoch *before* the primary can observe the ack:
-                        // anything gating on the ack — the quorum reply
-                        // gate above all — may then rely on this node
-                        // already serving that epoch.
-                        repl.observe_apply(tail.applied, epoch);
-                        let ack = codec::frame(&codec::encode_request(&Request::ReplAck {
-                            correlation_id,
-                            applied_epoch: tail.applied,
-                        }));
-                        stream.write_all(&ack)?;
-                    } else {
-                        repl.observe_apply(tail.applied, epoch);
-                    }
-                }
+                Response::ReplEpoch { epoch, .. } => announced = Some(epoch),
                 Response::ReplEnd { reason, .. } => {
-                    return Err(io::Error::other(format!("stream ended: {reason}")));
+                    ended = Some(reason);
+                    break;
                 }
                 _ => {} // a subscribed connection carries nothing else
             }
+        }
+        if let Some(epoch) = announced {
+            if epoch > tail.applied {
+                apply_through(db, &gen_dir, opts, tail, epoch)?;
+                tail.progress += 1;
+                // Local state (and metrics) reflect the applied epoch
+                // *before* the primary can observe the ack: anything gating
+                // on the ack — the quorum reply gate above all — may then
+                // rely on this node already serving that epoch.
+                repl.observe_apply(tail.applied, epoch);
+                let ack = codec::frame(&codec::encode_request(&Request::ReplAck {
+                    correlation_id,
+                    applied_epoch: tail.applied,
+                }));
+                stream.write_all(&ack)?;
+            } else {
+                repl.observe_apply(tail.applied, epoch);
+            }
+        }
+        if let Some(reason) = ended {
+            return Err(io::Error::other(format!("stream ended: {reason}")));
         }
     }
 }

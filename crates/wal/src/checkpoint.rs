@@ -83,6 +83,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use reactdb_common::bytes::crc32;
 use reactdb_common::{CheckpointConfig, ContainerId, Key, ReactorId};
 use reactdb_obs::Count;
 use reactdb_storage::{Table, TidWord};
@@ -245,7 +246,7 @@ fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
 
     let mut bytes = Vec::with_capacity(payload.len() + 12);
     bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
 
     let tmp = dir.join("checkpoint-manifest.tmp");
@@ -344,7 +345,7 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     }
     let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("len 4"));
     let payload = &bytes[12..];
-    if codec::crc32(payload) != crc {
+    if crc32(payload) != crc {
         return Ok(None);
     }
     Ok(parse_manifest(payload))

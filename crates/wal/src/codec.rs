@@ -35,6 +35,7 @@
 //! offsets, truncated values, over-long runs) are rejected the same way:
 //! a delta is either decoded exactly or not at all, never mis-applied.
 
+use reactdb_common::bytes::crc32;
 use reactdb_common::{ContainerId, Key, ReactorId, Value};
 use reactdb_storage::{TidWord, Tuple, TupleDelta};
 use reactdb_txn::{RedoPayload, RedoRecord, RowDelta};
@@ -47,37 +48,6 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"RDBWAL1\n";
 /// the frame TID carrying the row's commit TID) under a distinct magic, so
 /// log scans can never mistake one for a redo segment.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RDBCKPT1";
-
-/// Table-driven CRC-32: `crc32` runs on the commit fast path (one call per
-/// logged batch, under the writer mutex), so the byte-at-a-time LUT variant
-/// matters.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Computes the CRC-32 (IEEE 802.3) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -715,12 +685,6 @@ mod tests {
                 image: Some(after.clone()),
             }),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // Standard IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! operator armed with `--failpoints` / `REACTDB_FAILPOINTS`) can inject a
 //! failure: an injected I/O error, or a stall of a configured duration.
 //! The chaos suite uses them to drive checkpoint-truncation storms and
-//! feeder faults through the exact code paths a real race would take.
+//! replication stream faults through the exact code paths a real race
+//! would take.
 //!
 //! Design constraints, in order:
 //!
@@ -22,7 +23,7 @@
 //! ```text
 //! ship-mid-file=err            err every time the point is passed
 //! truncate-under-cursor=err:1  err once, then disarmed
-//! feeder-stall=stall:50        stall 50 ms every pass
+//! ship-kill=stall:50           stall 50 ms every pass
 //! ack-drop=err:3               (ack-drop treats err as "drop the ack")
 //! wal-sync@mydir=stall:500:1   stall one group commit of log dir "mydir"
 //! ```

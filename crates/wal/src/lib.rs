@@ -50,6 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use reactdb_common::bytes::crc32;
 use reactdb_common::DurabilityConfig;
 use reactdb_obs::{Count, Metrics, Phase, TraceKind};
 use reactdb_storage::TidWord;
@@ -1022,7 +1023,7 @@ fn read_marker(dir: &Path) -> io::Result<Option<u64>> {
     }
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("len 8"));
     let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("len 4"));
-    if codec::crc32(&bytes[8..16]) != crc {
+    if crc32(&bytes[8..16]) != crc {
         return Ok(None);
     }
     Ok(Some(epoch))
@@ -1034,7 +1035,7 @@ fn write_marker(dir: &Path, epoch: u64) -> io::Result<()> {
     let mut bytes = Vec::with_capacity(20);
     bytes.extend_from_slice(&MARKER_MAGIC);
     bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&codec::crc32(&epoch.to_le_bytes()).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
     let tmp = dir.join("durable_epoch.tmp");
     fs::write(&tmp, &bytes)?;
     let file = fs::File::open(&tmp)?;

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use reactdb_storage::TidWord;
@@ -201,7 +201,9 @@ impl ShipCursor {
     }
 
     /// Ships the new durable frames of one segment, from the remembered
-    /// offset to the end of the durable prefix.
+    /// offset to the end of the durable prefix. Only the bytes past that
+    /// offset are read: an untracked segment is read from 0, so its magic
+    /// is checked, and a tracked one from where its last chunk ended.
     fn ship_segment_tail(
         &mut self,
         path: &Path,
@@ -209,10 +211,10 @@ impl ShipCursor {
         events: &mut Vec<ShipEvent>,
     ) -> io::Result<()> {
         let name = file_name(path)?;
-        let shipped = *self.offsets.get(&name).unwrap_or(&0) as usize;
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound && shipped == 0 => return Ok(()),
+        let shipped = self.offsets.get(&name).copied();
+        let mut file = match fs::File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound && shipped.is_none() => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(io::Error::other(format!(
                     "segment {name} vanished mid-ship (checkpoint truncation?); resubscribe"
@@ -220,47 +222,46 @@ impl ShipCursor {
             }
             Err(e) => return Err(e),
         };
-        if bytes.len() < shipped {
+        let start = shipped.unwrap_or(0);
+        if file.metadata()?.len() < start {
             return Err(io::Error::other(format!(
                 "segment {name} shrank below the shipped offset; resubscribe"
             )));
         }
-        if bytes.len() < SEGMENT_HEADER_LEN
-            || bytes[..codec::SEGMENT_MAGIC.len()] != codec::SEGMENT_MAGIC
-        {
-            return Ok(()); // header not flushed yet, or a foreign file
-        }
-        let end = durable_prefix_end(&bytes, shipped.max(SEGMENT_HEADER_LEN), durable);
+        file.seek(SeekFrom::Start(start))?;
+        let mut tail = Vec::new();
+        file.read_to_end(&mut tail)?;
+        let frames_from = match shipped {
+            Some(_) => 0,
+            None if tail.len() < SEGMENT_HEADER_LEN
+                || tail[..codec::SEGMENT_MAGIC.len()] != codec::SEGMENT_MAGIC =>
+            {
+                return Ok(()); // header not flushed yet, or a foreign file
+            }
+            None => SEGMENT_HEADER_LEN,
+        };
+        let end = durable_prefix_end(&tail, frames_from, durable);
         // The header ships with the first durable frame; a segment with no
         // durable frame yet ships nothing and stays untracked, so its
         // disappearance (e.g. discarded by a compaction) is not an error.
-        if shipped == 0 && end <= SEGMENT_HEADER_LEN {
+        if end <= frames_from {
             return Ok(());
         }
-        let start = if shipped == 0 { 0 } else { shipped };
-        let mut offset = start;
-        while offset < end {
-            let chunk_end = (offset + self.chunk_bytes).min(end);
+        for (i, chunk) in tail[..end].chunks(self.chunk_bytes).enumerate() {
             events.push(ShipEvent::File {
                 name: name.clone(),
-                offset: offset as u64,
-                bytes: bytes[offset..chunk_end].to_vec(),
+                offset: start + (i * self.chunk_bytes) as u64,
+                bytes: chunk.to_vec(),
             });
-            offset = chunk_end;
         }
         // Fault injection: the stream dies with this segment's new chunks
         // queued but unrecorded. The offsets map is not advanced on the
         // error path and the durable-epoch event never goes out, so a
         // resubscribing cursor re-ships the range — the same shape as a
         // connection cut mid-file.
-        if end > start {
-            failpoint::check_scoped("ship-mid-file", &self.scope).map_err(|e| {
-                io::Error::other(format!("{e}: stream cut mid-segment; resubscribe"))
-            })?;
-        }
-        if end > shipped {
-            self.offsets.insert(name, end as u64);
-        }
+        failpoint::check_scoped("ship-mid-file", &self.scope)
+            .map_err(|e| io::Error::other(format!("{e}: stream cut mid-segment; resubscribe")))?;
+        self.offsets.insert(name, start + end as u64);
         Ok(())
     }
 }

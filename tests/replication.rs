@@ -365,29 +365,7 @@ fn quorum_two_stalls_replicated_acks_until_a_second_follower_acks() {
     )
     .unwrap();
 
-    let boot_follower = |tag: &str| {
-        let wal = temp_path(&format!("quorum-{tag}-wal"));
-        let staging = temp_path(&format!("quorum-{tag}-staging"));
-        let db = Arc::new(ReactDB::boot(
-            spec(),
-            DeploymentConfig::shared_nothing(SHARDS)
-                .with_durability(DurabilityConfig::epoch_sync(&wal).with_interval_ms(1)),
-        ));
-        let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
-        let opts = FollowerOpts::new(primary.local_addr().to_string(), staging)
-            .with_reconnects(5, Duration::from_millis(25))
-            .with_promote_on_disconnect(false);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let db = Arc::clone(&db);
-            let repl = server.repl_state();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || run_follower(&db, &repl, &opts, &stop))
-        };
-        (db, server, thread, stop)
-    };
-
-    let (db_a, server_a, thread_a, stop_a) = boot_follower("a");
+    let follower_a = FollowerNode::boot(&primary, "quorum-a");
     let deadline = Instant::now() + Duration::from_secs(10);
     while primary.repl_state().followers() < 1 {
         assert!(Instant::now() < deadline, "first follower never subscribed");
@@ -425,7 +403,7 @@ fn quorum_two_stalls_replicated_acks_until_a_second_follower_acks() {
     );
 
     // The second follower subscribing, catching up and acking releases it.
-    let (db_b, server_b, thread_b, stop_b) = boot_follower("b");
+    let follower_b = FollowerNode::boot(&primary, "quorum-b");
     let value = stalled
         .wait_timeout(Duration::from_secs(20))
         .expect("replicated ack released once the quorum filled")
@@ -435,7 +413,8 @@ fn quorum_two_stalls_replicated_acks_until_a_second_follower_acks() {
 
     // Quorum honesty: at release time both followers had durably applied
     // the commit epoch (applied_epoch only moves before the ack is sent).
-    for (name, repl) in [("a", server_a.repl_state()), ("b", server_b.repl_state())] {
+    for (name, follower) in [("a", &follower_a), ("b", &follower_b)] {
+        let repl = follower.server.repl_state();
         assert!(
             repl.applied_epoch() >= commit_epoch,
             "follower {name} applied {} but the quorum released epoch {commit_epoch}",
@@ -445,15 +424,143 @@ fn quorum_two_stalls_replicated_acks_until_a_second_follower_acks() {
     assert!(primary.repl_state().quorum_epoch() >= commit_epoch);
     assert_eq!(primary.repl_state().follower_acks().len(), 2);
 
-    for (stop, thread) in [(stop_a, thread_a), (stop_b, thread_b)] {
-        stop.store(true, Ordering::SeqCst);
-        let report = thread.join().unwrap().expect("clean stop");
-        assert!(!report.promoted);
-    }
-    server_a.shutdown();
-    server_b.shutdown();
+    follower_a.stop();
+    follower_b.stop();
     primary.shutdown();
     drop(primary_db);
-    drop(db_a);
-    drop(db_b);
+}
+
+/// A follower is a connection on its primary's I/O worker, not a thread
+/// of its own: one worker serves two subscriptions, and while the primary
+/// idles the worker wakes only for what the log and the followers tell it
+/// (a group commit's durable advance, a follower's ack), never on a timer.
+#[test]
+fn a_primary_serves_followers_without_a_thread_each() {
+    // No timed group commits: only a demand moves the durable epoch, so
+    // an idle primary has nothing to ship and any wake past the slack
+    // would come from a timer.
+    let primary_wal = temp_path("threads-primary-wal");
+    let primary_db = Arc::new(ReactDB::boot(
+        spec(),
+        DeploymentConfig::shared_nothing(SHARDS)
+            .with_durability(DurabilityConfig::epoch_sync(&primary_wal).with_interval_ms(0)),
+    ));
+    load(&primary_db);
+    let primary = Server::start(
+        Arc::clone(&primary_db),
+        ServerConfig::default().with_workers(1),
+    )
+    .unwrap();
+    let followers = [
+        FollowerNode::boot(&primary, "threads-a"),
+        FollowerNode::boot(&primary, "threads-b"),
+    ];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while primary.repl_state().followers() < 2 {
+        assert!(Instant::now() < deadline, "followers never subscribed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A replicated write runs the whole chain once: its demand commits a
+    // group, the durable advance wakes the worker, the worker ships, and
+    // the followers' acks release the reply.
+    let client = WireClient::connect(primary.local_addr()).expect("connect primary");
+    client
+        .invoke_with(
+            &shard_name(0),
+            "rmw",
+            vec![Value::Int(1), Value::Int(0)],
+            AckLevel::Replicated,
+        )
+        .expect("replicated write");
+    // Both followers past it: each has acked an epoch.
+    loop {
+        let acks = primary.repl_state().follower_acks();
+        if acks.len() == 2 && acks.iter().all(|&(_, acked)| acked > 0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "followers never caught up: {acks:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let repl_threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs lists this process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("reactdb-repl"))
+        .collect();
+    assert!(
+        repl_threads.is_empty(),
+        "replication runs on threads of its own: {repl_threads:?}"
+    );
+
+    let counts = || {
+        let snap = primary.metrics_snapshot();
+        let wakeups = snap.counter("net_worker_wakeups").unwrap();
+        (wakeups, snap.counter("log_syncs").unwrap())
+    };
+    let (wakeups_before, syncs_before) = counts();
+    std::thread::sleep(Duration::from_millis(300));
+    let (wakeups_after, syncs_after) = counts();
+    let (wakeups, syncs) = (wakeups_after - wakeups_before, syncs_after - syncs_before);
+    assert!(
+        wakeups <= 2 * syncs + 10,
+        "{wakeups} worker wakeups for {syncs} group commits in 300 idle ms"
+    );
+
+    for follower in followers {
+        follower.stop();
+    }
+    primary.shutdown();
+    drop(primary_db);
+}
+
+/// A follower node tailing a primary: its engine, its wire server, and
+/// the thread running [`run_follower`] with that thread's stop flag.
+struct FollowerNode {
+    db: Arc<ReactDB>,
+    server: Server,
+    thread: std::thread::JoinHandle<std::io::Result<reactdb_server::FollowerReport>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl FollowerNode {
+    /// Boots a durable follower of `primary` that never promotes.
+    fn boot(primary: &Server, tag: &str) -> Self {
+        let wal = temp_path(&format!("{tag}-wal"));
+        let staging = temp_path(&format!("{tag}-staging"));
+        let db = Arc::new(ReactDB::boot(
+            spec(),
+            DeploymentConfig::shared_nothing(SHARDS)
+                .with_durability(DurabilityConfig::epoch_sync(&wal).with_interval_ms(1)),
+        ));
+        let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+        let opts = FollowerOpts::new(primary.local_addr().to_string(), staging)
+            .with_reconnects(5, Duration::from_millis(25))
+            .with_promote_on_disconnect(false);
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let db = Arc::clone(&db);
+            let repl = server.repl_state();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || run_follower(&db, &repl, &opts, &stop))
+        };
+        Self {
+            db,
+            server,
+            thread,
+            stop,
+        }
+    }
+
+    /// Stops the follower loop (which must not have promoted) and its
+    /// server.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let report = self.thread.join().unwrap().expect("clean stop");
+        assert!(!report.promoted);
+        self.server.shutdown();
+        drop(self.db);
+    }
 }

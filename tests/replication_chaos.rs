@@ -3,7 +3,7 @@
 //! One sequential test walks every kill point × follower-count cell:
 //! each cell boots a fresh primary plus {1, 2, 3} followers, arms one
 //! scoped failpoint (ship-mid-file, truncate-under-cursor, ack-drop, or
-//! feeder-stall), then drives concurrent replicated-acked writes through
+//! ship-kill), then drives concurrent replicated-acked writes through
 //! a checkpoint-truncation storm. Every cell must end with:
 //!
 //! * every write resolved — no wedged replicated ack, no spurious
@@ -15,8 +15,8 @@
 //!   state, however many times its stream was killed;
 //! * the combined history — writes plus follower snapshot reads — passing
 //!   the SI checker;
-//! * a truthful `repl_followers` gauge (abrupt feeder deaths must not
-//!   leak roster entries).
+//! * a truthful `repl_followers` gauge (abruptly dropped subscriptions
+//!   must not leak roster entries).
 //!
 //! The cells run inside one `#[test]` on purpose: failpoints are
 //! process-global (scoped by log-dir name), and a single sequential
@@ -258,7 +258,7 @@ fn run_cell(kill_point: &str, fp_spec_suffix: &str, followers: usize) {
     }
     check_history_si(&records, &cell);
 
-    // The roster healed from every feeder death: no leaked gauge entries,
+    // The roster healed from every dropped stream: no leaked gauge entries,
     // and per-follower acks are exported for exactly the live set.
     wait_for_roster("after the storm");
     assert_eq!(
@@ -295,14 +295,15 @@ fn run_cell(kill_point: &str, fp_spec_suffix: &str, followers: usize) {
 ///   storm's checkpoints cause).
 /// * `ack-drop=err:3` — three follower acks vanish before the roster sees
 ///   them; cumulative acks on later epochs must still release the gate.
-/// * `feeder-stall=err:1` — one feeder thread dies abruptly mid-loop; the
-///   drop guard must keep the gauge truthful and the follower resubscribe.
+/// * `ship-kill=err:1` — one subscribed connection is dropped abruptly,
+///   with no `ReplEnd`; the registration it owned must keep the gauge
+///   truthful and the follower resubscribe.
 #[test]
 fn chaos_matrix_every_kill_point_converges_and_stays_si() {
     for followers in [1usize, 2, 3] {
         run_cell("ship-mid-file", "=err:2", followers);
         run_cell("truncate-under-cursor", "=err:2", followers);
         run_cell("ack-drop", "=err:3", followers);
-        run_cell("feeder-stall", "=err:1", followers);
+        run_cell("ship-kill", "=err:1", followers);
     }
 }
