@@ -4,4 +4,5 @@
 //! crate uses every item, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
+pub mod fixtures;
 pub mod history;
