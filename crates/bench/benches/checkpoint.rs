@@ -15,11 +15,6 @@
 //!   multi-reactor log into fresh tables, 1 worker vs. 4 workers. The
 //!   speedup is recorded as `wal/recovery_replay_speedup` and **asserted**
 //!   ≥1.5x when `CRITERION_JSON` is set (CI runs on ≥4 cores).
-//! * the delta-checkpoint section records `wal/delta_ckpt_bytes_ratio` —
-//!   delta-checkpoint bytes over full-checkpoint bytes on a skewed update
-//!   pattern (10% of keys dirty) — and asserts the ≤0.5x reduction delta
-//!   capture exists to deliver. Byte counts are deterministic, so that
-//!   gate is unconditional.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -28,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use reactdb_common::{CheckpointConfig, DeploymentConfig, DurabilityConfig, Key, Value};
 use reactdb_engine::ReactDB;
 use reactdb_storage::{ColumnType, Schema, Table, TidWord, Tuple};
-use reactdb_txn::{RedoPayload, RedoRecord};
+use reactdb_txn::RedoRecord;
 use reactdb_workloads::smallbank::{self, customer_name};
 use reactdb_workloads::ycsb;
 
@@ -193,27 +188,13 @@ fn replay_once(log: &reactdb_wal::RecoveredLog, workers: usize) -> Duration {
     let tables: Vec<Table> = (0..REPLAY_REACTORS)
         .map(|_| Table::new("usertable", schema.clone()))
         .collect();
-    let replay_one = |tid: TidWord, record: &RedoRecord| -> std::io::Result<()> {
-        let Some(table) = tables.get(record.reactor.index()) else {
-            return Ok(());
-        };
-        match &record.payload {
-            RedoPayload::Full(image) => {
-                table.replay(&record.key, Some(image), tid);
-            }
-            RedoPayload::Delete => {
-                table.replay(&record.key, None, tid);
-            }
-            RedoPayload::Delta(row_delta) => {
-                table
-                    .replay_delta(&record.key, row_delta.base, &row_delta.delta, tid)
-                    .map_err(|e| std::io::Error::other(format!("corrupt delta chain: {e}")))?;
-            }
+    let replay_one = |tid: TidWord, record: &RedoRecord| {
+        if let Some(table) = tables.get(record.reactor.index()) {
+            table.replay(&record.key, record.image(), tid);
         }
-        Ok(())
     };
     let start = Instant::now();
-    reactdb_wal::replay_partitioned(&[], &log.batches, workers, replay_one).unwrap();
+    reactdb_wal::replay_partitioned(&[], &log.batches, workers, replay_one);
     start.elapsed()
 }
 
@@ -263,67 +244,11 @@ fn bench_parallel_replay(c: &mut Criterion) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Delta checkpoints: capture bytes under a skewed update pattern
-// ---------------------------------------------------------------------------
-
-/// Key reactors in the delta-checkpoint measurement.
-const DELTA_CKPT_KEYS: usize = 400;
-/// Keys updated between the full and the delta capture (10% — the skewed
-/// write set a delta checkpoint exists for).
-const DELTA_CKPT_DIRTY: usize = 40;
-
-fn bench_delta_checkpoint_bytes(_c: &mut Criterion) {
-    let dir = bench_dir("delta");
-    let config = DeploymentConfig::shared_nothing(2)
-        .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(0))
-        .with_checkpoint(CheckpointConfig::manual().with_full_every(2));
-    let db = ReactDB::boot(ycsb::spec(DELTA_CKPT_KEYS), config);
-    ycsb::load(&db, DELTA_CKPT_KEYS).unwrap();
-    db.wal_sync().unwrap();
-
-    let full = db.checkpoint_now().unwrap();
-    assert!(!full.delta, "chain root must be a full checkpoint");
-    for i in 0..DELTA_CKPT_DIRTY {
-        db.invoke(
-            &ycsb::key_name(i),
-            "update",
-            vec![Value::Str("z".repeat(8))],
-        )
-        .unwrap();
-    }
-    db.wal_sync().unwrap();
-    let delta = db.checkpoint_now().unwrap();
-    assert!(delta.delta, "second capture in the chain must be a delta");
-
-    let ratio = delta.bytes as f64 / full.bytes as f64;
-    println!(
-        "checkpoint/delta_bytes: full {} rows / {} bytes, delta {} rows / {} bytes \
-         ({ratio:.3} bytes ratio)",
-        full.rows, full.bytes, delta.rows, delta.bytes,
-    );
-    emit_metric("wal/delta_ckpt_bytes_ratio", ratio, DELTA_CKPT_DIRTY);
-    // Byte counts are deterministic — this is a hard format gate, not a
-    // timing check: 10% dirty keys must cost well under half a full capture.
-    assert!(
-        ratio <= 0.5,
-        "delta checkpoint of {DELTA_CKPT_DIRTY}/{DELTA_CKPT_KEYS} dirty keys must be \
-         ≤0.5x the bytes of a full capture: {ratio:.3}"
-    );
-    assert_eq!(
-        delta.rows, DELTA_CKPT_DIRTY as u64,
-        "delta capture must contain exactly the dirty rows"
-    );
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 criterion_group!(
     benches,
     bench_snapshot_walk,
     bench_checkpoint_now,
     bench_commits_under_checkpointing,
-    bench_parallel_replay,
-    bench_delta_checkpoint_bytes
+    bench_parallel_replay
 );
 criterion_main!(benches);

@@ -12,14 +12,11 @@
 //! over the whole batch). Pipelining should win despite paying for
 //! durability.
 //!
-//! The `delta` section measures what delta redo logging is for: an
-//! update-heavy workload over *wide* rows (one small counter field changes
-//! per transaction) with full-image logging vs. field-level delta logging.
-//! Log bytes per committed transaction are recorded into `CRITERION_JSON`
-//! (CI's `BENCH_results.json`), and the run **asserts** the ≥2x
-//! bytes-per-txn reduction the delta format exists to deliver — byte
-//! counts are deterministic, so this is a hard gate, not a flaky timing
-//! check.
+//! The log-volume section runs an update-heavy workload over *wide* rows
+//! (one small counter field changes per transaction) and records the log
+//! bytes per committed transaction into `CRITERION_JSON` (CI's
+//! `BENCH_results.json`). Every update logs its full after-image, so the
+//! figure tracks row width; byte counts are deterministic.
 
 use std::time::Instant;
 
@@ -163,19 +160,18 @@ fn bench_durable_ack(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta logging: bytes per committed transaction on wide rows
+// Log volume: bytes per committed transaction on wide rows
 // ---------------------------------------------------------------------------
 
-/// Transactions per delta-vs-full measurement.
-const DELTA_TXNS: usize = 512;
+/// Transactions per log-volume measurement.
+const VOLUME_TXNS: usize = 512;
 /// Width of each filler column (the part a full image re-logs every time).
 const PAD: usize = 64;
 
 /// A ledger reactor with one wide row: id, eight 64-byte filler columns,
 /// and one counter. `bump` increments the counter — the canonical
 /// small-field-update-over-wide-row shape (smallbank balances, TPC-C
-/// stock/district counters, here exaggerated so the log-volume difference
-/// is unmistakable).
+/// stock/district counters, here exaggerated).
 fn ledger_spec() -> ReactorDatabaseSpec {
     let mut columns: Vec<(String, ColumnType)> = vec![("id".into(), ColumnType::Int)];
     for i in 0..8 {
@@ -212,27 +208,21 @@ fn load_ledger(db: &ReactDB) {
     db.load_row("ledger-0", "wide", Tuple::of(values)).unwrap();
 }
 
-/// Runs `DELTA_TXNS` counter bumps and returns the log bytes per committed
-/// transaction (excluding the load).
+/// Runs `VOLUME_TXNS` counter bumps and returns the log bytes per
+/// committed transaction (excluding the load).
 fn measure_bytes_per_txn(durability: DurabilityConfig) -> f64 {
     let config = DeploymentConfig::shared_everything_with_affinity(1).with_durability(durability);
     let db = ReactDB::boot(ledger_spec(), config);
     load_ledger(&db);
     let base = db.metrics().counter("log_bytes").unwrap();
-    for _ in 0..DELTA_TXNS {
+    for _ in 0..VOLUME_TXNS {
         db.invoke("ledger-0", "bump", vec![Value::Float(1.0)])
             .unwrap();
     }
     db.wal_sync().unwrap();
     let bytes = db.metrics().counter("log_bytes").unwrap() - base;
-    let saved = db.metrics().counter("log_bytes_saved").unwrap();
-    let deltas = db.metrics().counter("log_delta_records").unwrap();
     drop(db);
-    println!(
-        "wal/delta: {bytes} log bytes over {DELTA_TXNS} txns \
-         ({deltas} delta records, {saved} bytes saved)"
-    );
-    bytes as f64 / DELTA_TXNS as f64
+    bytes as f64 / VOLUME_TXNS as f64
 }
 
 /// Appends a machine-readable result line next to the criterion shim's
@@ -249,71 +239,18 @@ fn emit_metric(name: &str, value: f64, iterations: usize) {
     criterion::append_json_line(&path, name, value, iterations as u64);
 }
 
-fn bench_delta_log_volume(c: &mut Criterion) {
-    let full_dir = bench_dir("delta-off");
-    let full = measure_bytes_per_txn(DurabilityConfig::epoch_sync(&full_dir).with_interval_ms(0));
-    let _ = std::fs::remove_dir_all(&full_dir);
-
-    let delta_dir = bench_dir("delta-on");
-    let delta = measure_bytes_per_txn(
-        DurabilityConfig::epoch_sync(&delta_dir)
-            .with_interval_ms(0)
-            .with_delta_logging(true),
-    );
-    let _ = std::fs::remove_dir_all(&delta_dir);
-
-    let packed_dir = bench_dir("delta-compressed");
-    let packed = measure_bytes_per_txn(
-        DurabilityConfig::epoch_sync(&packed_dir)
-            .with_interval_ms(0)
-            .with_delta_logging(true)
-            .with_compression(true),
-    );
-    let _ = std::fs::remove_dir_all(&packed_dir);
-
-    println!(
-        "wal/delta: log bytes per txn — full {full:.1}, delta {delta:.1}, \
-         delta+rle {packed:.1} ({:.1}x reduction)",
-        full / delta
-    );
-    emit_metric("wal/update_log_bytes_per_txn_full", full, DELTA_TXNS);
-    emit_metric("wal/update_log_bytes_per_txn_delta", delta, DELTA_TXNS);
-    emit_metric("wal/update_log_bytes_per_txn_delta_rle", packed, DELTA_TXNS);
-    // The acceptance gate: the whole point of the format. Byte counts are
-    // deterministic, so a regression here is a real format regression.
-    assert!(
-        full >= 2.0 * delta,
-        "delta logging must at least halve log bytes per update txn on \
-         wide rows: full {full:.1} vs delta {delta:.1}"
-    );
-    assert!(
-        packed <= delta,
-        "record compression must never grow the log: delta {delta:.1} vs \
-         delta+rle {packed:.1}"
-    );
-
-    // Commit latency with the diff + delta encode on the hot path.
-    let dir = bench_dir("delta-commit-latency");
-    let db = ReactDB::boot(
-        ledger_spec(),
-        DeploymentConfig::shared_everything_with_affinity(1)
-            .with_durability(DurabilityConfig::epoch_sync(&dir).with_delta_logging(true)),
-    );
-    load_ledger(&db);
-    c.bench_function("wal/wide_row_bump_delta_logged", |b| {
-        b.iter(|| {
-            db.invoke("ledger-0", "bump", vec![Value::Float(0.5)])
-                .unwrap()
-        })
-    });
-    drop(db);
+fn bench_update_log_volume(_c: &mut Criterion) {
+    let dir = bench_dir("log-volume");
+    let full = measure_bytes_per_txn(DurabilityConfig::epoch_sync(&dir).with_interval_ms(0));
     let _ = std::fs::remove_dir_all(&dir);
+    println!("wal/log-volume: {full:.1} log bytes per wide-row update txn");
+    emit_metric("wal/update_log_bytes_per_txn_full", full, VOLUME_TXNS);
 }
 
 criterion_group!(
     benches,
     bench_wal,
     bench_durable_ack,
-    bench_delta_log_volume
+    bench_update_log_volume
 );
 criterion_main!(benches);

@@ -107,19 +107,6 @@ pub struct DurabilityConfig {
     /// a durable waiter's demand runs one at once instead. `0`: no timed
     /// group commits, only demanded, explicit and shutdown ones.
     pub group_commit_interval_ms: u64,
-    /// Delta redo logging: repeat updates of a row ship only the changed
-    /// fields (a field-level delta against the overwritten image) instead of
-    /// the full row image. Inserts, deletes and the first touch of a key
-    /// since the writer's segment rotation stay full-image, so every delta
-    /// chain in a surviving segment generation is rooted in a full image
-    /// (or in a checkpoint row).
-    #[serde(default)]
-    pub delta_logging: bool,
-    /// Record-level compression of redo frame bodies (RLE / zero
-    /// suppression). Applied to full images and delta bodies alike, only
-    /// when the compressed form is actually smaller.
-    #[serde(default)]
-    pub compress_records: bool,
 }
 
 impl Default for DurabilityConfig {
@@ -128,8 +115,6 @@ impl Default for DurabilityConfig {
             mode: DurabilityMode::Off,
             log_dir: None,
             group_commit_interval_ms: 10,
-            delta_logging: false,
-            compress_records: false,
         }
     }
 }
@@ -147,27 +132,12 @@ impl DurabilityConfig {
             mode: DurabilityMode::EpochSync,
             log_dir: Some(log_dir.into()),
             group_commit_interval_ms: 10,
-            ..Self::default()
         }
     }
 
     /// Sets the group-commit interval (`0` = no timed group commits).
     pub fn with_interval_ms(mut self, ms: u64) -> Self {
         self.group_commit_interval_ms = ms;
-        self
-    }
-
-    /// Enables or disables field-level delta redo logging (see
-    /// [`DurabilityConfig::delta_logging`]).
-    pub fn with_delta_logging(mut self, on: bool) -> Self {
-        self.delta_logging = on;
-        self
-    }
-
-    /// Enables or disables record-level RLE compression of redo frame
-    /// bodies (see [`DurabilityConfig::compress_records`]).
-    pub fn with_compression(mut self, on: bool) -> Self {
-        self.compress_records = on;
         self
     }
 
@@ -216,12 +186,6 @@ pub struct CheckpointConfig {
     /// worker). `0` means one per available core.
     #[serde(default)]
     pub replay_workers: usize,
-    /// Delta-checkpoint chain length: every `full_every`-th checkpoint is a
-    /// full snapshot (the chain root); the ones in between capture only
-    /// rows dirtied since the previous checkpoint. `0` or `1` makes every
-    /// checkpoint full (deltas disabled).
-    #[serde(default)]
-    pub full_every: u64,
 }
 
 impl Default for CheckpointConfig {
@@ -232,7 +196,6 @@ impl Default for CheckpointConfig {
             max_log_bytes: 0,
             workers: 0,
             replay_workers: 0,
-            full_every: 0,
         }
     }
 }
@@ -273,19 +236,6 @@ impl CheckpointConfig {
     pub fn with_replay_workers(mut self, workers: usize) -> Self {
         self.replay_workers = workers;
         self
-    }
-
-    /// Enables delta checkpoints: a full chain root every `full_every`
-    /// checkpoints, dirty-rows-only captures in between (`0` or `1`
-    /// disables deltas).
-    pub fn with_full_every(mut self, full_every: u64) -> Self {
-        self.full_every = full_every;
-        self
-    }
-
-    /// True when delta checkpoints are enabled.
-    pub fn delta_checkpoints(&self) -> bool {
-        self.full_every >= 2
     }
 
     /// True when the background checkpoint daemon should run (an epoch
@@ -638,17 +588,11 @@ mod tests {
             sized.is_periodic(),
             "the bytes-logged trigger alone warrants a daemon"
         );
-        assert!(!CheckpointConfig::default().delta_checkpoints());
-        assert!(!CheckpointConfig::manual()
-            .with_full_every(1)
-            .delta_checkpoints());
         let parallel = CheckpointConfig::manual()
             .with_workers(4)
-            .with_replay_workers(2)
-            .with_full_every(8);
+            .with_replay_workers(2);
         assert_eq!(parallel.workers, 4);
         assert_eq!(parallel.replay_workers, 2);
-        assert!(parallel.delta_checkpoints());
         assert_eq!(
             DeploymentConfig::shared_nothing(2).checkpoint,
             CheckpointConfig::default(),
@@ -687,56 +631,9 @@ mod tests {
     }
 
     #[test]
-    fn durability_delta_and_compression_builders_roundtrip() {
-        let durability = DurabilityConfig::epoch_sync("/tmp/x")
-            .with_delta_logging(true)
-            .with_compression(true);
-        assert!(durability.delta_logging && durability.compress_records);
-        assert!(
-            !DurabilityConfig::off().delta_logging && !DurabilityConfig::off().compress_records,
-            "delta logging and compression are opt-in"
-        );
-        let cfg = DeploymentConfig::shared_nothing(2).with_durability(durability);
-        let back = DeploymentConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn config_json_written_before_the_delta_knobs_still_parses() {
-        // Serialize, then strip the new fields as an old config file would
-        // lack them: `#[serde(default)]` must fill them in as off.
-        let cfg = DeploymentConfig::shared_nothing(2)
-            .with_durability(DurabilityConfig::epoch_sync("/tmp/x"));
-        let json = cfg.to_json();
-        let kept: Vec<&str> = json
-            .lines()
-            .filter(|l| !l.contains("delta_logging") && !l.contains("compress_records"))
-            .collect();
-        // Stripping the last fields of an object leaves a trailing comma;
-        // drop it where the next kept line closes the object.
-        let old_json: String = kept
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let closes_next = kept
-                    .get(i + 1)
-                    .is_some_and(|next| next.trim_start().starts_with('}'));
-                if closes_next {
-                    line.trim_end().trim_end_matches(',').to_owned()
-                } else {
-                    (*line).to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = DeploymentConfig::from_json(&old_json).unwrap();
-        assert_eq!(back, cfg, "missing knobs default to off");
-    }
-
-    #[test]
     fn config_json_written_before_the_parallel_checkpoint_knobs_still_parses() {
-        // Same exercise for the parallel/delta checkpoint fields: a config
-        // file from before they existed must parse with them defaulted off.
+        // A config file from before the parallel checkpoint fields existed
+        // must parse with them defaulted off.
         let cfg = DeploymentConfig::shared_nothing(2)
             .with_checkpoint(CheckpointConfig::every_epochs(8).with_chunk_size(64));
         let json = cfg.to_json();
@@ -746,9 +643,10 @@ mod tests {
                 !l.contains("max_log_bytes")
                     && !l.contains("\"workers\"")
                     && !l.contains("replay_workers")
-                    && !l.contains("full_every")
             })
             .collect();
+        // Stripping the last fields of an object leaves a trailing comma;
+        // drop it where the next kept line closes the object.
         let old_json: String = kept
             .iter()
             .enumerate()
@@ -808,6 +706,8 @@ mod tests {
             .chain(lines[end + 1..].iter())
             .copied()
             .collect();
+        // Stripping the last fields of an object leaves a trailing comma;
+        // drop it where the next kept line closes the object.
         let old_json: String = kept
             .iter()
             .enumerate()
@@ -848,6 +748,8 @@ mod tests {
             .chain(lines[end + 1..].iter())
             .copied()
             .collect();
+        // Stripping the last fields of an object leaves a trailing comma;
+        // drop it where the next kept line closes the object.
         let old_json: String = kept
             .iter()
             .enumerate()

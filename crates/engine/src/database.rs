@@ -200,10 +200,9 @@ impl ReactDB {
             // Crash recovery: replay the log before anything can run.
             if recover {
                 let recovered = reactdb_wal::recover_and_compact(&dir)?;
-                // Base state first: the newest complete checkpoint chain
-                // fully covers every epoch <= its stamp. The log tail then
-                // layers on top; TID-aware replay resolves the fuzzy
-                // overlap.
+                // Base state first: the installed checkpoint fully covers
+                // every epoch <= its stamp. The log tail then lands on
+                // top; TID-aware replay resolves the fuzzy overlap.
                 let checkpoint_rows: &[_] = recovered
                     .checkpoint
                     .as_ref()
@@ -216,7 +215,7 @@ impl ReactDB {
                     checkpoint_rows,
                     &recovered.batches,
                     config.checkpoint.replay_workers,
-                )?;
+                );
                 metrics.record_elapsed(Phase::RecoveryReplay, usize::MAX, replay_started);
                 metrics.max(Count::RecoveryReplayWorkers, workers_used as u64);
                 metrics.add(Count::RecoveredCheckpointRows, checkpoint_rows.len() as u64);
@@ -425,9 +424,8 @@ impl ReactDB {
     /// snapshots every table against the stable epoch across the parallel
     /// writer pool, waits until the capture is durable, commits the
     /// manifest and truncates every log segment the checkpoint covers.
-    /// Returns a [`CheckpointReport`] — rows, bytes, part count, whether it
-    /// was a delta capture, and the cover epoch — so callers and tests need
-    /// not scrape the metrics. Requires durability; see `CheckpointConfig` on
+    /// Returns a [`CheckpointReport`] — rows, bytes, part count and the
+    /// cover epoch — so callers and tests need not scrape the metrics. Requires durability; see `CheckpointConfig` on
     /// the deployment for the periodic background variant.
     pub fn checkpoint_now(&self) -> Result<CheckpointReport> {
         let checkpointer = self
@@ -603,7 +601,7 @@ impl ReactDB {
         checkpoint_rows: &[(reactdb_storage::TidWord, reactdb_txn::RedoRecord)],
         batches: &[(reactdb_storage::TidWord, Vec<reactdb_txn::RedoRecord>)],
         workers: usize,
-    ) -> Result<usize> {
+    ) -> usize {
         let inner = &self.inner;
         let started = Instant::now();
         replay(
@@ -612,8 +610,7 @@ impl ReactDB {
             checkpoint_rows,
             batches,
             workers,
-        )
-        .map_err(|e| TxnError::Runtime(format!("replicated apply failed: {e}")))?;
+        );
         inner
             .metrics
             .record_elapsed(Phase::FollowerApply, usize::MAX, started);
@@ -659,7 +656,7 @@ impl ReactDB {
         inner
             .metrics
             .add(Count::RecoveredCheckpointRows, checkpoint_rows.len() as u64);
-        Ok(batches.len())
+        batches.len()
     }
 
     /// Stops every worker thread, the epoch advancer and the WAL's sync
@@ -721,37 +718,27 @@ impl Drop for ReactDB {
 /// deployment of the same reactor database, and the logged container id
 /// belongs to the old one. A record for a reactor the spec does not declare
 /// has no home and is skipped rather than guessed at. Full images and
-/// tombstones replay idempotently by TID; a delta whose base image is
-/// missing or mismatched is a broken chain and fails the replay — surfacing
-/// the corruption beats installing plausible-but-wrong rows. The work fans
-/// out over `workers` reactor-partitioned lanes (`0` = the available
-/// parallelism), so each reactor's records stay in order. Returns the lanes
-/// used.
+/// tombstones replay idempotently by TID. The work fans out over `workers`
+/// reactor-partitioned lanes (`0` = the available parallelism), so each
+/// reactor's records stay in order. Returns the lanes used.
 fn replay(
     containers: &[Arc<Container>],
     container_of_reactor: &[ContainerId],
     checkpoint_rows: &[(reactdb_storage::TidWord, reactdb_txn::RedoRecord)],
     batches: &[(reactdb_storage::TidWord, Vec<reactdb_txn::RedoRecord>)],
     workers: usize,
-) -> std::io::Result<usize> {
-    let replay_one = |tid, record: &reactdb_txn::RedoRecord| -> std::io::Result<()> {
+) -> usize {
+    let replay_one = |tid, record: &reactdb_txn::RedoRecord| {
         let Some(container) = container_of_reactor.get(record.reactor.index()) else {
-            return Ok(());
+            return;
         };
         let Ok(table) = containers[container.index()]
             .partition()
             .table(record.reactor, &record.relation)
         else {
-            return Ok(());
+            return;
         };
-        match &record.payload {
-            reactdb_txn::RedoPayload::Full(image) => table.replay(&record.key, Some(image), tid),
-            reactdb_txn::RedoPayload::Delete => table.replay(&record.key, None, tid),
-            reactdb_txn::RedoPayload::Delta(row_delta) => table
-                .replay_delta(&record.key, row_delta.base, &row_delta.delta, tid)
-                .map_err(|e| std::io::Error::other(format!("corrupt delta chain: {e}")))?,
-        }
-        Ok(())
+        table.replay(&record.key, record.image(), tid);
     };
     let workers = match workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -1532,50 +1519,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_logging_shrinks_the_log_and_recovers_identically() {
-        use reactdb_common::DurabilityConfig;
-        let dir = wal_dir("delta-roundtrip");
-        let config = DeploymentConfig::shared_everything_with_affinity(1).with_durability(
-            DurabilityConfig::epoch_sync(&dir)
-                .with_interval_ms(0)
-                .with_delta_logging(true),
-        );
-        let db = boot(config.clone());
-        // Repeat updates of one balance row: everything after the insert
-        // ships as a field-level delta.
-        for _ in 0..20 {
-            db.invoke("acct-0", "deposit", vec![Value::Float(1.0)])
-                .unwrap();
-        }
-        assert!(
-            count(&db, "log_delta_records") >= 19,
-            "repeat updates are delta-logged, got {}",
-            count(&db, "log_delta_records")
-        );
-        assert!(count(&db, "log_bytes_saved") > 0);
-        db.wal_sync().unwrap();
-        db.invoke("acct-0", "deposit", vec![Value::Float(500.0)])
-            .unwrap();
-        db.simulate_crash();
-
-        let recovered = ReactDB::recover(bank_spec(), config).unwrap();
-        assert_eq!(
-            recovered.invoke("acct-0", "balance", vec![]).unwrap(),
-            Value::Float(20.0),
-            "delta chains replay to the exact durable state"
-        );
-        // The recovered instance keeps delta-logging new commits.
-        recovered
-            .invoke("acct-0", "deposit", vec![Value::Float(1.0)])
-            .unwrap();
-        recovered
-            .invoke("acct-0", "deposit", vec![Value::Float(1.0)])
-            .unwrap();
-        assert!(count(&recovered, "log_delta_records") >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn recovered_tids_stay_monotonic_over_replayed_state() {
         use reactdb_common::DurabilityConfig;
         let dir = wal_dir("monotonic");
@@ -2169,7 +2112,7 @@ mod tests {
         // A checkpoint base row plus two incremental batches, as a follower
         // would apply them from the shipped stream.
         let base = reactdb_storage::TidWord::committed(2, 1);
-        db.apply_redo(&[(base, record(10.0))], &[], 2).unwrap();
+        db.apply_redo(&[(base, record(10.0))], &[], 2);
         db.apply_redo(
             &[],
             &[
@@ -2183,8 +2126,7 @@ mod tests {
                 ),
             ],
             2,
-        )
-        .unwrap();
+        );
         assert_eq!(
             db.invoke("acct-0", "balance", vec![]).unwrap(),
             Value::Float(30.0),

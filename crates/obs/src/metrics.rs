@@ -171,10 +171,6 @@ pub enum Count {
     LogBytes,
     /// Redo records appended to the write-ahead log.
     LogRecords,
-    /// Redo records logged as field-level deltas instead of full images.
-    LogDeltaRecords,
-    /// Log bytes delta records saved against full-image encodings.
-    LogBytesSaved,
     /// Group commits (flush + fsync + durable-epoch advance) performed.
     LogSyncs,
     /// Group commits that failed with an I/O error.
@@ -183,8 +179,6 @@ pub enum Count {
     DurableWaits,
     /// Checkpoints completed.
     CheckpointsTaken,
-    /// Completed checkpoints that were delta captures.
-    CheckpointsDelta,
     /// Bytes of checkpoint data files written.
     CheckpointBytes,
     /// Checkpoint attempts that failed (the previous one stays in effect).
@@ -216,7 +210,7 @@ pub enum Count {
 
 impl Count {
     /// Number of counts.
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 33;
 
     /// Every count, in declaration (and export) order.
     pub const ALL: [Count; Count::COUNT] = [
@@ -236,13 +230,10 @@ impl Count {
         Count::RecoveryReplayWorkers,
         Count::LogBytes,
         Count::LogRecords,
-        Count::LogDeltaRecords,
-        Count::LogBytesSaved,
         Count::LogSyncs,
         Count::LogSyncFailures,
         Count::DurableWaits,
         Count::CheckpointsTaken,
-        Count::CheckpointsDelta,
         Count::CheckpointBytes,
         Count::CheckpointFailures,
         Count::LogTruncatedBytes,
@@ -282,13 +273,10 @@ impl Count {
             Count::RecoveryReplayWorkers => "recovery_replay_workers",
             Count::LogBytes => "log_bytes",
             Count::LogRecords => "log_records",
-            Count::LogDeltaRecords => "log_delta_records",
-            Count::LogBytesSaved => "log_bytes_saved",
             Count::LogSyncs => "log_syncs",
             Count::LogSyncFailures => "log_sync_failures",
             Count::DurableWaits => "durable_waits",
             Count::CheckpointsTaken => "checkpoints_taken",
-            Count::CheckpointsDelta => "checkpoints_delta",
             Count::CheckpointBytes => "checkpoint_bytes",
             Count::CheckpointFailures => "checkpoint_failures",
             Count::LogTruncatedBytes => "log_truncated_bytes",

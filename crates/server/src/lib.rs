@@ -36,7 +36,7 @@
 //! **Replication** — a follower is a connection. One that sends
 //! `ReplSubscribe` stays on its I/O worker and gains a subscription: a
 //! [`reactdb_wal::ShipCursor`] over the engine's log directory that ships
-//! the newest checkpoint chain first, then the durable tail of every log
+//! the installed checkpoint first, then the durable tail of every log
 //! segment, interleaved with durable-epoch announcements. The worker polls
 //! the cursor in the pass that accepts the subscription and again whenever
 //! the WAL's durable epoch passes the last one announced (the same wake
@@ -990,7 +990,7 @@ fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) 
             Request::ReplSubscribe {
                 correlation_id,
                 // The primary always ships the full bootstrap (checkpoint
-                // chain + durable log); a follower that already applied
+                // + durable log); a follower that already applied
                 // through `from_epoch` skips those epochs at apply time,
                 // so re-shipping is merely redundant, never wrong.
                 from_epoch: _,

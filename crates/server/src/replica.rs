@@ -10,7 +10,7 @@
 //! 2. stage every `ReplFile` chunk byte-for-byte into a staging
 //!    directory — a faithful, growing copy of the primary's log dir;
 //! 3. on each `ReplEpoch E`: bootstrap once from the staged checkpoint
-//!    chain via [`reactdb_wal::load_checkpoint`] (the same parallel
+//!    via [`reactdb_wal::load_checkpoint`] (the same parallel
 //!    loader crash recovery uses), then decode the staged segments and
 //!    apply every not-yet-applied batch with commit epoch `<= E` through
 //!    [`ReactDB::apply_redo`] — which re-logs them into the follower's
@@ -34,7 +34,7 @@
 //! re-enters step 1 with the follower's state intact: every subscription
 //! stages into a fresh *generation* subdirectory of the staging dir (the new
 //! subscription re-ships the bootstrap from the primary's *new*
-//! checkpoint chain, which must not be spliced into stale staged bytes),
+//! checkpoint, which must not be spliced into stale staged bytes),
 //! the checkpoint is re-loaded from that side generation, and only rows
 //! above the follower's `applied` epoch are fed to the TID-idempotent
 //! [`ReactDB::apply_redo`]. The reconnect budget replenishes whenever a
@@ -143,7 +143,7 @@ struct Tail {
     /// Epoch floor below which batches are covered by the loaded
     /// checkpoint (its `cover_epoch`); 0 before bootstrap or without one.
     checkpoint_floor: u64,
-    /// Whether the current generation's checkpoint chain has been loaded.
+    /// Whether the current generation's checkpoint has been loaded.
     bootstrapped: bool,
     /// Monotone (re)subscription counter; names the staging generation
     /// subdirectory.
@@ -161,7 +161,7 @@ impl Tail {
 
     /// Starts a fresh staging generation for a new subscription: staged
     /// bookkeeping resets (the new stream re-ships its bootstrap from the
-    /// primary's *current* checkpoint chain), `applied` survives, and
+    /// primary's *current* checkpoint), `applied` survives, and
     /// generations older than the previous one are deleted.
     fn next_generation(&mut self, staging_dir: &Path) -> io::Result<PathBuf> {
         self.generation += 1;
@@ -492,8 +492,8 @@ fn stage_chunk(
 }
 
 /// Applies every staged-but-unapplied batch with commit epoch `<= epoch`
-/// into the local engine, bootstrapping from the staged checkpoint chain
-/// on the first call of the generation, then forces a local group commit
+/// into the local engine, bootstrapping from the staged checkpoint on
+/// the first call of the generation, then forces a local group commit
 /// and fsyncs the staged bytes so the subsequent ack means *durably*
 /// applied — in the engine's own WAL and in the staged copy both.
 fn apply_through(
@@ -536,6 +536,12 @@ fn apply_through(
                 format!("staged segment {name} does not decode"),
             )
         })?;
+        if let Some(at) = scan.undecodable_at {
+            return Err(io::Error::new(
+                ErrorKind::InvalidData,
+                format!("staged segment {name}: frame at byte {at} does not decode"),
+            ));
+        }
         for (tid, records) in scan.batches {
             if tid.epoch() > floor && tid.epoch() <= epoch {
                 batches.push((tid, records));
@@ -545,8 +551,7 @@ fn apply_through(
     batches.sort_by_key(|(tid, _)| (tid.epoch(), tid.version()));
 
     if !(batches.is_empty() && checkpoint_rows.is_empty()) {
-        db.apply_redo(&checkpoint_rows, &batches, opts.replay_workers)
-            .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("apply failed: {e}")))?;
+        db.apply_redo(&checkpoint_rows, &batches, opts.replay_workers);
         // The ack promises durability: flush the follower's own WAL.
         db.wal_sync()
             .map_err(|e| io::Error::other(format!("follower group commit failed: {e}")))?;

@@ -32,6 +32,6 @@ pub use index::{IndexNode, NodeBump, NodeObservation, NodeRef, VersionedIndex, W
 pub use partition::Partition;
 pub use record::{Record, RecordRef};
 pub use schema::{Column, ColumnType, RelationDef, Schema};
-pub use table::{FenceEffect, ReplayError, SnapshotChunk, Table};
+pub use table::{FenceEffect, SnapshotChunk, Table};
 pub use tid::TidWord;
-pub use tuple::{Tuple, TupleDelta};
+pub use tuple::Tuple;

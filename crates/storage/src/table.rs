@@ -20,74 +20,7 @@ use crate::index::{NodeBump, NodeObservation, VersionedIndex, WalkPage};
 use crate::record::{Record, RecordRef};
 use crate::schema::Schema;
 use crate::tid::TidWord;
-use crate::tuple::{Tuple, TupleDelta};
-
-/// Why a delta redo record could not be applied during recovery. Unlike a
-/// torn log tail (expected after a crash, silently discarded), a delta whose
-/// base image is missing or mismatched means the chain invariant was broken
-/// — replaying it would produce silently wrong state, so recovery surfaces
-/// the corruption instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayError {
-    /// The delta's base row is not present (or was deleted): the chain's
-    /// root full image is gone.
-    MissingBase {
-        /// Relation the record addressed.
-        relation: String,
-        /// Primary key of the row.
-        key: String,
-        /// Commit TID of the unapplicable delta.
-        tid: TidWord,
-    },
-    /// The slot holds a version that is neither the delta's base nor newer
-    /// than the delta itself: an intermediate chain link is missing.
-    BaseMismatch {
-        /// Relation the record addressed.
-        relation: String,
-        /// Primary key of the row.
-        key: String,
-        /// Base version the delta was computed against.
-        expected: TidWord,
-        /// Version actually found in the slot.
-        found: TidWord,
-    },
-    /// The base image's arity does not match the delta (schema drift or a
-    /// cross-wired chain).
-    ArityMismatch {
-        /// Relation the record addressed.
-        relation: String,
-        /// Primary key of the row.
-        key: String,
-    },
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayError::MissingBase { relation, key, tid } => write!(
-                f,
-                "delta redo record for {relation}[{key}] (tid {:?}) has no base image",
-                tid
-            ),
-            ReplayError::BaseMismatch {
-                relation,
-                key,
-                expected,
-                found,
-            } => write!(
-                f,
-                "delta redo record for {relation}[{key}] expects base {:#x} but the slot holds {:#x}",
-                expected.raw(),
-                found.raw()
-            ),
-            ReplayError::ArityMismatch { relation, key } => {
-                write!(f, "delta redo record for {relation}[{key}] does not fit the base image's arity")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
+use crate::tuple::Tuple;
 
 /// A secondary index: one entry per row, keyed `[index key, primary key]`.
 #[derive(Debug)]
@@ -550,73 +483,6 @@ impl Table {
             }
         }
     }
-
-    /// Applies one *delta* redo record during crash recovery: reconstructs
-    /// the after-image by applying `delta` to the image currently in the
-    /// slot and installs it under `tid`, maintaining secondary indexes.
-    ///
-    /// Replay order makes this sound: recovery replays checkpoint rows
-    /// first and then the log tail in commit-TID order, so when this record
-    /// is reached the slot holds the newest version at or before `tid` that
-    /// survived — which for an intact chain is exactly the delta's `base`
-    /// (the version the committing transaction overwrote; OCC validation
-    /// pinned it). The rules, in order:
-    ///
-    /// * slot version `>= tid` — skip, idempotent by TID like
-    ///   [`Table::replay`] (a fuzzy checkpoint may have captured a newer
-    ///   image; the delta's effects are already included);
-    /// * slot missing or deleted — the chain's root is gone:
-    ///   [`ReplayError::MissingBase`];
-    /// * slot version `!= base` — an intermediate link is missing:
-    ///   [`ReplayError::BaseMismatch`];
-    /// * arity mismatch between base image and delta:
-    ///   [`ReplayError::ArityMismatch`].
-    ///
-    /// Refusing instead of force-applying is deliberate: a mis-rooted delta
-    /// silently merged onto the wrong base would recover *plausible but
-    /// wrong* rows, the worst failure mode a redo log can have.
-    pub fn replay_delta(
-        &self,
-        key: &Key,
-        base: TidWord,
-        delta: &TupleDelta,
-        tid: TidWord,
-    ) -> std::result::Result<(), ReplayError> {
-        let missing = || ReplayError::MissingBase {
-            relation: self.name.clone(),
-            key: key.to_string(),
-            tid,
-        };
-        let Some(record) = self.get(key) else {
-            return Err(missing());
-        };
-        let current = record.tid();
-        if current.version() >= tid.version() {
-            return Ok(()); // already covered (checkpoint row or re-replay)
-        }
-        if current.is_absent() {
-            return Err(missing());
-        }
-        if current.version() != base.version() {
-            return Err(ReplayError::BaseMismatch {
-                relation: self.name.clone(),
-                key: key.to_string(),
-                expected: base,
-                found: current.unlocked(),
-            });
-        }
-        let before = record.read_unguarded();
-        let Some(row) = delta.apply(&before) else {
-            return Err(ReplayError::ArityMismatch {
-                relation: self.name.clone(),
-                key: key.to_string(),
-            });
-        };
-        record.lock();
-        record.install(row.clone(), tid);
-        self.reindex(key, Some(&before), Some(&row));
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -980,95 +846,6 @@ mod tests {
         // A delete for a never-seen key is a no-op.
         t.replay(&Key::Int(77), None, TidWord::committed(5, 2));
         assert!(t.get(&Key::Int(77)).is_none());
-    }
-
-    #[test]
-    fn replay_delta_applies_chains_and_refuses_broken_ones() {
-        let t = customer_table();
-        let v1 = row(1, "BASE", 1.0);
-        let v2 = row(1, "BASE", 2.0);
-        let v3 = row(1, "MOVED", 3.0);
-        t.replay(&Key::Int(1), Some(&v1), TidWord::committed(1, 1));
-        let d12 = TupleDelta::diff(&v1, &v2).unwrap();
-        let d23 = TupleDelta::diff(&v2, &v3).unwrap();
-        // Chain applies in TID order, maintaining the secondary index.
-        t.replay_delta(
-            &Key::Int(1),
-            TidWord::committed(1, 1),
-            &d12,
-            TidWord::committed(2, 1),
-        )
-        .unwrap();
-        t.replay_delta(
-            &Key::Int(1),
-            TidWord::committed(2, 1),
-            &d23,
-            TidWord::committed(3, 1),
-        )
-        .unwrap();
-        assert_eq!(t.get(&Key::Int(1)).unwrap().read_unguarded(), v3);
-        assert_eq!(pks(under(&t, "MOVED")), vec![Key::Int(1)]);
-        assert!(pks(under(&t, "BASE")).is_empty());
-        // Idempotence: an already-covered delta is a no-op, not an error.
-        t.replay_delta(
-            &Key::Int(1),
-            TidWord::committed(1, 1),
-            &d12,
-            TidWord::committed(2, 1),
-        )
-        .unwrap();
-        assert_eq!(t.get(&Key::Int(1)).unwrap().read_unguarded(), v3);
-        // Missing base: a delta for a key with no slot is refused.
-        let err = t
-            .replay_delta(
-                &Key::Int(9),
-                TidWord::committed(1, 1),
-                &d12,
-                TidWord::committed(4, 1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::MissingBase { .. }), "{err}");
-        // Base mismatch: the slot is at v3 but the delta expects v1.
-        let err = t
-            .replay_delta(
-                &Key::Int(1),
-                TidWord::committed(1, 1),
-                &d12,
-                TidWord::committed(9, 1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::BaseMismatch { .. }), "{err}");
-        // Deleted base: a delta over a tombstone is refused.
-        t.replay(&Key::Int(1), None, TidWord::committed(10, 1));
-        let err = t
-            .replay_delta(
-                &Key::Int(1),
-                TidWord::committed(10, 1),
-                &d12,
-                TidWord::committed(11, 1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::MissingBase { .. }), "{err}");
-    }
-
-    #[test]
-    fn replay_delta_rejects_arity_drift() {
-        let t = customer_table();
-        t.replay(
-            &Key::Int(2),
-            Some(&row(2, "A", 1.0)),
-            TidWord::committed(1, 1),
-        );
-        let delta = TupleDelta::from_parts(5, vec![(4, Value::Int(7))]).unwrap();
-        let err = t
-            .replay_delta(
-                &Key::Int(2),
-                TidWord::committed(1, 1),
-                &delta,
-                TidWord::committed(2, 1),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ReplayError::ArityMismatch { .. }), "{err}");
     }
 
     #[test]

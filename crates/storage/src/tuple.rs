@@ -125,90 +125,6 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
-/// A field-level delta between two images of one row: the positions whose
-/// values changed, with their new values. The durability layer ships these
-/// instead of full row images for repeat updates, so log bandwidth scales
-/// with what changed rather than with row width.
-///
-/// A delta is only meaningful relative to the exact base image it was
-/// computed against; [`TupleDelta::apply`] therefore re-checks the arity,
-/// and the replay path additionally matches the base version (see
-/// `Table::replay_delta`). Invariants held by construction: positions are
-/// strictly ascending and all below `arity`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TupleDelta {
-    arity: u32,
-    changes: Vec<(u32, Value)>,
-}
-
-impl TupleDelta {
-    /// Computes the delta turning `before` into `after`. Returns `None`
-    /// when the arities differ — such a change has no field-level
-    /// representation and must be logged as a full image.
-    pub fn diff(before: &Tuple, after: &Tuple) -> Option<TupleDelta> {
-        if before.arity() != after.arity() {
-            return None;
-        }
-        let changes = before
-            .values()
-            .iter()
-            .zip(after.values())
-            .enumerate()
-            .filter(|(_, (b, a))| b != a)
-            .map(|(i, (_, a))| (i as u32, a.clone()))
-            .collect();
-        Some(TupleDelta {
-            arity: after.arity() as u32,
-            changes,
-        })
-    }
-
-    /// Builds a delta from raw parts (the decode path). Returns `None`
-    /// unless the positions are strictly ascending and below `arity` — a
-    /// malformed delta is rejected, never mis-applied.
-    pub fn from_parts(arity: u32, changes: Vec<(u32, Value)>) -> Option<TupleDelta> {
-        let ascending_in_range = changes
-            .iter()
-            .enumerate()
-            .all(|(i, (pos, _))| *pos < arity && (i == 0 || changes[i - 1].0 < *pos));
-        if !ascending_in_range {
-            return None;
-        }
-        Some(TupleDelta { arity, changes })
-    }
-
-    /// Arity of the row this delta applies to.
-    pub fn arity(&self) -> u32 {
-        self.arity
-    }
-
-    /// The changed fields: `(position, new value)` in ascending position
-    /// order.
-    pub fn changes(&self) -> &[(u32, Value)] {
-        &self.changes
-    }
-
-    /// True when no field changed (the update rewrote an identical image;
-    /// only the row version moves).
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Applies the delta to `base`, producing the after-image. Returns
-    /// `None` when `base` has a different arity than the image the delta
-    /// was computed against.
-    pub fn apply(&self, base: &Tuple) -> Option<Tuple> {
-        if base.arity() as u32 != self.arity {
-            return None;
-        }
-        let mut values = base.values().to_vec();
-        for (pos, value) in &self.changes {
-            values[*pos as usize] = value.clone();
-        }
-        Some(Tuple::new(values))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,42 +180,6 @@ mod tests {
             t.index_key(&[1, 1]),
             Some(Key::composite([Key::Int(3), Key::Int(3)]))
         );
-    }
-
-    #[test]
-    fn delta_diff_apply_roundtrip() {
-        let before = Tuple::of([
-            Value::Int(1),
-            Value::Str("unchanged".into()),
-            Value::Float(10.0),
-            Value::Bool(false),
-        ]);
-        let mut after = before.clone();
-        after.values_mut()[2] = Value::Float(11.5);
-        after.values_mut()[3] = Value::Bool(true);
-        let delta = TupleDelta::diff(&before, &after).unwrap();
-        assert_eq!(delta.changes().len(), 2);
-        assert_eq!(delta.changes()[0].0, 2);
-        assert_eq!(delta.apply(&before).unwrap(), after);
-        // Identical images yield an empty (version-only) delta.
-        let empty = TupleDelta::diff(&before, &before).unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(empty.apply(&before).unwrap(), before);
-        // Arity changes have no delta representation.
-        assert!(TupleDelta::diff(&before, &Tuple::of([Value::Int(1)])).is_none());
-        // Applying to a wrong-arity base is refused.
-        assert!(delta.apply(&Tuple::of([Value::Int(1)])).is_none());
-    }
-
-    #[test]
-    fn malformed_delta_parts_are_rejected() {
-        // Out-of-range position.
-        assert!(TupleDelta::from_parts(2, vec![(2, Value::Int(0))]).is_none());
-        // Unsorted / duplicate positions.
-        assert!(TupleDelta::from_parts(3, vec![(1, Value::Int(0)), (0, Value::Int(1))]).is_none());
-        assert!(TupleDelta::from_parts(3, vec![(1, Value::Int(0)), (1, Value::Int(1))]).is_none());
-        // A well-formed delta is accepted.
-        assert!(TupleDelta::from_parts(3, vec![(0, Value::Int(0)), (2, Value::Int(1))]).is_some());
     }
 
     #[test]

@@ -42,10 +42,10 @@ use std::sync::Arc;
 
 use reactdb_common::{Result, TxnError};
 use reactdb_obs::{CommitProbe, Phase};
-use reactdb_storage::{TidWord, Tuple, TupleDelta};
+use reactdb_storage::{TidWord, Tuple};
 
 use crate::epoch::EpochManager;
-use crate::logging::{LogSink, RedoPayload, RedoRecord, RowDelta};
+use crate::logging::{LogSink, RedoPayload, RedoRecord};
 use crate::occ::{OccTxn, WriteKind};
 use crate::tidgen::TidGen;
 
@@ -284,41 +284,19 @@ impl Coordinator {
             p.lap(Phase::Write);
         }
 
-        // ---- Durability hook: emit the redo batch for the whole commit.
-        // Updates are rendered as field-level deltas when the sink opted in
-        // (`wants_deltas`): the write entry kept the overwritten image and
-        // its version, read validation just re-pinned both, so the diff is
-        // exact. Inserts and deletes always carry full payloads; so do
-        // updates whose arity changed (no field-level representation). The
-        // after-image travels with every delta so the sink can re-base
-        // (downgrade to a full image) for keys without a full-image root in
-        // its current segment.
+        // ---- Durability hook: emit the redo batch for the whole commit:
+        // the full after-image of every insert and update, a tombstone for
+        // every delete.
         if let Some(sink) = sink {
-            let wants_deltas = sink.wants_deltas();
             let mut records = Vec::with_capacity(locked.len());
             for (pi, wi) in &locked {
                 let p = &participants[*pi];
                 let w = &p.writes()[*wi];
                 let payload = match &w.kind {
-                    WriteKind::Insert(row) => RedoPayload::Full(row.clone()),
-                    WriteKind::Delete => RedoPayload::Delete,
-                    WriteKind::Update(row) => {
-                        let delta = if wants_deltas {
-                            w.before
-                                .as_ref()
-                                .and_then(|before| TupleDelta::diff(before, row))
-                        } else {
-                            None
-                        };
-                        match delta {
-                            Some(delta) => RedoPayload::Delta(RowDelta {
-                                base: w.before_tid.unlocked(),
-                                delta,
-                                image: Some(row.clone()),
-                            }),
-                            None => RedoPayload::Full(row.clone()),
-                        }
+                    WriteKind::Insert(row) | WriteKind::Update(row) => {
+                        RedoPayload::Full(row.clone())
                     }
+                    WriteKind::Delete => RedoPayload::Delete,
                 };
                 records.push(RedoRecord {
                     container: p.container(),
@@ -542,76 +520,6 @@ mod tests {
         assert!(delete.is_delete(), "deletes log a tombstone");
         let update = records.iter().find(|r| r.key == Key::Int(1)).unwrap();
         assert_eq!(update.image().unwrap().at(1), &Value::Int(11));
-        assert!(
-            !update.is_delta(),
-            "updates stay full-image unless the sink asks for deltas"
-        );
-    }
-
-    #[test]
-    fn delta_wanting_sinks_get_exact_field_deltas_for_updates() {
-        use crate::logging::test_support::MemorySink;
-        let t = table("t");
-        let (epoch, gen) = env();
-        let sink = MemorySink::wanting_deltas();
-        let base_tid = t.get(&Key::Int(3)).unwrap().tid();
-
-        let mut p = OccTxn::new(ContainerId(0));
-        p.update(&t, Tuple::of([Value::Int(3), Value::Int(33)]))
-            .unwrap();
-        p.insert(&t, Tuple::of([Value::Int(100), Value::Int(1)]))
-            .unwrap();
-        p.delete(&t, &Key::Int(4)).unwrap();
-        Coordinator::commit_logged(&mut [p], &epoch, &gen, Some(&sink)).unwrap();
-
-        let batches = sink.batches.lock().unwrap();
-        let records = &batches[0].1;
-        let update = records.iter().find(|r| r.key == Key::Int(3)).unwrap();
-        let RedoPayload::Delta(row_delta) = &update.payload else {
-            panic!("repeat update must render as a delta, got {update:?}");
-        };
-        assert_eq!(
-            row_delta.base.version(),
-            base_tid.version(),
-            "the delta's base is the overwritten version"
-        );
-        assert_eq!(
-            row_delta.delta.changes(),
-            &[(1, Value::Int(33))],
-            "only the changed field ships"
-        );
-        assert_eq!(
-            row_delta.image.as_ref().unwrap().at(1),
-            &Value::Int(33),
-            "the after-image travels with the delta for writer re-basing"
-        );
-        // Inserts and deletes keep full payloads even for delta sinks.
-        assert!(records
-            .iter()
-            .any(|r| r.key == Key::Int(100) && matches!(r.payload, RedoPayload::Full(_))));
-        assert!(records
-            .iter()
-            .any(|r| r.key == Key::Int(4) && r.is_delete()));
-    }
-
-    #[test]
-    fn update_of_own_insert_logs_a_full_image() {
-        use crate::logging::test_support::MemorySink;
-        let t = table("t");
-        let (epoch, gen) = env();
-        let sink = MemorySink::wanting_deltas();
-        let mut p = OccTxn::new(ContainerId(0));
-        p.insert(&t, Tuple::of([Value::Int(200), Value::Int(1)]))
-            .unwrap();
-        p.update(&t, Tuple::of([Value::Int(200), Value::Int(2)]))
-            .unwrap();
-        Coordinator::commit_logged(&mut [p], &epoch, &gen, Some(&sink)).unwrap();
-        let batches = sink.batches.lock().unwrap();
-        let record = &batches[0].1[0];
-        assert!(
-            matches!(record.payload, RedoPayload::Full(_)),
-            "an insert updated in the same transaction has no committed base"
-        );
     }
 
     #[test]

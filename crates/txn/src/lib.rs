@@ -26,6 +26,6 @@ pub mod tidgen;
 
 pub use coordinator::{CommitOutcome, Coordinator};
 pub use epoch::EpochManager;
-pub use logging::{LogSink, NullSink, RedoPayload, RedoRecord, RowDelta};
+pub use logging::{LogSink, NullSink, RedoPayload, RedoRecord};
 pub use occ::{OccTxn, WriteKind};
 pub use tidgen::TidGen;

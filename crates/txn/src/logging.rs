@@ -10,56 +10,22 @@
 //! (2PC) produce records for every participating container in one batch, so
 //! no participant's effects can be lost while another's survive.
 //!
-//! A record's [`RedoPayload`] is either a full after-image, a deletion
-//! tombstone, or — when the sink opted in via [`LogSink::wants_deltas`] — a
-//! field-level [`TupleDelta`] against the image the update overwrote, so
-//! update-heavy workloads pay log bandwidth proportional to what changed
-//! rather than to row width. Delta records carry the base version OCC
-//! validation pinned (the delta is exact, not heuristic) plus the full
-//! after-image as commit-path transport, letting the sink *re-base* — fall
-//! back to a full image — when the key has no full-image root in the
-//! current log segment.
+//! A record's [`RedoPayload`] is the row's full after-image or a deletion
+//! tombstone; recovery re-applies it by commit TID, so replay never
+//! depends on the image the update overwrote.
 //!
 //! Keeping the trait here (and not in the WAL crate) means the concurrency
 //! control layer has no dependency on any I/O machinery: tests and the
 //! simulator can plug in in-memory sinks.
 
 use reactdb_common::{ContainerId, Key, ReactorId};
-use reactdb_storage::{TidWord, Tuple, TupleDelta};
-
-/// A field-level delta payload: everything replay needs to reconstruct the
-/// after-image from the base image already in the slot.
-#[derive(Debug, Clone)]
-pub struct RowDelta {
-    /// Version of the image the delta was computed against — the committed
-    /// version this transaction overwrote (pinned by OCC read validation).
-    pub base: TidWord,
-    /// The changed fields.
-    pub delta: TupleDelta,
-    /// Full after-image, present only on the commit path: the log writer
-    /// uses it to re-base (log a full image instead) when the key has no
-    /// full-image root in its current segment. Decoded records carry
-    /// `None` — the image is reconstructed at replay by applying `delta`.
-    pub image: Option<Tuple>,
-}
-
-impl PartialEq for RowDelta {
-    /// Compares the logged substance (base + delta) and ignores the
-    /// commit-path-only `image` transport, so decoded records compare equal
-    /// to what was encoded.
-    fn eq(&self, other: &Self) -> bool {
-        self.base == other.base && self.delta == other.delta
-    }
-}
+use reactdb_storage::{TidWord, Tuple};
 
 /// What one redo record carries for its row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoPayload {
-    /// Full row image after the transaction (inserts, first touch of a key
-    /// per log segment, and updates whose delta would not be smaller).
+    /// Full row image after the transaction (inserts and updates).
     Full(Tuple),
-    /// Field-level delta against the overwritten image (repeat updates).
-    Delta(RowDelta),
     /// Deletion tombstone.
     Delete,
 }
@@ -75,18 +41,15 @@ pub struct RedoRecord {
     pub relation: String,
     /// Primary key of the row.
     pub key: Key,
-    /// The row mutation: full image, field delta, or tombstone.
+    /// The row mutation: full image or tombstone.
     pub payload: RedoPayload,
 }
 
 impl RedoRecord {
-    /// The full after-image, when the record carries one (`Full` always,
-    /// `Delta` only on the commit path). `None` for tombstones and decoded
-    /// delta records.
+    /// The full after-image; `None` for tombstones.
     pub fn image(&self) -> Option<&Tuple> {
         match &self.payload {
             RedoPayload::Full(tuple) => Some(tuple),
-            RedoPayload::Delta(delta) => delta.image.as_ref(),
             RedoPayload::Delete => None,
         }
     }
@@ -94,11 +57,6 @@ impl RedoRecord {
     /// True for deletion tombstones.
     pub fn is_delete(&self) -> bool {
         matches!(self.payload, RedoPayload::Delete)
-    }
-
-    /// True for field-level delta records.
-    pub fn is_delta(&self) -> bool {
-        matches!(self.payload, RedoPayload::Delta(_))
     }
 }
 
@@ -109,14 +67,6 @@ pub trait LogSink {
     /// participating container. Implementations buffer; they must not block
     /// on I/O on this path.
     fn log_commit(&self, tid: TidWord, records: &[RedoRecord]);
-
-    /// True when the sink wants repeat updates rendered as
-    /// [`RedoPayload::Delta`] records (the coordinator then diffs the
-    /// before/after images at commit time). Sinks that return `false`
-    /// receive full images only. Default: `false`.
-    fn wants_deltas(&self) -> bool {
-        false
-    }
 }
 
 /// A sink that drops everything (durability off).
@@ -136,27 +86,11 @@ pub(crate) mod test_support {
     #[derive(Debug, Default)]
     pub struct MemorySink {
         pub batches: Mutex<Vec<(TidWord, Vec<RedoRecord>)>>,
-        /// When set, the sink asks the coordinator for delta records.
-        pub deltas: bool,
-    }
-
-    impl MemorySink {
-        /// A sink that opts in to delta rendering.
-        pub fn wanting_deltas() -> Self {
-            Self {
-                deltas: true,
-                ..Self::default()
-            }
-        }
     }
 
     impl LogSink for MemorySink {
         fn log_commit(&self, tid: TidWord, records: &[RedoRecord]) {
             self.batches.lock().unwrap().push((tid, records.to_vec()));
-        }
-
-        fn wants_deltas(&self) -> bool {
-            self.deltas
         }
     }
 }

@@ -45,10 +45,6 @@ pub(crate) struct WriteEntry {
     /// Image of the row before this transaction (None when inserting into a
     /// previously absent slot); needed for secondary-index maintenance.
     pub before: Option<Tuple>,
-    /// Version carrying `before` when it was captured. Read validation pins
-    /// it (the record must still hold this version at commit), which is
-    /// what makes it a sound base for delta redo records.
-    pub before_tid: TidWord,
     pub kind: WriteKind,
 }
 
@@ -247,13 +243,11 @@ impl OccTxn {
                     // Delete-then-insert within one transaction becomes an
                     // update of the existing slot.
                     let before = self.writes[idx].before.clone();
-                    let before_tid = self.writes[idx].before_tid;
                     self.writes[idx] = WriteEntry {
                         table: Arc::clone(table),
                         key,
                         record: Arc::clone(&self.writes[idx].record),
                         before,
-                        before_tid,
                         kind: WriteKind::Update(row),
                     };
                     return Ok(());
@@ -272,7 +266,7 @@ impl OccTxn {
             // node set so our earlier scans of the range stay valid.
             self.refresh_node(bump);
         }
-        let (tid, before) = record.read_stable();
+        let (tid, _) = record.read_stable();
         self.track_read(&record, tid);
         if !tid.is_absent() {
             return Err(TxnError::DuplicateKey {
@@ -280,13 +274,11 @@ impl OccTxn {
                 key: key.to_string(),
             });
         }
-        let _ = before;
         self.writes.push(WriteEntry {
             table: Arc::clone(table),
             key,
             record,
             before: None,
-            before_tid: tid,
             kind: WriteKind::Insert(row),
         });
         Ok(())
@@ -333,7 +325,6 @@ impl OccTxn {
             key,
             record,
             before: Some(before),
-            before_tid: tid,
             kind: WriteKind::Update(row),
         });
         Ok(())
@@ -391,7 +382,6 @@ impl OccTxn {
             key: key.clone(),
             record,
             before: Some(before),
-            before_tid: tid,
             kind: WriteKind::Delete,
         });
         Ok(())

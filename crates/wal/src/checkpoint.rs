@@ -1,6 +1,5 @@
 //! Background checkpointing: periodic consistent snapshots that bound
-//! recovery time, SiloR-style — captured in parallel and, optionally,
-//! incrementally.
+//! recovery time, SiloR-style, captured in parallel.
 //!
 //! Without checkpoints, recovery replays every log segment since the last
 //! offline compaction, so a long-lived instance pays a restart cost
@@ -33,9 +32,8 @@
 //!    lost.
 //! 4. **Manifest commit** — the part files are renamed into place and the
 //!    manifest is atomically replaced (write temp, fsync, rename, fsync
-//!    dir). The manifest commits the *entire part set* — and, with delta
-//!    checkpoints, the entire layer chain — in one rename: a crash at any
-//!    earlier step leaves the previous checkpoint in effect.
+//!    dir). The manifest commits the *entire part set* in one rename: a
+//!    crash at any earlier step leaves the previous checkpoint in effect.
 //! 5. **Rotation and truncation** — live writers rotate onto a fresh
 //!    segment generation ([`Wal::rotate_segments`]), then every non-live
 //!    segment whose records are entirely `<= E_ckpt` is deleted
@@ -44,36 +42,23 @@
 //!    only causes re-replay of covered records, which TID-aware replay
 //!    makes a no-op.
 //!
-//! # Delta checkpoints
-//!
-//! With `CheckpointConfig::full_every >= 2`, a checkpoint captures only the
-//! rows *dirty since the last completed checkpoint* (tracked per log writer
-//! by [`crate::LogWriter`], including deletes — a tombstone row ends the
-//! key in the delta layer, or recovery would resurrect it from the full
-//! root). The manifest then records a *chain* of layers: one full root
-//! followed by up to `full_every - 1` deltas, after which the next capture
-//! is full again and restarts the chain. Dirty-set clearing is
-//! epoch-stamped: after a checkpoint whose stable epoch is `E`, only
-//! entries last dirtied at `<= E` are dropped — the drain guarantees their
-//! captured image is current, while keys re-dirtied during the fuzzy walk
-//! carry a higher epoch and stay for the next delta. The first checkpoint
-//! of every instance lifetime is forced full: commits replayed by recovery
-//! predate dirty tracking, and a first-delta would lose them once the log
-//! is truncated.
-//!
 //! # Recovery contract
 //!
-//! `recover_and_compact` loads the newest complete checkpoint chain — all
-//! layers, root first, each layer's parts in index order — and then replays
-//! only log frames with epochs in `(E_ckpt, durable]`, where `E_ckpt` is
-//! the *newest* layer's stable epoch: a commit at epoch `e <= E_ckpt` to
-//! key `k` either predates the chain root (captured there) or dirtied `k`
-//! after some layer `i` and was captured by the first layer `> i` (the
-//! clearing rule above). Consistency of the fuzzy capture is restored by
-//! TID-aware replay: a log record older than the captured row it addresses
-//! is skipped, a newer one wins.
+//! `recover_and_compact` loads the installed checkpoint — each part in
+//! index order — and then replays only log frames with epochs in
+//! `(E_ckpt, durable]`: a commit at epoch `e <= E_ckpt` was fully
+//! installed before the walk began, so the walk captured its effects.
+//! Consistency of the fuzzy capture is restored by TID-aware replay: a log
+//! record older than the captured row it addresses is skipped, a newer one
+//! wins.
+//!
+//! Both checkpoint files are installed only by tmp + fsync + rename, so a
+//! crash cannot tear an installed copy. A manifest that fails its magic,
+//! checksum or parse check, or a part it names that is missing, torn or
+//! stamped differently, is therefore damage: loading fails with an error
+//! that names the file. It is never read as "no checkpoint", because
+//! truncation already deleted the log the checkpoint covers.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -84,16 +69,16 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use reactdb_common::bytes::crc32;
-use reactdb_common::{CheckpointConfig, ContainerId, Key, ReactorId};
+use reactdb_common::{CheckpointConfig, ContainerId, ReactorId};
 use reactdb_obs::Count;
 use reactdb_storage::{Table, TidWord};
 use reactdb_txn::{EpochManager, RedoPayload, RedoRecord};
 
-use crate::{codec, sync_dir, Wal};
+use crate::{codec, damaged, sync_dir, Wal};
 
 /// File name of the checkpoint manifest.
 pub const MANIFEST_FILE: &str = "checkpoint-manifest";
-/// Magic bytes opening the manifest (v2: layer chain of part sets).
+/// Magic bytes opening the manifest.
 const MANIFEST_MAGIC: [u8; 8] = *b"RDBCKMF2";
 /// Poll period of the checkpoint daemon (it fires on epoch/byte thresholds,
 /// not on this period).
@@ -120,27 +105,24 @@ pub struct CheckpointReport {
     /// Sequence number of the checkpoint.
     pub seq: u64,
     /// Stable epoch the snapshot began at (`E_ckpt`): every commit with a
-    /// TID epoch `<=` this is fully contained in the checkpoint chain.
+    /// TID epoch `<=` this is fully contained in the checkpoint.
     pub epoch: u64,
     /// Highest TID epoch among captured rows; the checkpoint completed only
     /// after the durable epoch covered it.
     pub cover_epoch: u64,
-    /// Rows captured by this checkpoint (this layer only, not the chain).
+    /// Rows captured by this checkpoint.
     pub rows: u64,
     /// Bytes of the part files this checkpoint wrote.
     pub bytes: u64,
     /// Part files written (the parallel capture fan-out actually used).
     pub parts: u64,
-    /// True when this was a delta capture (dirty rows only) rather than a
-    /// full table walk.
-    pub delta: bool,
     /// Log bytes reclaimed by the truncation that followed.
     pub truncated_bytes: u64,
     /// Log segments deleted by the truncation that followed.
     pub truncated_segments: u64,
 }
 
-/// One part file of a checkpoint layer, as recorded in the manifest.
+/// One part file of a checkpoint, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Part {
     file: String,
@@ -148,69 +130,40 @@ struct Part {
     bytes: u64,
 }
 
-/// One checkpoint layer: a full root or a delta over the previous layers.
+/// The manifest of the installed checkpoint: its stamps and the part files
+/// that hold its rows, committed as one unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Layer {
+struct Manifest {
     seq: u64,
     epoch: u64,
     cover_epoch: u64,
-    delta: bool,
     parts: Vec<Part>,
 }
 
-/// The manifest of the newest complete checkpoint chain: a full root layer
-/// followed by zero or more delta layers, committed as one unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Manifest {
-    layers: Vec<Layer>,
-}
-
 impl Manifest {
-    /// The most recent layer (validation guarantees at least one).
-    fn newest(&self) -> &Layer {
-        self.layers.last().expect("manifest has at least one layer")
-    }
-
-    /// Highest cover epoch across the chain — the durability gate recovery
-    /// must check before trusting any layer.
-    fn cover_epoch(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|layer| layer.cover_epoch)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Every part file the chain references, in (layer, part) order.
+    /// Every part file the manifest names, in part order.
     fn files(&self) -> Vec<String> {
-        self.layers
-            .iter()
-            .flat_map(|layer| layer.parts.iter().map(|part| part.file.clone()))
-            .collect()
+        self.parts.iter().map(|part| part.file.clone()).collect()
     }
 }
 
-/// A checkpoint chain as loaded by recovery.
+/// A checkpoint as loaded by recovery.
 #[derive(Debug)]
 pub struct RecoveredCheckpoint {
-    /// Sequence number of the newest layer.
+    /// Sequence number of the checkpoint.
     pub seq: u64,
-    /// Newest layer's stable epoch stamp (`E_ckpt`): commits with TID
-    /// epochs `<=` this are fully covered by the chain, so recovery skips
-    /// their log frames.
+    /// Stable epoch stamp (`E_ckpt`): commits with TID epochs `<=` this are
+    /// fully covered by the checkpoint, so recovery skips their log frames.
     pub epoch: u64,
-    /// Highest TID epoch among the captured rows of any layer (durability
-    /// of the capture was gated on this).
+    /// Highest TID epoch among the captured rows (durability of the
+    /// capture was gated on this).
     pub cover_epoch: u64,
-    /// The captured rows — root layer first, each layer's parts in index
-    /// order — each with the commit TID its image corresponds to. Replayed
-    /// before the log tail via TID-aware replay, which also reconciles a
-    /// delta layer's newer image (or tombstone) against the root's.
+    /// The captured rows, parts in index order, each with the commit TID
+    /// its image corresponds to. Replayed before the log tail via TID-aware
+    /// replay.
     pub rows: Vec<(TidWord, RedoRecord)>,
     /// Total size of the part files read.
     pub bytes: u64,
-    /// Layers in the chain (1 = a single full checkpoint).
-    pub layers: u64,
     /// Part file names (relative to the log dir), used to protect them from
     /// orphan cleanup.
     pub files: Vec<String>,
@@ -226,22 +179,23 @@ fn part_tmp_name(part: u32) -> String {
 
 /// Serializes and atomically installs the manifest (write temp, fsync,
 /// rename, fsync dir) — the checkpoint's commit point.
+///
+/// The payload keeps the layout of the chained manifest it replaced: a
+/// layer count of 1 and a delta byte of 0 precede the one layer's stamps.
 fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(64 * manifest.layers.len());
-    payload.extend_from_slice(&(manifest.layers.len() as u16).to_le_bytes());
-    for layer in &manifest.layers {
-        payload.extend_from_slice(&layer.seq.to_le_bytes());
-        payload.extend_from_slice(&layer.epoch.to_le_bytes());
-        payload.extend_from_slice(&layer.cover_epoch.to_le_bytes());
-        payload.push(layer.delta as u8);
-        payload.extend_from_slice(&(layer.parts.len() as u16).to_le_bytes());
-        for part in &layer.parts {
-            let name = part.file.as_bytes();
-            payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            payload.extend_from_slice(name);
-            payload.extend_from_slice(&part.rows.to_le_bytes());
-            payload.extend_from_slice(&part.bytes.to_le_bytes());
-        }
+    let mut payload = Vec::with_capacity(64);
+    payload.extend_from_slice(&1u16.to_le_bytes());
+    payload.extend_from_slice(&manifest.seq.to_le_bytes());
+    payload.extend_from_slice(&manifest.epoch.to_le_bytes());
+    payload.extend_from_slice(&manifest.cover_epoch.to_le_bytes());
+    payload.push(0);
+    payload.extend_from_slice(&(manifest.parts.len() as u16).to_le_bytes());
+    for part in &manifest.parts {
+        let name = part.file.as_bytes();
+        payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        payload.extend_from_slice(name);
+        payload.extend_from_slice(&part.rows.to_le_bytes());
+        payload.extend_from_slice(&part.bytes.to_le_bytes());
     }
 
     let mut bytes = Vec::with_capacity(payload.len() + 12);
@@ -285,124 +239,146 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Parses a manifest payload: exactly one layer, delta byte 0, and
+/// nothing after its parts.
 fn parse_manifest(payload: &[u8]) -> Option<Manifest> {
     let mut r = Cursor {
         bytes: payload,
         pos: 0,
     };
-    let layer_count = r.u16()? as usize;
-    let mut layers = Vec::with_capacity(layer_count);
-    for _ in 0..layer_count {
-        let seq = r.u64()?;
-        let epoch = r.u64()?;
-        let cover_epoch = r.u64()?;
-        let delta = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let part_count = r.u16()? as usize;
-        let mut parts = Vec::with_capacity(part_count);
-        for _ in 0..part_count {
-            let name_len = r.u16()? as usize;
-            let file = String::from_utf8(r.take(name_len)?.to_vec()).ok()?;
-            let rows = r.u64()?;
-            let bytes = r.u64()?;
-            parts.push(Part { file, rows, bytes });
-        }
-        layers.push(Layer {
-            seq,
-            epoch,
-            cover_epoch,
-            delta,
-            parts,
-        });
-    }
-    if r.pos != payload.len() || layers.is_empty() || layers[0].delta {
+    if r.u16()? != 1 {
         return None;
     }
-    // The chain must be internally consistent: seqs strictly increase
-    // (every attempt consumes one) and stable epochs never regress.
-    let ordered = layers
-        .windows(2)
-        .all(|pair| pair[1].seq > pair[0].seq && pair[1].epoch >= pair[0].epoch);
-    if !ordered {
+    let seq = r.u64()?;
+    let epoch = r.u64()?;
+    let cover_epoch = r.u64()?;
+    if r.u8()? != 0 {
         return None;
     }
-    Some(Manifest { layers })
+    let part_count = r.u16()? as usize;
+    let mut parts = Vec::with_capacity(part_count);
+    for _ in 0..part_count {
+        let name_len = r.u16()? as usize;
+        let file = String::from_utf8(r.take(name_len)?.to_vec()).ok()?;
+        let rows = r.u64()?;
+        let bytes = r.u64()?;
+        parts.push(Part { file, rows, bytes });
+    }
+    (r.pos == payload.len()).then_some(Manifest {
+        seq,
+        epoch,
+        cover_epoch,
+        parts,
+    })
 }
 
-/// Reads the manifest; `None` when absent or corrupt (both mean "no
-/// complete checkpoint is installed").
+/// Reads the installed manifest: `None` when there is none, an
+/// `InvalidData` error naming the file when it fails its magic, checksum
+/// or parse check.
 fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
-    let bytes = match fs::read(dir.join(MANIFEST_FILE)) {
+    let path = dir.join(MANIFEST_FILE);
+    let bytes = match fs::read(&path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
     if bytes.len() < 12 || bytes[..8] != MANIFEST_MAGIC {
-        return Ok(None);
+        return Err(damaged(&path, "not a checkpoint manifest"));
     }
     let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("len 4"));
     let payload = &bytes[12..];
     if crc32(payload) != crc {
-        return Ok(None);
+        return Err(damaged(&path, "checksum mismatch"));
     }
-    Ok(parse_manifest(payload))
+    parse_manifest(payload)
+        .map(Some)
+        .ok_or_else(|| damaged(&path, "not a one-layer full checkpoint manifest"))
 }
 
 /// One decoded part file: its captured rows plus its on-disk byte size.
 type DecodedPart = (Vec<(TidWord, RedoRecord)>, u64);
 
-/// One part file's decoded rows, or `None` when the part is missing, torn,
-/// or stamped inconsistently with the manifest.
+/// One part file's decoded rows. A part the manifest names but the
+/// directory lacks is a `NotFound` error, and one that is torn, fails a
+/// checksum or disagrees with the manifest is `InvalidData`; both name
+/// the file.
 fn decode_part(
     dir: &Path,
-    layer: &Layer,
+    manifest: &Manifest,
     part_idx: u32,
     part: &Part,
-) -> io::Result<Option<DecodedPart>> {
-    let data = match fs::read(dir.join(&part.file)) {
-        Ok(data) => data,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
+) -> io::Result<DecodedPart> {
+    let path = dir.join(&part.file);
+    let data = fs::read(&path).map_err(|e| match e.kind() {
+        io::ErrorKind::NotFound => io::Error::new(
+            e.kind(),
+            format!(
+                "{}: named by the checkpoint manifest but missing",
+                path.display()
+            ),
+        ),
+        _ => e,
+    })?;
     let Some(scan) = codec::decode_checkpoint(&data) else {
-        return Ok(None);
+        return Err(damaged(&path, "not a checkpoint part"));
     };
-    if scan.scan.truncated_tail
-        || scan.seq != layer.seq
-        || scan.epoch != layer.epoch
-        || scan.part != part_idx
-    {
-        return Ok(None);
+    if let Some(at) = scan.scan.undecodable_at {
+        return Err(damaged(
+            &path,
+            format!("frame at byte {at} does not decode"),
+        ));
+    }
+    if data.len() as u64 != part.bytes {
+        return Err(damaged(
+            &path,
+            format!(
+                "holds {} bytes, the manifest says {}",
+                data.len(),
+                part.bytes
+            ),
+        ));
+    }
+    if scan.scan.truncated_tail {
+        return Err(damaged(&path, "a frame is torn or fails its checksum"));
+    }
+    if (scan.seq, scan.epoch, scan.part) != (manifest.seq, manifest.epoch, part_idx) {
+        return Err(damaged(
+            &path,
+            format!(
+                "stamped (seq, epoch, part) = ({}, {}, {}), the manifest says ({}, {}, {part_idx})",
+                scan.seq, scan.epoch, scan.part, manifest.seq, manifest.epoch
+            ),
+        ));
     }
     let mut rows = Vec::with_capacity(scan.scan.batches.len());
     for (tid, mut records) in scan.scan.batches {
         // One captured row per frame by construction.
-        let Some(record) = records.pop() else {
-            return Ok(None);
-        };
-        rows.push((tid, record));
+        match (records.pop(), records.is_empty()) {
+            (Some(record), true) => rows.push((tid, record)),
+            _ => return Err(damaged(&path, "a frame holds other than one row")),
+        }
     }
     if rows.len() as u64 != part.rows {
-        return Ok(None);
+        return Err(damaged(
+            &path,
+            format!("holds {} rows, the manifest says {}", rows.len(), part.rows),
+        ));
     }
-    Ok(Some((rows, data.len() as u64)))
+    Ok((rows, data.len() as u64))
 }
 
-/// Loads the newest complete checkpoint chain for recovery, decoding part
-/// files across up to `workers` threads (the result is deterministic: parts
-/// are reassembled in (layer, part) order regardless of the fan-out).
-/// Returns `None` — and recovery falls back to the full log — when no
-/// manifest is installed, the manifest or any part file is corrupt or torn,
-/// the stamps disagree, or the durable epoch does not cover the fuzzy
-/// capture (possible only if the durable-epoch marker itself was lost: the
-/// completion gate orders the marker advance before the manifest commit).
+/// Loads the installed checkpoint for recovery, decoding part files across
+/// up to `workers` threads (the result is deterministic: parts are
+/// reassembled in index order regardless of the fan-out). Returns `None`
+/// when no manifest is installed, or when the durable epoch does not cover
+/// the fuzzy capture (possible only if the durable-epoch marker itself was
+/// lost: the completion gate orders the marker advance before the manifest
+/// commit). A damaged manifest or part is an error naming the file.
 ///
 /// Public beyond recovery because a replication follower boots the same
 /// way: the primary ships its checkpoint files raw, and the follower loads
-/// the staged chain with the shipped durable epoch before tailing the log.
+/// the staged checkpoint with the shipped durable epoch before tailing the
+/// log.
 pub fn load_checkpoint(
     dir: &Path,
     durable_epoch: u64,
@@ -411,38 +387,22 @@ pub fn load_checkpoint(
     let Some(manifest) = read_manifest(dir)? else {
         return Ok(None);
     };
-    if durable_epoch < manifest.cover_epoch() {
+    if durable_epoch < manifest.cover_epoch {
         return Ok(None);
     }
-    // Flatten the chain into per-part work items, then stripe them across
-    // the decode threads; slot `i` of the output is part `i` of the chain.
-    let specs: Vec<(&Layer, u32, &Part)> = manifest
-        .layers
-        .iter()
-        .flat_map(|layer| {
-            layer
-                .parts
-                .iter()
-                .enumerate()
-                .map(move |(idx, part)| (layer, idx as u32, part))
-        })
-        .collect();
-    let workers = workers.max(1).min(specs.len().max(1));
-    let mut slots: Vec<Option<DecodedPart>> = Vec::new();
-    slots.resize_with(specs.len(), || None);
-    let decoded: Vec<Vec<(usize, io::Result<Option<DecodedPart>>)>> = std::thread::scope(|s| {
-        let specs = &specs;
+    // Stripe the parts across the decode threads; slot `i` of the output
+    // is part `i`.
+    let parts = &manifest.parts;
+    let workers = workers.max(1).min(parts.len().max(1));
+    let decoded: Vec<Vec<(usize, io::Result<DecodedPart>)>> = std::thread::scope(|s| {
+        let manifest = &manifest;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < specs.len() {
-                        let (layer, idx, part) = specs[i];
-                        out.push((i, decode_part(dir, layer, idx, part)));
-                        i += workers;
-                    }
-                    out
+                    (w..parts.len())
+                        .step_by(workers)
+                        .map(|i| (i, decode_part(dir, manifest, i as u32, &parts[i])))
+                        .collect()
                 })
             })
             .collect();
@@ -451,53 +411,44 @@ pub fn load_checkpoint(
             .map(|h| h.join().expect("checkpoint part decoder panicked"))
             .collect()
     });
+    let mut slots: Vec<Option<DecodedPart>> = Vec::new();
+    slots.resize_with(parts.len(), || None);
     for (i, result) in decoded.into_iter().flatten() {
-        match result? {
-            Some(part) => slots[i] = Some(part),
-            // One bad part rejects the whole chain: a partially-applied
-            // chain is not a consistent snapshot at any epoch.
-            None => return Ok(None),
-        }
+        slots[i] = Some(result?);
     }
     let mut rows = Vec::new();
     let mut bytes = 0u64;
     for slot in slots {
-        let (part_rows, part_bytes) = slot.expect("every slot filled or rejected");
+        let (part_rows, part_bytes) = slot.expect("every slot filled");
         rows.extend(part_rows);
         bytes += part_bytes;
     }
-    let newest = manifest.newest();
     Ok(Some(RecoveredCheckpoint {
-        seq: newest.seq,
-        epoch: newest.epoch,
-        cover_epoch: manifest.cover_epoch(),
+        seq: manifest.seq,
+        epoch: manifest.epoch,
+        cover_epoch: manifest.cover_epoch,
         rows,
         bytes,
-        layers: manifest.layers.len() as u64,
         files: manifest.files(),
     }))
 }
 
-/// Recovery-time orphan cleanup. Unlike the post-checkpoint cleanup, this
-/// keys the files to keep off the *manifest* alone — even when
-/// [`load_checkpoint`] rejected the chain (torn part file, stamp mismatch,
-/// uncovered capture), the manifest-referenced part files may be the only
-/// remaining copy of already-truncated history and must be preserved as
-/// evidence, never deleted. When the manifest file exists but does not
-/// parse, nothing is deleted at all: the references are unknown, so every
-/// part file is potential evidence.
+/// Recovery-time orphan cleanup, run only once every recovery check has
+/// passed: deletes checkpoint debris and keeps every part the installed
+/// manifest names, even when the load skipped the checkpoint (an
+/// uncovered capture), since those parts may be the only copy of
+/// already-truncated history.
 pub(crate) fn clean_orphans_for_recovery(dir: &Path) -> io::Result<()> {
-    let manifest = read_manifest(dir)?;
-    if manifest.is_none() && dir.join(MANIFEST_FILE).exists() {
-        return Ok(()); // corrupt manifest: preserve everything
-    }
-    let keep = manifest.as_ref().map(Manifest::files).unwrap_or_default();
+    let keep = read_manifest(dir)?
+        .as_ref()
+        .map(Manifest::files)
+        .unwrap_or_default();
     clean_orphans(dir, &keep)
 }
 
 /// Deletes checkpoint debris a crash may have left behind: part files not
 /// referenced by the installed manifest (superseded or never committed) and
-/// stale temp files. `keep` names the live chain's part files.
+/// stale temp files. `keep` names the installed checkpoint's part files.
 pub(crate) fn clean_orphans(dir: &Path, keep: &[String]) -> io::Result<()> {
     if !dir.exists() {
         return Ok(());
@@ -521,13 +472,6 @@ pub(crate) fn clean_orphans(dir: &Path, keep: &[String]) -> io::Result<()> {
     Ok(())
 }
 
-/// One capture thread's work unit: a whole table (full checkpoint) or the
-/// dirty keys of one table (delta checkpoint).
-enum CaptureUnit<'a> {
-    Full(&'a CheckpointTable),
-    Dirty(&'a CheckpointTable, Vec<Key>),
-}
-
 /// What one part writer produced.
 struct PartOutcome {
     rows: u64,
@@ -545,10 +489,6 @@ pub struct Checkpointer {
     /// Next checkpoint sequence number; consumed per attempt, success or
     /// not (see `run_once`).
     next_seq: Mutex<u64>,
-    /// The first checkpoint of an instance lifetime must be a full one:
-    /// rows replayed by recovery predate dirty tracking, so a first-delta
-    /// would lose them once the log is truncated.
-    force_full: AtomicBool,
     /// Serializes checkpoint executions (daemon vs. explicit calls).
     run_lock: Mutex<()>,
     stop: AtomicBool,
@@ -558,29 +498,18 @@ pub struct Checkpointer {
 impl Checkpointer {
     /// Creates a checkpointer over the given tables. The next sequence
     /// number continues from the installed manifest, so checkpoint files
-    /// never collide across instance lifetimes. When the config enables
-    /// delta checkpoints, dirty-key tracking is switched on in every log
-    /// writer here — before any tracked commit can matter, since the first
-    /// capture is forced full anyway.
+    /// never collide across instance lifetimes.
     pub fn new(
         wal: Arc<Wal>,
         tables: Vec<CheckpointTable>,
         config: CheckpointConfig,
     ) -> io::Result<Arc<Self>> {
-        let next_seq = read_manifest(wal.dir())?
-            .map(|m| m.newest().seq + 1)
-            .unwrap_or(1);
-        if config.delta_checkpoints() {
-            for writer in wal.writers() {
-                writer.set_track_dirty(true);
-            }
-        }
+        let next_seq = read_manifest(wal.dir())?.map_or(1, |m| m.seq + 1);
         Ok(Arc::new(Self {
             wal,
             tables,
             config,
             next_seq: Mutex::new(next_seq),
-            force_full: AtomicBool::new(true),
             run_lock: Mutex::new(()),
             stop: AtomicBool::new(false),
             daemon: Mutex::new(None),
@@ -598,19 +527,16 @@ impl Checkpointer {
         result
     }
 
-    /// Writes part `part` of checkpoint `seq`: walks each assigned unit,
+    /// Writes part `part` of checkpoint `seq`: walks each assigned table,
     /// appending one frame per captured row to the part's temp file, and
-    /// fsyncs it. Rows captured for dirty keys may have moved on since the
-    /// key was dirtied — the capture takes whatever image is current
-    /// (version-stable), and the cover-epoch gate plus TID-aware replay
-    /// absorb the skew exactly as for the fuzzy full walk.
+    /// fsyncs it.
     fn write_part(
         &self,
         dir: &Path,
         seq: u64,
         epoch: u64,
         part: u32,
-        units: &[&CaptureUnit<'_>],
+        tables: &[&CheckpointTable],
     ) -> io::Result<PartOutcome> {
         let obs = self.wal.obs();
         let part_started = obs.map(|_| std::time::Instant::now());
@@ -638,71 +564,30 @@ impl Checkpointer {
             }
             Ok(())
         };
-        for unit in units {
-            match unit {
-                CaptureUnit::Full(entry) => {
-                    let mut cursor = None;
-                    loop {
-                        let chunk_started = obs.map(|_| std::time::Instant::now());
-                        let chunk = entry.table.snapshot_chunk(cursor.as_ref(), chunk_size);
-                        for (key, tid, image) in chunk.rows {
-                            cover_epoch = cover_epoch.max(tid.epoch());
-                            rows += 1;
-                            codec::encode_batch(
-                                &mut buf,
-                                tid,
-                                &[RedoRecord {
-                                    container: entry.container,
-                                    reactor: entry.reactor,
-                                    relation: entry.relation.clone(),
-                                    key,
-                                    payload: RedoPayload::Full(image),
-                                }],
-                            );
-                        }
-                        flush_chunk(&mut buf, &mut file, chunk_started)?;
-                        match chunk.next {
-                            Some(next) => cursor = Some(next),
-                            None => break,
-                        }
-                    }
+        for entry in tables {
+            let mut cursor = None;
+            loop {
+                let chunk_started = obs.map(|_| std::time::Instant::now());
+                let chunk = entry.table.snapshot_chunk(cursor.as_ref(), chunk_size);
+                for (key, tid, image) in chunk.rows {
+                    cover_epoch = cover_epoch.max(tid.epoch());
+                    rows += 1;
+                    codec::encode_batch(
+                        &mut buf,
+                        tid,
+                        &[RedoRecord {
+                            container: entry.container,
+                            reactor: entry.reactor,
+                            relation: entry.relation.clone(),
+                            key,
+                            payload: RedoPayload::Full(image),
+                        }],
+                    );
                 }
-                CaptureUnit::Dirty(entry, keys) => {
-                    for keys in keys.chunks(chunk_size) {
-                        let chunk_started = obs.map(|_| std::time::Instant::now());
-                        for key in keys {
-                            let Some(slot) = entry.table.get(key) else {
-                                continue;
-                            };
-                            let (tid, image) = slot.read_stable();
-                            if tid.version() == 0 {
-                                continue; // provisional slot, never committed
-                            }
-                            // A deleted dirty key is captured as a
-                            // tombstone: the delta layer must end the key,
-                            // or recovery would resurrect it from the
-                            // chain's full root.
-                            let payload = if tid.is_absent() {
-                                RedoPayload::Delete
-                            } else {
-                                RedoPayload::Full(image)
-                            };
-                            cover_epoch = cover_epoch.max(tid.epoch());
-                            rows += 1;
-                            codec::encode_batch(
-                                &mut buf,
-                                tid,
-                                &[RedoRecord {
-                                    container: entry.container,
-                                    reactor: entry.reactor,
-                                    relation: entry.relation.clone(),
-                                    key: key.clone(),
-                                    payload,
-                                }],
-                            );
-                        }
-                        flush_chunk(&mut buf, &mut file, chunk_started)?;
-                    }
+                flush_chunk(&mut buf, &mut file, chunk_started)?;
+                match chunk.next {
+                    Some(next) => cursor = Some(next),
+                    None => break,
                 }
             }
         }
@@ -735,46 +620,10 @@ impl Checkpointer {
         };
         let dir = self.wal.dir().to_path_buf();
 
-        // Delta or full? Delta needs an installed chain to layer onto, a
-        // chain shorter than `full_every`, and at least one prior full
-        // capture this instance lifetime (see `force_full`).
-        let prev = read_manifest(&dir)?;
-        let delta = self.config.delta_checkpoints()
-            && !self.force_full.load(Ordering::Acquire)
-            && prev
-                .as_ref()
-                .is_some_and(|m| (m.layers.len() as u64) < self.config.full_every);
-
-        // 1. Stable epoch: fence + drain (see module docs). For a delta,
-        // the dirty sets are snapshotted *after* the drain, so every commit
-        // at `<= epoch` has already marked its keys.
+        // 1. Stable epoch: fence + drain (see module docs).
         let epoch = self.wal.stable_snapshot_epoch()?;
 
-        // 2. Build the capture units and partition them round-robin across
-        // the writer pool.
-        let units: Vec<CaptureUnit<'_>> = if delta {
-            let mut dirty: HashMap<(ReactorId, String), HashMap<Key, u64>> = HashMap::new();
-            for writer in self.wal.writers() {
-                for (table, keys) in writer.dirty_snapshot() {
-                    let merged = dirty.entry(table).or_default();
-                    for (key, last) in keys {
-                        let entry = merged.entry(key).or_insert(0);
-                        *entry = (*entry).max(last);
-                    }
-                }
-            }
-            self.tables
-                .iter()
-                .filter_map(|entry| {
-                    let keys = dirty.remove(&(entry.reactor, entry.relation.clone()))?;
-                    let mut keys: Vec<Key> = keys.into_keys().collect();
-                    keys.sort();
-                    Some(CaptureUnit::Dirty(entry, keys))
-                })
-                .collect()
-        } else {
-            self.tables.iter().map(CaptureUnit::Full).collect()
-        };
+        // 2. Partition the tables round-robin across the writer pool.
         let configured = if self.config.workers > 0 {
             self.config.workers
         } else {
@@ -782,22 +631,21 @@ impl Checkpointer {
                 .map(|n| n.get())
                 .unwrap_or(1)
         };
-        let workers = configured.min(units.len());
-        let mut partitions: Vec<Vec<&CaptureUnit<'_>>> = vec![Vec::new(); workers];
-        for (i, unit) in units.iter().enumerate() {
-            partitions[i % workers.max(1)].push(unit);
+        let workers = configured.min(self.tables.len());
+        let mut partitions: Vec<Vec<&CheckpointTable>> = vec![Vec::new(); workers];
+        for (i, table) in self.tables.iter().enumerate() {
+            partitions[i % workers.max(1)].push(table);
         }
 
-        // 3. Parallel fuzzy walk: each worker streams its units into its
-        // own part file. An empty delta (no dirty keys) writes no parts and
-        // still commits a layer, advancing the chain's epoch bound.
+        // 3. Parallel fuzzy walk: each worker streams its tables into its
+        // own part file.
         let outcomes: Vec<io::Result<PartOutcome>> = std::thread::scope(|s| {
             let handles: Vec<_> = partitions
                 .iter()
                 .enumerate()
-                .map(|(w, units)| {
+                .map(|(w, tables)| {
                     let dir = &dir;
-                    s.spawn(move || self.write_part(dir, seq, epoch, w as u32, units))
+                    s.spawn(move || self.write_part(dir, seq, epoch, w as u32, tables))
                 })
                 .collect();
             handles
@@ -827,9 +675,8 @@ impl Checkpointer {
         self.wal.wait_durable(cover_epoch)?;
 
         // 5. Commit: part files into place, then the manifest (the commit
-        // point — it references the whole chain, so one rename commits the
-        // new layer and everything it depends on), then retire superseded
-        // files.
+        // point — it names every part, so one rename commits them all),
+        // then retire superseded files.
         for w in 0..workers {
             fs::rename(
                 dir.join(part_tmp_name(w as u32)),
@@ -837,21 +684,11 @@ impl Checkpointer {
             )?;
         }
         sync_dir(&dir)?;
-        let layer = Layer {
+        let manifest = Manifest {
             seq,
             epoch,
             cover_epoch,
-            delta,
             parts,
-        };
-        let manifest = if delta {
-            let mut layers = prev.expect("delta requires an installed chain").layers;
-            layers.push(layer);
-            Manifest { layers }
-        } else {
-            Manifest {
-                layers: vec![layer],
-            }
         };
         write_manifest(&dir, &manifest)?;
         clean_orphans(&dir, &manifest.files())?;
@@ -861,23 +698,8 @@ impl Checkpointer {
         self.wal.rotate_segments()?;
         let (truncated_bytes, truncated_segments) = self.wal.truncate_stale_segments(epoch)?;
 
-        // 7. Retire the captured dirty entries: only keys last dirtied at
-        // `<= epoch` — the drain guarantees those images were current when
-        // walked, while keys re-dirtied during the capture stay for the
-        // next delta. Running this only after full success means a failed
-        // attempt never loses dirty state.
-        if self.config.delta_checkpoints() {
-            for writer in self.wal.writers() {
-                writer.clear_dirty_through(epoch);
-            }
-        }
-        if !delta {
-            self.force_full.store(false, Ordering::Release);
-        }
-
         let metrics = self.wal.metrics();
         metrics.add(Count::CheckpointsTaken, 1);
-        metrics.add(Count::CheckpointsDelta, delta as u64);
         metrics.add(Count::CheckpointBytes, bytes);
         Ok(CheckpointReport {
             seq,
@@ -886,7 +708,6 @@ impl Checkpointer {
             rows,
             bytes,
             parts: workers as u64,
-            delta,
             truncated_bytes,
             truncated_segments,
         })
@@ -974,12 +795,11 @@ mod tests {
         dir
     }
 
-    fn full_layer(seq: u64, epoch: u64, cover_epoch: u64, files: &[(&str, u64, u64)]) -> Layer {
-        Layer {
+    fn manifest(seq: u64, epoch: u64, cover_epoch: u64, files: &[(&str, u64, u64)]) -> Manifest {
+        Manifest {
             seq,
             epoch,
             cover_epoch,
-            delta: false,
             parts: files
                 .iter()
                 .map(|(file, rows, bytes)| Part {
@@ -991,108 +811,139 @@ mod tests {
         }
     }
 
+    /// Installs `payload` as the manifest under a valid magic and checksum.
+    fn install_raw_manifest(dir: &Path, payload: &[u8]) {
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+    }
+
+    fn refused(result: io::Result<impl std::fmt::Debug>, kind: io::ErrorKind, file: &str) {
+        let err = result.expect_err("damage must be refused");
+        assert_eq!(err.kind(), kind, "{err}");
+        assert!(err.to_string().contains(file), "{err} names {file}");
+    }
+
     #[test]
-    fn manifest_roundtrip_and_corruption_handling() {
+    fn manifest_roundtrip_and_damage_is_refused() {
         let dir = temp_dir("manifest");
-        assert_eq!(read_manifest(&dir).unwrap(), None);
-        let mut delta_layer = full_layer(5, 21, 22, &[("ckpt-000005-p00.dat", 3, 640)]);
-        delta_layer.delta = true;
-        let manifest = Manifest {
-            layers: vec![
-                full_layer(
-                    4,
-                    17,
-                    19,
-                    &[
-                        ("ckpt-000004-p00.dat", 600, 50_000),
-                        ("ckpt-000004-p01.dat", 634, 49_000),
-                    ],
-                ),
-                delta_layer,
+        assert_eq!(read_manifest(&dir).unwrap(), None, "absent means absent");
+        let installed = manifest(
+            4,
+            17,
+            19,
+            &[
+                ("ckpt-000004-p00.dat", 600, 50_000),
+                ("ckpt-000004-p01.dat", 634, 49_000),
             ],
-        };
-        write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), Some(manifest.clone()));
-        assert_eq!(manifest.cover_epoch(), 22);
-        assert_eq!(manifest.files().len(), 3);
-        // Corruption is detected and treated as "no checkpoint".
+        );
+        write_manifest(&dir, &installed).unwrap();
+        assert_eq!(read_manifest(&dir).unwrap(), Some(installed.clone()));
+        assert_eq!(installed.files().len(), 2);
+        // A flipped byte fails the checksum; a short file fails the magic.
         let mut bytes = fs::read(dir.join(MANIFEST_FILE)).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
+        refused(
+            read_manifest(&dir),
+            io::ErrorKind::InvalidData,
+            MANIFEST_FILE,
+        );
         fs::write(dir.join(MANIFEST_FILE), b"short").unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
+        refused(
+            read_manifest(&dir),
+            io::ErrorKind::InvalidData,
+            MANIFEST_FILE,
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn manifest_rejects_inconsistent_chains() {
-        let dir = temp_dir("manifest-chain");
-        // A chain whose root is a delta has lost its base: reject.
-        let mut orphan_delta = full_layer(3, 9, 9, &[]);
-        orphan_delta.delta = true;
-        write_manifest(
-            &dir,
-            &Manifest {
-                layers: vec![orphan_delta.clone()],
-            },
-        )
-        .unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
-        // Non-increasing seqs are structurally impossible: reject.
-        write_manifest(
-            &dir,
-            &Manifest {
-                layers: vec![full_layer(4, 9, 9, &[]), {
-                    let mut l = full_layer(4, 10, 10, &[]);
-                    l.delta = true;
-                    l
-                }],
-            },
-        )
-        .unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
-        // An empty manifest commits nothing: reject.
-        write_manifest(&dir, &Manifest { layers: Vec::new() }).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn incomplete_checkpoints_are_ignored_by_recovery_load() {
-        let dir = temp_dir("incomplete");
-        // No manifest: nothing to load, even with a data file present.
-        fs::write(dir.join("ckpt-000001-p00.dat"), b"whatever").unwrap();
-        assert!(load_checkpoint(&dir, u64::MAX, 2).unwrap().is_none());
-        // Manifest referencing a missing part file.
-        let manifest = Manifest {
-            layers: vec![full_layer(2, 5, 6, &[("ckpt-000002-p00.dat", 0, 28)])],
+    fn manifest_parser_accepts_one_full_layer_only() {
+        let dir = temp_dir("manifest-shape");
+        let layer = |delta: u8| {
+            let mut layer = Vec::new();
+            for stamp in [3u64, 9, 9] {
+                layer.extend_from_slice(&stamp.to_le_bytes());
+            }
+            layer.push(delta);
+            layer.extend_from_slice(&0u16.to_le_bytes());
+            layer
         };
-        write_manifest(&dir, &manifest).unwrap();
+        let with_count = |count: u16, layers: &[Vec<u8>]| {
+            let mut payload = count.to_le_bytes().to_vec();
+            for layer in layers {
+                payload.extend_from_slice(layer);
+            }
+            payload
+        };
+        install_raw_manifest(&dir, &with_count(1, &[layer(0)]));
+        assert_eq!(read_manifest(&dir).unwrap(), Some(manifest(3, 9, 9, &[])));
+        // No layer, two layers, a delta layer, or trailing bytes: refused.
+        for payload in [
+            with_count(0, &[]),
+            with_count(2, &[layer(0), layer(1)]),
+            with_count(1, &[layer(1)]),
+            [with_count(1, &[layer(0)]), vec![0]].concat(),
+        ] {
+            install_raw_manifest(&dir, &payload);
+            refused(
+                read_manifest(&dir),
+                io::ErrorKind::InvalidData,
+                MANIFEST_FILE,
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_load_refuses_missing_torn_or_misstamped_parts() {
+        let dir = temp_dir("incomplete");
+        let part = "ckpt-000002-p00.dat";
+        // No manifest: nothing to load, even with a data file present.
+        fs::write(dir.join(part), b"whatever").unwrap();
         assert!(load_checkpoint(&dir, u64::MAX, 2).unwrap().is_none());
+        fs::remove_file(dir.join(part)).unwrap();
+        // Manifest naming a missing part file.
+        write_manifest(&dir, &manifest(2, 5, 6, &[(part, 0, 28)])).unwrap();
+        refused(
+            load_checkpoint(&dir, u64::MAX, 2),
+            io::ErrorKind::NotFound,
+            part,
+        );
         // A valid empty part file loads...
         let mut data = Vec::new();
         codec::encode_checkpoint_header(&mut data, 2, 5, 0);
-        fs::write(dir.join("ckpt-000002-p00.dat"), &data).unwrap();
+        fs::write(dir.join(part), &data).unwrap();
         let loaded = load_checkpoint(&dir, u64::MAX, 2)
             .unwrap()
             .expect("complete");
         assert_eq!(loaded.epoch, 5);
-        assert_eq!(loaded.layers, 1);
         assert!(loaded.rows.is_empty());
         // ...but not when the durable marker fails to cover the capture.
         assert!(load_checkpoint(&dir, 5, 2).unwrap().is_none());
-        // A part whose stamp disagrees with the manifest is rejected —
-        // wrong epoch, and separately wrong part index.
-        let mut wrong = Vec::new();
-        codec::encode_checkpoint_header(&mut wrong, 2, 4, 0);
-        fs::write(dir.join("ckpt-000002-p00.dat"), &wrong).unwrap();
-        assert!(load_checkpoint(&dir, u64::MAX, 2).unwrap().is_none());
-        let mut wrong_part = Vec::new();
-        codec::encode_checkpoint_header(&mut wrong_part, 2, 5, 1);
-        fs::write(dir.join("ckpt-000002-p00.dat"), &wrong_part).unwrap();
-        assert!(load_checkpoint(&dir, u64::MAX, 2).unwrap().is_none());
+        // A part whose stamp disagrees with the manifest is refused —
+        // wrong epoch, and separately wrong part index — and so is one
+        // whose length disagrees.
+        for (seq, epoch, index) in [(2, 4, 0), (2, 5, 1)] {
+            let mut wrong = Vec::new();
+            codec::encode_checkpoint_header(&mut wrong, seq, epoch, index);
+            fs::write(dir.join(part), &wrong).unwrap();
+            refused(
+                load_checkpoint(&dir, u64::MAX, 2),
+                io::ErrorKind::InvalidData,
+                part,
+            );
+        }
+        data.push(0);
+        fs::write(dir.join(part), &data).unwrap();
+        refused(
+            load_checkpoint(&dir, u64::MAX, 2),
+            io::ErrorKind::InvalidData,
+            part,
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1160,8 +1011,7 @@ mod tests {
         let report = ckpt.checkpoint_now().unwrap();
         assert_eq!(report.seq, 1);
         assert_eq!(report.rows, 20, "20 distinct keys are visible");
-        assert_eq!(report.parts, 1, "one table yields one capture unit");
-        assert!(!report.delta);
+        assert_eq!(report.parts, 1, "one table yields one part");
         assert!(report.cover_epoch >= report.epoch);
         assert!(
             report.truncated_segments >= 1,
@@ -1169,7 +1019,6 @@ mod tests {
         );
         assert!(report.truncated_bytes > 0);
         assert_eq!(wal.metrics().get(Count::CheckpointsTaken), 1);
-        assert_eq!(wal.metrics().get(Count::CheckpointsDelta), 0);
         assert_eq!(
             wal.metrics().get(Count::LogTruncatedBytes),
             report.truncated_bytes
@@ -1187,7 +1036,6 @@ mod tests {
         let loaded = recovered.checkpoint.as_ref().expect("checkpoint installed");
         assert_eq!(loaded.rows.len(), 20);
         assert_eq!(loaded.epoch, report.epoch);
-        assert_eq!(loaded.layers, 1);
         assert_eq!(
             recovered.batches.len(),
             3,
@@ -1272,7 +1120,7 @@ mod tests {
         }
         let loaded = load_checkpoint(&dir, u64::MAX, 4)
             .unwrap()
-            .expect("complete chain");
+            .expect("complete checkpoint");
         assert_eq!(loaded.rows.len(), 40);
         assert_eq!(loaded.files.len(), 3);
         // Parallel and serial decode agree byte-for-byte.
@@ -1287,151 +1135,28 @@ mod tests {
     }
 
     #[test]
-    fn delta_checkpoints_chain_capture_dirty_rows_and_tombstones() {
-        use reactdb_common::{DurabilityConfig, Key, Value};
-        use reactdb_storage::{ColumnType, Schema, Tuple};
-
-        let dir = temp_dir("delta");
-        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy()).with_interval_ms(0);
-        let epoch = Arc::new(EpochManager::new());
-        let metrics = Arc::new(reactdb_obs::Metrics::new(1, &Default::default()));
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch), metrics)
-            .unwrap()
-            .unwrap();
-        let schema = Schema::of(&[("id", ColumnType::Int), ("v", ColumnType::Int)], &["id"]);
-        let table = Arc::new(Table::new("kv", schema.clone()));
-        let ckpt = Checkpointer::new(
-            Arc::clone(&wal),
-            vec![CheckpointTable {
-                container: ContainerId(0),
-                reactor: ReactorId(0),
-                relation: "kv".into(),
-                table: Arc::clone(&table),
-            }],
-            CheckpointConfig::manual().with_full_every(4),
-        )
-        .unwrap();
-        let mut seq = 0u64;
-        let mut commit = |key: i64, value: Option<i64>| {
-            seq += 1;
-            let tid = TidWord::committed(epoch.current(), seq);
-            let record = RedoRecord {
-                container: ContainerId(0),
-                reactor: ReactorId(0),
-                relation: "kv".into(),
-                key: Key::Int(key),
-                payload: match value {
-                    Some(v) => RedoPayload::Full(Tuple::of([Value::Int(key), Value::Int(v)])),
-                    None => RedoPayload::Delete,
-                },
-            };
-            use reactdb_txn::LogSink;
-            wal.writer(0).log_commit(tid, std::slice::from_ref(&record));
-            table.replay(&record.key, record.image(), tid);
-        };
-
-        // Base population, then the forced-full chain root.
-        for i in 0..50i64 {
-            commit(i, Some(i * 10));
-        }
-        epoch.advance();
-        wal.sync().unwrap();
-        let full = ckpt.checkpoint_now().unwrap();
-        assert!(!full.delta, "first checkpoint is forced full");
-        assert_eq!(full.rows, 50);
-
-        // Touch 5 keys and delete one, then take a delta.
-        for i in 0..5i64 {
-            commit(i, Some(i * 100));
-        }
-        commit(42, None);
-        epoch.advance();
-        wal.sync().unwrap();
-        let delta = ckpt.checkpoint_now().unwrap();
-        assert!(delta.delta);
-        assert_eq!(delta.rows, 6, "5 updates + 1 tombstone");
-        assert!(
-            delta.bytes * 2 < full.bytes,
-            "delta bytes ({}) well under full bytes ({})",
-            delta.bytes,
-            full.bytes
-        );
-        assert_eq!(wal.metrics().get(Count::CheckpointsDelta), 1);
-
-        // A second delta captures only what changed since the first.
-        commit(7, Some(700));
-        epoch.advance();
-        wal.sync().unwrap();
-        let second = ckpt.checkpoint_now().unwrap();
-        assert!(second.delta);
-        assert_eq!(second.rows, 1);
-
-        // The chain (full + 2 deltas) recovers to the live state,
-        // including the tombstone.
-        let loaded = load_checkpoint(&dir, u64::MAX, 2).unwrap().expect("chain");
-        assert_eq!(loaded.layers, 3);
-        assert_eq!(loaded.epoch, second.epoch, "bound is the newest layer's");
-        let replayed = Table::new("kv", schema);
-        for (tid, record) in &loaded.rows {
-            replayed.replay(&record.key, record.image(), *tid);
-        }
-        assert_eq!(replayed.visible_len(), table.visible_len());
-        assert!(replayed.get(&Key::Int(42)).unwrap().tid().is_absent());
-        assert_eq!(
-            replayed
-                .get(&Key::Int(3))
-                .unwrap()
-                .read_unguarded()
-                .values()[1],
-            Value::Int(300)
-        );
-
-        // A third delta fills the chain (full + 3 deltas = 4 layers), so
-        // the checkpoint after it rolls over to a fresh full root.
-        commit(8, Some(800));
-        epoch.advance();
-        wal.sync().unwrap();
-        let third = ckpt.checkpoint_now().unwrap();
-        assert!(third.delta);
-        let rollover = ckpt.checkpoint_now().unwrap();
-        assert!(!rollover.delta, "full_every=4 caps the chain at 4 layers");
-        let loaded = load_checkpoint(&dir, u64::MAX, 2).unwrap().expect("root");
-        assert_eq!(loaded.layers, 1);
-        assert_eq!(loaded.rows.len(), 49, "the tombstoned key is not visible");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_cleanup_preserves_rejected_checkpoint_evidence() {
+    fn recovery_cleanup_keeps_named_parts_and_refuses_a_damaged_manifest() {
         let dir = temp_dir("evidence");
-        // Manifest referencing a torn part file: load rejects it, but the
-        // file may be the only copy of truncated history — cleanup must
-        // keep it (and still remove genuine debris).
-        write_manifest(
-            &dir,
-            &Manifest {
-                layers: vec![full_layer(3, 8, 9, &[("ckpt-000003-p00.dat", 10, 4)])],
-            },
-        )
-        .unwrap();
-        fs::write(dir.join("ckpt-000003-p00.dat"), b"torn").unwrap();
+        // Cleanup keeps what the manifest names and removes the debris.
+        write_manifest(&dir, &manifest(3, 8, 9, &[("ckpt-000003-p00.dat", 10, 4)])).unwrap();
+        fs::write(dir.join("ckpt-000003-p00.dat"), b"kept").unwrap();
         fs::write(dir.join("ckpt-000001-p00.dat"), b"superseded").unwrap();
         fs::write(dir.join("ckpt.tmp"), b"debris").unwrap();
         fs::write(dir.join("ckpt-p01.tmp"), b"debris").unwrap();
-        assert!(load_checkpoint(&dir, u64::MAX, 2).unwrap().is_none());
         clean_orphans_for_recovery(&dir).unwrap();
-        assert!(
-            dir.join("ckpt-000003-p00.dat").exists(),
-            "manifest-referenced file is evidence even when rejected"
-        );
+        assert!(dir.join("ckpt-000003-p00.dat").exists());
         assert!(!dir.join("ckpt-000001-p00.dat").exists());
         assert!(!dir.join("ckpt.tmp").exists());
         assert!(!dir.join("ckpt-p01.tmp").exists());
-        // Corrupt manifest: the references are unknown, so nothing at all
-        // is deleted.
+        // Damaged manifest: the references are unknown, so cleanup refuses
+        // and deletes nothing.
         fs::write(dir.join(MANIFEST_FILE), b"garbage").unwrap();
         fs::write(dir.join("ckpt-000001-p00.dat"), b"maybe evidence").unwrap();
-        clean_orphans_for_recovery(&dir).unwrap();
+        refused(
+            clean_orphans_for_recovery(&dir),
+            io::ErrorKind::InvalidData,
+            MANIFEST_FILE,
+        );
         assert!(dir.join("ckpt-000003-p00.dat").exists());
         assert!(dir.join("ckpt-000001-p00.dat").exists());
         fs::remove_dir_all(&dir).unwrap();
@@ -1471,20 +1196,20 @@ mod tests {
     fn orphan_cleanup_spares_the_live_part_files() {
         let dir = temp_dir("orphans");
         fs::write(dir.join("ckpt-000001-p00.dat"), b"old").unwrap();
-        fs::write(dir.join("ckpt-000002-p00.dat"), b"live root").unwrap();
-        fs::write(dir.join("ckpt-000003-p00.dat"), b"live delta").unwrap();
+        fs::write(dir.join("ckpt-000002-p00.dat"), b"live part 0").unwrap();
+        fs::write(dir.join("ckpt-000002-p01.dat"), b"live part 1").unwrap();
         fs::write(dir.join("ckpt.tmp"), b"torn").unwrap();
         fs::write(dir.join("ckpt-p02.tmp"), b"torn").unwrap();
         fs::write(dir.join("checkpoint-manifest.tmp"), b"torn").unwrap();
         fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
         clean_orphans(
             &dir,
-            &["ckpt-000002-p00.dat".into(), "ckpt-000003-p00.dat".into()],
+            &["ckpt-000002-p00.dat".into(), "ckpt-000002-p01.dat".into()],
         )
         .unwrap();
         assert!(!dir.join("ckpt-000001-p00.dat").exists());
         assert!(dir.join("ckpt-000002-p00.dat").exists());
-        assert!(dir.join("ckpt-000003-p00.dat").exists());
+        assert!(dir.join("ckpt-000002-p01.dat").exists());
         assert!(!dir.join("ckpt.tmp").exists());
         assert!(!dir.join("ckpt-p02.tmp").exists());
         assert!(!dir.join("checkpoint-manifest.tmp").exists());

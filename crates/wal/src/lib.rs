@@ -267,7 +267,6 @@ impl Wal {
                 &path,
                 executor,
                 generation,
-                config,
                 Arc::clone(&metrics),
             )?));
         }
@@ -309,12 +308,6 @@ impl Wal {
     /// The writer (commit-path [`reactdb_txn::LogSink`]) of one executor.
     pub fn writer(&self, executor: usize) -> &Arc<LogWriter> {
         &self.writers[executor]
-    }
-
-    /// Every per-executor writer — the checkpointer iterates them to
-    /// enable dirty tracking and to snapshot/clear dirty sets.
-    pub(crate) fn writers(&self) -> &[Arc<LogWriter>] {
-        &self.writers
     }
 
     /// The registry the WAL counts into.
@@ -476,7 +469,7 @@ impl Wal {
             let Some(scan) = codec::decode_segment(&bytes) else {
                 continue; // foreign or headerless file: leave it alone
             };
-            if scan.truncated_tail {
+            if scan.truncated_tail || scan.undecodable_at.is_some() {
                 continue; // suspicious: leave the evidence for recovery
             }
             if scan
@@ -740,7 +733,10 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
     Ok(reclaimed)
 }
 
-/// Scans `dir`, loads the newest complete checkpoint (if any), keeps the
+/// One segment file's byte size and decoded scan (`None` = foreign header).
+type DecodedSegment = (u64, Option<codec::SegmentScan>);
+
+/// Scans `dir`, loads the installed checkpoint (if any), keeps the
 /// replayable log tail, rewrites the tail as a compacted segment and removes
 /// stale segments.
 ///
@@ -753,11 +749,16 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
 /// With a checkpoint installed, frames with `tid.epoch() <=` the checkpoint
 /// stamp are additionally skipped: the checkpoint already contains the full
 /// effects of those epochs, so recovery replays checkpoint rows plus the
-/// tail only. An incomplete checkpoint (missing or corrupt manifest, torn
-/// data file, or a durable marker that does not cover the fuzzy capture) is
-/// ignored entirely — the scan then falls back to the previous checkpoint
-/// or, absent one, the full log, which a crash at any point of the
-/// checkpoint protocol leaves intact.
+/// tail only. A checkpoint whose capture the durable marker does not cover
+/// is skipped; debris of an unfinished checkpoint is cleaned up.
+///
+/// Recovery refuses what it cannot read; it never reads it as absent. A
+/// marker, manifest or manifest-named part that fails its checks, or a
+/// segment frame whose checksum matches but whose payload does not decode,
+/// is an error naming the file, and every check runs before recovery
+/// deletes or rewrites anything: an `Err` leaves `dir` as it was. An absent
+/// marker or manifest still means none was installed, and a checksum
+/// mismatch in a segment frame is still the torn tail a crash leaves.
 ///
 /// # Concurrency
 /// The caller must guarantee no live [`Wal`] instance is writing to `dir`:
@@ -766,9 +767,6 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
 /// `ReactDB::recover` upholds this by only scanning before its own WAL
 /// opens; coordinating multiple processes over one log directory is out of
 /// scope here (see ROADMAP).
-/// One segment file's byte size and decoded scan (`None` = undecodable).
-type DecodedSegment = (u64, Option<codec::SegmentScan>);
-
 pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
     let durable_epoch = read_marker(dir)?.unwrap_or(0);
 
@@ -776,9 +774,8 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // Newest complete checkpoint: rows covering every epoch <= its stamp.
+    // The installed checkpoint: rows covering every epoch <= its stamp.
     let recovered_checkpoint = checkpoint::load_checkpoint(dir, durable_epoch, parallelism)?;
-    checkpoint::clean_orphans_for_recovery(dir)?;
     let checkpoint_epoch = recovered_checkpoint.as_ref().map(|c| c.epoch).unwrap_or(0);
 
     // Read and decode the segments in parallel (each segment is
@@ -831,6 +828,12 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
         let Some(scan) = scan else {
             continue; // foreign or headerless file: leave it alone
         };
+        if let Some(at) = scan.undecodable_at {
+            return Err(damaged(
+                path,
+                format!("frame at byte {at} passes its checksum but does not decode"),
+            ));
+        }
         log_bytes_scanned += bytes_read;
         if scan.truncated_tail {
             truncated.push(path.clone());
@@ -859,6 +862,9 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
             }
         }
     }
+
+    // Every check passed: only now may recovery change the directory.
+    checkpoint::clean_orphans_for_recovery(dir)?;
 
     // Compact: rewrite the kept tail into a single compacted segment, fsync
     // it, then retire the scanned segments under the shared retention
@@ -905,38 +911,33 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
 ///
 /// The partitioning is what makes the concurrency safe *and* the result
 /// deterministic: a reactor's state lives in its own tables, records for
-/// the same reactor always land in the same lane (checkpoint rows first —
-/// chain order — then tail records in the caller's TID order), and
-/// TID-idempotent replay resolves the fuzzy checkpoint/tail overlap within
-/// the lane exactly as a serial replay would. Records of *different*
-/// reactors never touch the same row, so lanes proceed independently; the
-/// recovered state is byte-identical for any worker count.
-///
-/// The first error aborts the caller's recovery; other lanes may have
-/// partially applied, which is safe for the same reason replaying a torn
-/// log twice is — replay is idempotent and the caller discards the boot on
-/// error.
+/// the same reactor always land in the same lane (checkpoint rows first,
+/// then tail records in the caller's TID order), and TID-idempotent replay
+/// resolves the fuzzy checkpoint/tail overlap within the lane exactly as a
+/// serial replay would. Records of *different* reactors never touch the
+/// same row, so lanes proceed independently; the recovered state is
+/// byte-identical for any worker count.
 pub fn replay_partitioned<F>(
     checkpoint_rows: &[(TidWord, RedoRecord)],
     batches: &[(TidWord, Vec<RedoRecord>)],
     workers: usize,
     replay_one: F,
-) -> io::Result<usize>
+) -> usize
 where
-    F: Fn(TidWord, &RedoRecord) -> io::Result<()> + Sync,
+    F: Fn(TidWord, &RedoRecord) + Sync,
 {
     let total = checkpoint_rows.len() + batches.len();
     let workers = workers.max(1).min(total.max(1));
     if workers == 1 {
         for (tid, record) in checkpoint_rows {
-            replay_one(*tid, record)?;
+            replay_one(*tid, record);
         }
         for (tid, records) in batches {
             for record in records {
-                replay_one(*tid, record)?;
+                replay_one(*tid, record);
             }
         }
-        return Ok(1);
+        return 1;
     }
     let mut lanes: Vec<Vec<(TidWord, &RedoRecord)>> = vec![Vec::new(); workers];
     for (tid, record) in checkpoint_rows {
@@ -949,23 +950,15 @@ where
     }
     std::thread::scope(|s| {
         let replay_one = &replay_one;
-        let handles: Vec<_> = lanes
-            .iter()
-            .map(|lane| {
-                s.spawn(move || {
-                    for (tid, record) in lane {
-                        replay_one(*tid, record)?;
-                    }
-                    Ok::<(), io::Error>(())
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("replay worker panicked")?;
+        for lane in &lanes {
+            s.spawn(move || {
+                for (tid, record) in lane {
+                    replay_one(*tid, record);
+                }
+            });
         }
-        Ok::<(), io::Error>(())
-    })?;
-    Ok(workers)
+    });
+    workers
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,8 +1002,9 @@ fn next_generation(dir: &Path) -> io::Result<u32> {
     Ok(max + 1)
 }
 
-/// Reads the durable-epoch marker; `None` when absent or corrupt (both mean
-/// "nothing was ever synced").
+/// Reads the durable-epoch marker: `None` when absent (nothing was ever
+/// synced), an `InvalidData` error naming the file when it fails its
+/// length, magic or checksum check.
 fn read_marker(dir: &Path) -> io::Result<Option<u64>> {
     let path = dir.join(MARKER_FILE);
     let bytes = match fs::read(&path) {
@@ -1019,14 +1013,23 @@ fn read_marker(dir: &Path) -> io::Result<Option<u64>> {
         Err(e) => return Err(e),
     };
     if bytes.len() != 20 || bytes[..8] != MARKER_MAGIC {
-        return Ok(None);
+        return Err(damaged(&path, "not a durable-epoch marker"));
     }
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("len 8"));
     let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("len 4"));
     if crc32(&bytes[8..16]) != crc {
-        return Ok(None);
+        return Err(damaged(&path, "checksum mismatch"));
     }
     Ok(Some(epoch))
+}
+
+/// The error for an installed file that fails its checks: `InvalidData`,
+/// naming the file.
+pub(crate) fn damaged(path: &Path, what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}: {what}", path.display()),
+    )
 }
 
 /// Atomically replaces the durable-epoch marker (write temp, fsync,
@@ -1349,129 +1352,23 @@ mod tests {
     }
 
     #[test]
-    fn delta_writer_roots_chains_and_rebases_after_rotation() {
-        use reactdb_txn::{LogSink, RedoPayload, RowDelta};
-        let dir = temp_dir("delta-rebase");
-        let epoch = Arc::new(EpochManager::new());
-        let config = DurabilityConfig::epoch_sync(dir.to_string_lossy())
-            .with_interval_ms(0)
-            .with_delta_logging(true);
-        let metrics = registry();
-        let wal = Wal::open(&config, 1, Arc::clone(&epoch), Arc::clone(&metrics))
-            .unwrap()
-            .unwrap();
-        assert!(wal.writer(0).delta_logging());
-
-        let image = |v: f64| {
-            Tuple::of([
-                Value::Int(1),
-                Value::Str("wide-filler-wide-filler-wide-filler".into()),
-                Value::Float(v),
-            ])
-        };
-        let delta_record = |base: TidWord, before: &Tuple, after: &Tuple| RedoRecord {
-            container: ContainerId(0),
-            reactor: ReactorId(0),
-            relation: "savings".into(),
-            key: Key::Int(1),
-            payload: RedoPayload::Delta(RowDelta {
-                base,
-                delta: reactdb_storage::TupleDelta::diff(before, after).unwrap(),
-                image: Some(after.clone()),
-            }),
-        };
-        let full_record = |after: &Tuple| RedoRecord {
-            container: ContainerId(0),
-            reactor: ReactorId(0),
-            relation: "savings".into(),
-            key: Key::Int(1),
-            payload: RedoPayload::Full(after.clone()),
-        };
-
-        let (v1, v2, v3, v4) = (image(1.0), image(2.0), image(3.0), image(4.0));
-        // Insert logs full and roots the key; the repeat update stays a
-        // delta.
-        wal.writer(0)
-            .log_commit(TidWord::committed(1, 1), &[full_record(&v1)]);
-        wal.writer(0).log_commit(
-            TidWord::committed(1, 2),
-            &[delta_record(TidWord::committed(1, 1), &v1, &v2)],
-        );
-        assert_eq!(metrics.get(Count::LogDeltaRecords), 1);
-        assert!(
-            metrics.get(Count::LogBytesSaved) > 0,
-            "a one-field delta over a wide row saves bytes"
-        );
-        epoch.advance();
-        wal.sync().unwrap();
-
-        // Rotation clears the roots: the next delta for the key is re-based
-        // to a full image even though the coordinator shipped a delta.
-        wal.rotate_segments().unwrap();
-        wal.writer(0).log_commit(
-            TidWord::committed(2, 1),
-            &[delta_record(TidWord::committed(1, 2), &v2, &v3)],
-        );
-        assert_eq!(
-            metrics.get(Count::LogDeltaRecords),
-            1,
-            "the first post-rotation touch is re-based, not delta-logged"
-        );
-        // ...and the key is rooted again, so the next update is a delta.
-        wal.writer(0).log_commit(
-            TidWord::committed(2, 2),
-            &[delta_record(TidWord::committed(2, 1), &v3, &v4)],
-        );
-        assert_eq!(metrics.get(Count::LogDeltaRecords), 2);
-        epoch.advance();
-        wal.sync().unwrap();
-        drop(wal); // crash
-
-        // Recovery: the decoded chain replays to the exact final image.
-        let recovered = recover_and_compact(&dir).unwrap();
-        assert_eq!(recovered.batches.len(), 4);
-        let kinds: Vec<bool> = recovered
-            .batches
-            .iter()
-            .map(|(_, records)| records[0].is_delta())
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![false, true, false, true],
-            "full roots bracket the rotation; deltas ride on them"
-        );
-        let schema = reactdb_storage::Schema::of(
-            &[
-                ("id", reactdb_storage::ColumnType::Int),
-                ("pad", reactdb_storage::ColumnType::Str),
-                ("v", reactdb_storage::ColumnType::Float),
-            ],
-            &["id"],
-        );
-        let table = reactdb_storage::Table::new("savings", schema);
-        for (tid, records) in &recovered.batches {
-            for r in records {
-                match &r.payload {
-                    RedoPayload::Full(t) => table.replay(&r.key, Some(t), *tid),
-                    RedoPayload::Delete => table.replay(&r.key, None, *tid),
-                    RedoPayload::Delta(d) => {
-                        table.replay_delta(&r.key, d.base, &d.delta, *tid).unwrap()
-                    }
-                }
-            }
-        }
-        assert_eq!(table.get(&Key::Int(1)).unwrap().read_unguarded(), v4);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn marker_roundtrip_and_corruption_handling() {
         let dir = temp_dir("marker");
         assert_eq!(read_marker(&dir).unwrap(), None);
         write_marker(&dir, 17).unwrap();
         assert_eq!(read_marker(&dir).unwrap(), Some(17));
+        // A damaged marker is refused, never read as "nothing synced".
+        let mut flipped = fs::read(dir.join(MARKER_FILE)).unwrap();
+        flipped[9] ^= 1;
+        fs::write(dir.join(MARKER_FILE), &flipped).unwrap();
+        let err = read_marker(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(MARKER_FILE), "{err}");
         fs::write(dir.join(MARKER_FILE), b"garbage").unwrap();
-        assert_eq!(read_marker(&dir).unwrap(), None);
+        assert_eq!(
+            read_marker(&dir).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,11 +7,11 @@
 //! [`ShipEvent`]s — raw byte ranges of checkpoint files and log segments,
 //! interleaved with durable-epoch markers:
 //!
-//! * On the first poll the newest installed checkpoint chain is shipped
-//!   whole (part files first, manifest last, so the follower never
-//!   observes a manifest referencing parts it does not have). The
-//!   follower boots from it through the same parallel loader recovery
-//!   uses ([`crate::checkpoint::load_checkpoint`]).
+//! * On the first poll the installed checkpoint is shipped whole (part
+//!   files first, manifest last, so the follower never observes a
+//!   manifest referencing parts it does not have). The follower boots
+//!   from it through the same parallel loader recovery uses
+//!   ([`crate::checkpoint::load_checkpoint`]).
 //! * Every poll then tails the `wal-*.log` segments: per segment the
 //!   cursor remembers how many bytes it shipped and walks the *new*
 //!   complete frames, shipping exactly the prefix whose commit epochs the
@@ -82,7 +82,7 @@ pub struct ShipCursor {
     chunk_bytes: usize,
     /// Shipped-byte high-water mark per segment file name.
     offsets: HashMap<String, u64>,
-    /// The checkpoint chain is shipped once, on the first poll.
+    /// The checkpoint is shipped once, on the first poll.
     shipped_checkpoint: bool,
     /// Last durable epoch announced to the follower.
     announced_epoch: u64,
@@ -155,7 +155,7 @@ impl ShipCursor {
         self.announced_epoch
     }
 
-    /// Ships the installed checkpoint chain raw: every `ckpt-*.dat` part
+    /// Ships the installed checkpoint raw: every `ckpt-*.dat` part
     /// file first, the manifest last. Extra (orphaned) part files are
     /// harmless downstream — the loader reads only manifest-referenced
     /// parts. No checkpoint installed means nothing to ship; the follower

@@ -4,21 +4,14 @@
 //! with `tests/wire_history_check.rs`, which replays the same check over
 //! the TCP wire protocol.
 //!
-//! The workload runs under every commit path: durability off, epoch-sync
-//! group commit, and epoch-sync with delta redo logging + record
-//! compression — the log format must never leak into the concurrency
+//! The workload runs under both commit paths, durability off and
+//! epoch-sync group commit: logging must never leak into the concurrency
 //! semantics.
 
 mod support;
 
-use std::sync::Arc;
-
-use reactdb::common::{DeploymentConfig, DurabilityConfig, Key};
-use reactdb::engine::ReactDB;
-use support::history::{
-    check_history, load, run_and_check, run_workload, shard_name, spec, ReadObs, TxnRecord,
-    KEYS_PER_SHARD, SHARDS,
-};
+use reactdb::common::{DeploymentConfig, DurabilityConfig};
+use support::history::{check_history, run_and_check, ReadObs, TxnRecord, SHARDS};
 
 fn wal_dir(tag: &str) -> String {
     let dir = std::env::temp_dir().join(format!(
@@ -42,61 +35,6 @@ fn concurrent_histories_are_serializable_under_epoch_sync() {
             .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(1)),
         "epoch sync",
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn concurrent_histories_are_serializable_under_delta_logging() {
-    let dir = wal_dir("delta");
-    let config = DeploymentConfig::shared_nothing(SHARDS).with_durability(
-        DurabilityConfig::epoch_sync(&dir)
-            .with_interval_ms(1)
-            .with_delta_logging(true)
-            .with_compression(true),
-    );
-    let db = Arc::new(ReactDB::boot(spec(), config.clone()));
-    load(&db);
-    let records = run_workload(&db);
-    check_history(&records, "epoch sync + delta");
-    assert!(
-        db.metrics().counter("log_delta_records").unwrap() > 0,
-        "the delta commit path was actually exercised"
-    );
-    // The log format must not change what recovery computes either: crash,
-    // recover, and compare every register against the checker's ledger.
-    db.wal_sync().unwrap();
-    let expected: Vec<(String, i64, i64)> = (0..SHARDS)
-        .flat_map(|s| {
-            let db = &db;
-            (0..KEYS_PER_SHARD).map(move |k| {
-                let row = db
-                    .table(&shard_name(s), "regs")
-                    .unwrap()
-                    .get(&Key::Int(k))
-                    .unwrap()
-                    .read_unguarded();
-                (shard_name(s), k, row.at(1).as_int())
-            })
-        })
-        .collect();
-    match Arc::try_unwrap(db) {
-        Ok(db) => db.simulate_crash(),
-        Err(_) => panic!("a client handle still shares the database Arc after the workload joined"),
-    }
-    let recovered = ReactDB::recover(spec(), config).unwrap();
-    for (shard, key, ver) in expected {
-        let row = recovered
-            .table(&shard, "regs")
-            .unwrap()
-            .get(&Key::Int(key))
-            .unwrap()
-            .read_unguarded();
-        assert_eq!(
-            row.at(1).as_int(),
-            ver,
-            "{shard}:{key} recovered through the delta log"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -127,7 +127,6 @@ fn mixed_workload_fills_the_export_surface() {
 const COUNTERS: &str = r#"
     checkpoint_bytes
     checkpoint_failures
-    checkpoints_delta
     checkpoints_taken
     client_aborted
     client_committed
@@ -136,8 +135,6 @@ const COUNTERS: &str = r#"
     durable_waits
     handles_in_flight_hwm
     log_bytes
-    log_bytes_saved
-    log_delta_records
     log_records
     log_sync_failures
     log_syncs

@@ -105,9 +105,8 @@ pub fn spec() -> ReactorDatabaseSpec {
                     ("id", ColumnType::Int),
                     ("ver", ColumnType::Int),
                     ("writer", ColumnType::Int),
-                    // Fixed payload: makes the rows wide enough that delta
-                    // frames are actually smaller than full images, so the
-                    // delta commit path is exercised for real.
+                    // Fixed payload: gives every logged row a realistic
+                    // width.
                     ("pad", ColumnType::Str),
                 ],
                 &["id"],

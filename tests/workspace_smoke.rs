@@ -1,9 +1,8 @@
 //! Facade smoke test that plain `cargo test` (root package only — CI runs
 //! `--workspace` as well, but the keep-green rule says both invocations must
 //! exercise real suites) drives the full durability vertical through the
-//! `reactdb` facade: boot with delta redo logging + record compression,
-//! commit through the session API, crash, recover, and check both the
-//! recovered state and the delta-path statistics.
+//! `reactdb` facade: boot with epoch-sync durability, commit through the
+//! session API, checkpoint, crash, recover, and check the recovered state.
 
 use std::collections::BTreeMap;
 
@@ -13,13 +12,9 @@ use reactdb::workloads::smallbank::{self, customer_name};
 
 const CUSTOMERS: usize = 4;
 
-fn config(dir: &str, delta: bool) -> DeploymentConfig {
-    DeploymentConfig::shared_nothing(2).with_durability(
-        DurabilityConfig::epoch_sync(dir)
-            .with_interval_ms(0)
-            .with_delta_logging(delta)
-            .with_compression(delta),
-    )
+fn config(dir: &str) -> DeploymentConfig {
+    DeploymentConfig::shared_nothing(2)
+        .with_durability(DurabilityConfig::epoch_sync(dir).with_interval_ms(0))
 }
 
 fn balances(db: &ReactDB) -> BTreeMap<usize, f64> {
@@ -36,15 +31,15 @@ fn balances(db: &ReactDB) -> BTreeMap<usize, f64> {
 }
 
 #[test]
-fn facade_delta_mode_commits_crash_and_recover() {
+fn facade_durability_commits_crash_and_recover() {
     let dir = std::env::temp_dir().join(format!("reactdb-workspace-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir = dir.to_string_lossy().into_owned();
 
-    let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config(&dir, true));
+    let db = ReactDB::boot(smallbank::spec(CUSTOMERS), config(&dir));
     smallbank::load(&db, CUSTOMERS).unwrap();
     let client = db.client();
-    for i in 0..24 {
+    let deposit = |i: usize| {
         client
             .invoke(
                 &customer_name(i % CUSTOMERS),
@@ -52,12 +47,11 @@ fn facade_delta_mode_commits_crash_and_recover() {
                 vec![Value::Float(1.0 + i as f64)],
             )
             .unwrap();
-    }
-    assert!(
-        db.metrics().counter("log_delta_records").unwrap() > 0,
-        "repeat balance updates ship as deltas"
-    );
-    assert!(db.metrics().counter("log_bytes_saved").unwrap() > 0);
+    };
+    (0..12).for_each(deposit);
+    db.checkpoint_now().unwrap();
+    (12..24).for_each(deposit);
+    assert!(db.metrics().counter("log_bytes").unwrap() > 0);
     db.wal_sync().unwrap();
     let expected = balances(&db);
     // One unsynced deposit is lost by the crash.
@@ -71,13 +65,21 @@ fn facade_delta_mode_commits_crash_and_recover() {
     drop(client);
     db.simulate_crash();
 
-    let recovered = ReactDB::recover(smallbank::spec(CUSTOMERS), config(&dir, true)).unwrap();
+    let recovered = ReactDB::recover(smallbank::spec(CUSTOMERS), config(&dir)).unwrap();
     assert_eq!(
         balances(&recovered),
         expected,
-        "delta + compressed log recovers the exact durable state"
+        "checkpoint + log tail recovers the exact durable state"
     );
-    // The recovered instance keeps serving and delta-logging.
+    assert!(
+        recovered
+            .metrics()
+            .counter("recovered_checkpoint_rows")
+            .unwrap()
+            > 0
+    );
+    // The recovered instance keeps serving and logging.
+    let logged = recovered.metrics().counter("log_bytes").unwrap();
     recovered
         .invoke(
             &customer_name(1),
@@ -85,13 +87,6 @@ fn facade_delta_mode_commits_crash_and_recover() {
             vec![Value::Float(1.0)],
         )
         .unwrap();
-    recovered
-        .invoke(
-            &customer_name(1),
-            "deposit_checking",
-            vec![Value::Float(1.0)],
-        )
-        .unwrap();
-    assert!(recovered.metrics().counter("log_delta_records").unwrap() >= 1);
+    assert!(recovered.metrics().counter("log_bytes").unwrap() > logged);
     let _ = std::fs::remove_dir_all(&dir);
 }
