@@ -425,8 +425,9 @@ impl ReactDB {
     /// writer pool, waits until the capture is durable, commits the
     /// manifest and truncates every log segment the checkpoint covers.
     /// Returns a [`CheckpointReport`] — rows, bytes, part count and the
-    /// cover epoch — so callers and tests need not scrape the metrics. Requires durability; see `CheckpointConfig` on
-    /// the deployment for the periodic background variant.
+    /// cover epoch — so callers and tests need not scrape the metrics.
+    /// Requires durability; see `CheckpointConfig` on the deployment for
+    /// the periodic background variant.
     pub fn checkpoint_now(&self) -> Result<CheckpointReport> {
         let checkpointer = self
             .inner

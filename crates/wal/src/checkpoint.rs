@@ -180,8 +180,9 @@ fn part_tmp_name(part: u32) -> String {
 /// Serializes and atomically installs the manifest (write temp, fsync,
 /// rename, fsync dir) — the checkpoint's commit point.
 ///
-/// The payload keeps the layout of the chained manifest it replaced: a
-/// layer count of 1 and a delta byte of 0 precede the one layer's stamps.
+/// A layer count of 1 and a delta byte of 0 precede the stamps: the
+/// `RDBCKMF2` layout once chained delta layers, and keeping its bytes
+/// keeps every installed manifest readable without a version bump.
 fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     let mut payload = Vec::with_capacity(64);
     payload.extend_from_slice(&1u16.to_le_bytes());
