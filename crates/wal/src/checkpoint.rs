@@ -352,12 +352,11 @@ fn decode_part(
         ));
     }
     let mut rows = Vec::with_capacity(scan.scan.batches.len());
-    for (tid, mut records) in scan.scan.batches {
+    for (tid, records) in scan.scan.batches {
         // One captured row per frame by construction.
-        match (records.pop(), records.is_empty()) {
-            (Some(record), true) => rows.push((tid, record)),
-            _ => return Err(damaged(&path, "a frame holds other than one row")),
-        }
+        let [record] = <[RedoRecord; 1]>::try_from(records)
+            .map_err(|_| damaged(&path, "a frame holds other than one row"))?;
+        rows.push((tid, record));
     }
     if rows.len() as u64 != part.rows {
         return Err(damaged(
