@@ -1,8 +1,10 @@
 //! Workspace-level acceptance test for the observability layer: a mixed
 //! workload must light up the commit-path phase histograms, the abort
-//! breakdown must match what actually happened, and the two renderers must
-//! agree with the snapshot.
+//! breakdown must match what actually happened, every histogram's
+//! percentiles must be ordered, and the Prometheus text, rendered in
+//! process or scraped over the wire, must carry the snapshot's values.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Key, TracingConfig, Value};
@@ -34,6 +36,89 @@ fn spec() -> ReactorDatabaseSpec {
     spec.add_reactor("c-0", "Counter");
     spec.add_reactor("c-1", "Counter");
     spec
+}
+
+/// The samples of a Prometheus text exposition, keyed by series (the
+/// metric name with its label block).
+fn prometheus_samples(text: &str) -> BTreeMap<&str, &str> {
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            line.rsplit_once(' ')
+                .unwrap_or_else(|| panic!("not a sample line: {line}"))
+        })
+        .collect()
+}
+
+fn sample<'a>(samples: &BTreeMap<&str, &'a str>, series: &str) -> &'a str {
+    samples
+        .get(series)
+        .unwrap_or_else(|| panic!("{series} missing from the Prometheus text"))
+}
+
+/// Every counter and gauge of `snap` shows its value in `text`, and every
+/// histogram its count.
+fn assert_renders(snap: &MetricsSnapshot, text: &str) {
+    let samples = prometheus_samples(text);
+    let shows = |series: String, value: String| {
+        assert_eq!(sample(&samples, &series), value, "{series}");
+    };
+    shows("reactdb_uptime_us".into(), snap.uptime_us.to_string());
+    for c in &snap.counters {
+        shows(format!("reactdb_{}", c.name), c.value.to_string());
+    }
+    for g in &snap.gauges {
+        shows(format!("reactdb_{}", g.name), g.value.to_string());
+    }
+    for h in &snap.histograms {
+        shows(format!("reactdb_{}_count", h.name), h.count.to_string());
+    }
+}
+
+/// For a text scraped over the wire between the snapshots `before` and
+/// `after`: every counter and histogram count shows a value between its
+/// two snapshot values, and every gauge shows a number. (A gauge is not
+/// monotonic: `net_requests_in_flight` is 1 while the scrape itself is
+/// served.)
+fn assert_scrape_between(before: &MetricsSnapshot, text: &str, after: &MetricsSnapshot) {
+    let samples = prometheus_samples(text);
+    let between = |series: String, low: u64, high: u64| {
+        let shown: u64 = sample(&samples, &series).parse().unwrap();
+        assert!(
+            (low..=high).contains(&shown),
+            "{series} shows {shown}, outside [{low}, {high}]"
+        );
+    };
+    between(
+        "reactdb_uptime_us".into(),
+        before.uptime_us,
+        after.uptime_us,
+    );
+    for c in &before.counters {
+        let high = after.counter(&c.name).unwrap();
+        between(format!("reactdb_{}", c.name), c.value, high);
+    }
+    for g in &before.gauges {
+        let series = format!("reactdb_{}", g.name);
+        let shown: f64 = sample(&samples, &series).parse().unwrap();
+        assert!(shown.is_finite(), "{series} shows {shown}");
+    }
+    for h in &before.histograms {
+        let high = after.histogram(&h.name).unwrap().count;
+        between(format!("reactdb_{}_count", h.name), h.count, high);
+    }
+}
+
+/// p50 <= p90 <= p99 <= p999 <= max on every histogram.
+fn assert_percentiles_ordered(snap: &MetricsSnapshot) {
+    for h in &snap.histograms {
+        let chain = [h.p50_ns, h.p90_ns, h.p99_ns, h.p999_ns, h.max_ns];
+        assert!(
+            chain.windows(2).all(|w| w[0] <= w[1]),
+            "{} percentiles out of order: {chain:?}",
+            h.name
+        );
+    }
 }
 
 fn wal_dir(tag: &str) -> std::path::PathBuf {
@@ -92,12 +177,9 @@ fn mixed_workload_fills_the_export_surface() {
     assert_eq!(user_aborts, 1);
     assert_eq!(session.aborted, 1);
 
-    // Renderers round-trip the same values.
-    let parsed = MetricsSnapshot::from_json(&before.to_json()).unwrap();
-    assert_eq!(parsed, before);
-    assert!(before
-        .to_prometheus_text()
-        .contains("reactdb_txn_committed 12"));
+    assert_percentiles_ordered(&before);
+    // The Prometheus text carries every value of the snapshot.
+    assert_renders(&before, &before.to_prometheus_text());
 
     // Deltas move with the workload.
     for _ in 0..5 {
@@ -224,6 +306,13 @@ fn the_export_surface_names_are_pinned() {
     client.invoke_durable("c-0", "bump", vec![]).unwrap();
 
     let snap = server.metrics_snapshot();
+    assert_percentiles_ordered(&snap);
+    for phase in ["net_decode", "net_dispatch", "net_reply"] {
+        let h = snap.histogram(&format!("phase_{phase}_ns")).unwrap();
+        assert!(h.count > 0, "phase_{phase}_ns empty after wire traffic");
+    }
+    let scraped = client.metrics_prometheus().unwrap();
+    assert_scrape_between(&snap, &scraped, &server.metrics_snapshot());
     assert_eq!(
         sorted(snap.counters.iter().map(|c| c.name.as_str())),
         sorted(COUNTERS.split_whitespace())
