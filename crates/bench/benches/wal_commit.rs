@@ -6,7 +6,7 @@
 //! because no disk I/O ever happens on the commit path.
 //!
 //! The `durable-ack` variant compares the two client acknowledgement modes
-//! under EpochSync: serial `invoke` (validation-time ack, one round trip
+//! under epoch-sync durability: serial `invoke` (validation-time ack, one round trip
 //! per transaction) against pipelined `submit_batch` with `wait_durable`
 //! on every handle (Silo-faithful durable ack, the group commit amortized
 //! over the whole batch). Pipelining should win despite paying for

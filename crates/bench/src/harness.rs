@@ -1,9 +1,7 @@
 //! Output helpers shared by the figure/table binaries.
 
-use serde::Serialize;
-
 /// One (x, series -> y) data point of a figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesPoint {
     /// X-axis value (transaction size, workers, scale factor, ...).
     pub x: f64,

@@ -48,7 +48,9 @@ pub const MAGIC: [u8; 4] = *b"RDBP";
 /// v3: [`Request::ReplSubscribe`] carries the follower's stable
 /// `follower_id`, the key of the primary's per-follower quorum-ack
 /// registry.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// v4: [`Request::Metrics`] loses its format byte; the reply is always
+/// Prometheus text.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Handshake message size in bytes, both directions.
 pub const HANDSHAKE_LEN: usize = 8;
@@ -153,15 +155,6 @@ impl std::error::Error for WireError {}
 // Message types.
 // ---------------------------------------------------------------------------
 
-/// Rendering requested by a metrics op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// Prometheus text exposition of the `MetricsSnapshot`.
-    Prometheus,
-    /// The snapshot's JSON rendering.
-    Json,
-}
-
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -179,12 +172,11 @@ pub enum Request {
         /// Procedure arguments, at most [`MAX_ARGS`].
         args: Vec<Value>,
     },
-    /// Render the server's metrics snapshot (`GET /metrics` equivalent).
+    /// Render the server's metrics snapshot as Prometheus text
+    /// (`GET /metrics` equivalent).
     Metrics {
         /// Client-chosen id echoed in the response.
         correlation_id: u64,
-        /// Requested rendering.
-        format: MetricsFormat,
     },
     /// Liveness probe; the server answers [`Response::Pong`].
     Ping {
@@ -226,7 +218,7 @@ impl Request {
     pub fn correlation_id(&self) -> u64 {
         match self {
             Request::Invoke { correlation_id, .. }
-            | Request::Metrics { correlation_id, .. }
+            | Request::Metrics { correlation_id }
             | Request::Ping { correlation_id }
             | Request::ReplSubscribe { correlation_id, .. }
             | Request::ReplAck { correlation_id, .. } => *correlation_id,
@@ -258,7 +250,7 @@ pub enum Response {
     MetricsText {
         /// Echo of the request's correlation id.
         correlation_id: u64,
-        /// Prometheus or JSON text, per the requested format.
+        /// The Prometheus text exposition of the server's snapshot.
         text: String,
     },
     /// Answer to a [`Request::Ping`].
@@ -678,16 +670,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 put_value(&mut out, arg);
             }
         }
-        Request::Metrics {
-            correlation_id,
-            format,
-        } => {
+        Request::Metrics { correlation_id } => {
             out.push(KIND_METRICS);
             out.extend_from_slice(&correlation_id.to_le_bytes());
-            out.push(match format {
-                MetricsFormat::Prometheus => 0,
-                MetricsFormat::Json => 1,
-            });
         }
         Request::Ping { correlation_id } => {
             out.push(KIND_PING);
@@ -750,22 +735,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 args,
             }
         }
-        KIND_METRICS => {
-            let format = match c.u8()? {
-                0 => MetricsFormat::Prometheus,
-                1 => MetricsFormat::Json,
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        what: "metrics format",
-                        tag,
-                    })
-                }
-            };
-            Request::Metrics {
-                correlation_id,
-                format,
-            }
-        }
+        KIND_METRICS => Request::Metrics { correlation_id },
         KIND_PING => Request::Ping { correlation_id },
         KIND_REPL_SUBSCRIBE => Request::ReplSubscribe {
             correlation_id,
@@ -1000,10 +970,7 @@ mod tests {
                     Value::Null,
                 ],
             },
-            Request::Metrics {
-                correlation_id: 1,
-                format: MetricsFormat::Prometheus,
-            },
+            Request::Metrics { correlation_id: 1 },
             Request::Invoke {
                 correlation_id: 43,
                 ack: AckLevel::Replicated,

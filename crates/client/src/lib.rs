@@ -26,7 +26,7 @@
 
 pub mod codec;
 
-pub use codec::{MetricsFormat, Request, Response, WireError, PROTOCOL_VERSION};
+pub use codec::{Request, Response, WireError, PROTOCOL_VERSION};
 pub use reactdb_common::AckLevel;
 
 use std::collections::HashMap;
@@ -313,18 +313,8 @@ impl WireClient {
 
     /// Fetches the server's metrics snapshot rendered as Prometheus text.
     pub fn metrics_prometheus(&self) -> Result<String> {
-        self.metrics(MetricsFormat::Prometheus)
-    }
-
-    /// Fetches the server's metrics snapshot rendered as JSON.
-    pub fn metrics_json(&self) -> Result<String> {
-        self.metrics(MetricsFormat::Json)
-    }
-
-    fn metrics(&self, format: MetricsFormat) -> Result<String> {
         let slot = self.send(&Request::Metrics {
             correlation_id: self.next_id(),
-            format,
         })?;
         match slot.wait() {
             Outcome::Text(text) => Ok(text),

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use reactdb_client::codec::{
-    decode_frame, decode_request, decode_response, encode_request, encode_response, frame,
-    MetricsFormat, Request, Response, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    decode_frame, decode_request, decode_response, encode_request, encode_response, frame, Request,
+    Response, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 use reactdb_common::{AckLevel, TxnError, Value};
 
@@ -71,14 +71,7 @@ fn arb_request(rng: &mut TestRng) -> Request {
             procedure: arb_string(rng),
             args: (0..rng.below(6)).map(|_| arb_value(rng)).collect(),
         },
-        1 => Request::Metrics {
-            correlation_id,
-            format: if rng.next_u64() & 1 == 0 {
-                MetricsFormat::Prometheus
-            } else {
-                MetricsFormat::Json
-            },
-        },
+        1 => Request::Metrics { correlation_id },
         2 => Request::ReplSubscribe {
             correlation_id,
             from_epoch: rng.next_u64(),

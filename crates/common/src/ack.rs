@@ -19,10 +19,8 @@
 //! this enum replaces both so a third level lands in one place instead
 //! of four.
 
-use serde::{Deserialize, Serialize};
-
 /// When a transaction submission is acknowledged to the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AckLevel {
     /// Acknowledge at OCC validation: installed in memory, volatile.
     Validated,

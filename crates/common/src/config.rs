@@ -8,16 +8,17 @@
 //! database as a shared-everything engine, an affinity-based
 //! shared-everything engine, or a shared-nothing engine.
 //!
-//! [`DeploymentConfig`] is that configuration, expressed as a serde-friendly
-//! value so it can be read from a JSON file or constructed programmatically.
+//! [`DeploymentConfig`] is that configuration: a plain Rust value built
+//! with the constructors and `with_*` builders below (`reactdb-server`
+//! builds it from its flags).
 
-use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 use crate::ids::{ContainerId, ExecutorId};
 
 /// How a transaction router picks the executor that will run a root
 /// transaction (§3.1, "transaction routers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// Load-balance root transactions over the container's executors in
     /// round-robin order, ignoring which reactor they target (strategy S1).
@@ -28,7 +29,7 @@ pub enum RouterPolicy {
 }
 
 /// Configuration of one transaction executor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Identifier of the executor, unique across the deployment.
     pub id: ExecutorId,
@@ -44,7 +45,7 @@ pub struct ExecutorConfig {
 
 /// The three deployment strategies evaluated in the paper (§3.3), plus a
 /// fully custom mapping for other flexible deployments ("similar to [44]").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeploymentStrategy {
     /// S1: a single container; every executor can run transactions on behalf
     /// of any reactor; round-robin routing.
@@ -81,27 +82,16 @@ pub enum DeploymentStrategy {
     },
 }
 
-/// Durability policy of a deployment. ReactDB reuses Silo's epoch-based
-/// group commit: redo records are buffered per executor and the log is
-/// synchronized on epoch boundaries, so the logging fast path never issues a
-/// synchronous disk write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DurabilityMode {
-    /// No logging: every commit is volatile (the seed behaviour).
-    Off,
-    /// Full epoch-based group commit: the WAL flushes and fsyncs all log
-    /// writers on epoch boundaries and advances the durable-epoch marker.
-    /// Recovery replays exactly the transactions of fully synced epochs.
-    EpochSync,
-}
-
-/// Durability section of a [`DeploymentConfig`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Durability section of a [`DeploymentConfig`]. ReactDB reuses Silo's
+/// epoch-based group commit: redo records are buffered per executor and the
+/// log is synchronized on epoch boundaries, so the logging fast path never
+/// issues a synchronous disk write. Recovery replays exactly the
+/// transactions of fully synced epochs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Logging / group-commit policy.
-    pub mode: DurabilityMode,
     /// Directory holding the log segments and the durable-epoch marker.
-    /// Required unless `mode` is [`DurabilityMode::Off`].
+    /// Durability is on exactly when this is set; `None` makes every commit
+    /// volatile.
     pub log_dir: Option<String>,
     /// Longest gap in milliseconds between group commits while epochs move;
     /// a durable waiter's demand runs one at once instead. `0`: no timed
@@ -112,7 +102,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            mode: DurabilityMode::Off,
             log_dir: None,
             group_commit_interval_ms: 10,
         }
@@ -129,7 +118,6 @@ impl DurabilityConfig {
     /// interval.
     pub fn epoch_sync(log_dir: impl Into<String>) -> Self {
         Self {
-            mode: DurabilityMode::EpochSync,
             log_dir: Some(log_dir.into()),
             group_commit_interval_ms: 10,
         }
@@ -143,16 +131,12 @@ impl DurabilityConfig {
 
     /// True when logging is enabled.
     pub fn is_enabled(&self) -> bool {
-        self.mode != DurabilityMode::Off
+        self.log_dir.is_some()
     }
 
-    /// Resolves the configured log directory, reporting a consistent error
-    /// when durability is enabled without one.
-    pub fn log_dir_path(&self) -> std::io::Result<std::path::PathBuf> {
-        self.log_dir
-            .as_deref()
-            .map(std::path::PathBuf::from)
-            .ok_or_else(|| std::io::Error::other("durability enabled but log_dir is unset"))
+    /// The log directory, when durability is on.
+    pub fn log_dir_path(&self) -> Option<&Path> {
+        self.log_dir.as_deref().map(Path::new)
     }
 }
 
@@ -160,7 +144,7 @@ impl DurabilityConfig {
 /// meaningful when durability is enabled: a checkpoint bounds recovery time
 /// by the snapshot size plus the log tail written since it, instead of the
 /// whole log history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Take a background checkpoint every this many epochs. `0` disables the
     /// background checkpointer; checkpoints then happen only on explicit
@@ -174,17 +158,14 @@ pub struct CheckpointConfig {
     /// many redo-log bytes have been appended since the last completed one,
     /// so log-heavy workloads checkpoint by volume, not wall clock. `0`
     /// disables the size trigger.
-    #[serde(default)]
     pub max_log_bytes: u64,
     /// Parallel-capture writer threads: the table walk is partitioned
     /// across this many part-file writers. `0` means one per available
     /// core (capped by the table count).
-    #[serde(default)]
     pub workers: usize,
     /// Recovery replay workers: log records fan out to this many threads
     /// keyed by reactor (same-reactor records stay ordered within one
     /// worker). `0` means one per available core.
-    #[serde(default)]
     pub replay_workers: usize,
 }
 
@@ -249,7 +230,7 @@ impl CheckpointConfig {
 /// by the server's replication stream (primary side) and the follower's
 /// apply loop. Only meaningful when durability is enabled — the shipped
 /// stream *is* the WAL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Largest file chunk (bytes) shipped per replication frame. Clamped
     /// well under the wire protocol's 1 MiB frame cap.
@@ -257,10 +238,9 @@ pub struct ReplicationConfig {
     /// Replication quorum: how many followers must durably apply a commit
     /// epoch before the primary acknowledges it at
     /// `AckLevel::Replicated` — so a replicated ack means "durable on at
-    /// least `quorum + 1` nodes". `0` (the value a pre-quorum config file
-    /// deserializes to) is read as 1; see
-    /// [`ReplicationConfig::effective_quorum`].
-    #[serde(default)]
+    /// least `quorum + 1` nodes". The field is public, so nothing stops a
+    /// caller from setting `0`; consumers read it through
+    /// [`ReplicationConfig::effective_quorum`], which treats `0` as 1.
     pub quorum: usize,
 }
 
@@ -286,9 +266,8 @@ impl ReplicationConfig {
         self
     }
 
-    /// The quorum consumers must honour: at least 1, treating the
-    /// serde-default `0` of an old config file as the historical
-    /// single-follower behaviour.
+    /// The quorum consumers must honour: `quorum`, clamped to at least 1
+    /// (one follower, the smallest quorum a replicated ack can mean).
     pub fn effective_quorum(&self) -> usize {
         self.quorum.max(1)
     }
@@ -298,7 +277,7 @@ impl ReplicationConfig {
 /// histograms and ring-buffer event tracing. On by default — the hot-path
 /// cost is a clock read and a relaxed atomic add per phase — and reducible
 /// to a single branch with [`TracingConfig::off`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracingConfig {
     /// Master switch. When off, no timestamps are taken, no histograms are
     /// recorded and no trace events are buffered.
@@ -346,7 +325,7 @@ impl TracingConfig {
 }
 
 /// A complete deployment: strategy plus knobs shared by all strategies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentConfig {
     /// The architecture strategy.
     pub strategy: DeploymentStrategy,
@@ -360,11 +339,9 @@ pub struct DeploymentConfig {
     /// durability).
     pub checkpoint: CheckpointConfig,
     /// Observability policy (tracing on by default).
-    #[serde(default)]
     pub tracing: TracingConfig,
     /// Log-shipping replication knobs (defaults are fine for most
     /// deployments; only consulted when a replication stream is running).
-    #[serde(default)]
     pub replication: ReplicationConfig,
 }
 
@@ -512,16 +489,6 @@ impl DeploymentConfig {
             DeploymentStrategy::Custom { executors, .. } => executors.clone(),
         }
     }
-
-    /// Serializes this deployment to a JSON configuration file string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("deployment config serializes")
-    }
-
-    /// Parses a deployment from a JSON configuration file string.
-    pub fn from_json(text: &str) -> std::result::Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
 }
 
 #[cfg(test)]
@@ -562,16 +529,6 @@ mod tests {
         assert_eq!(execs[2].id, ExecutorId(2));
         assert_eq!(execs[2].container, ContainerId(2));
         assert_eq!(execs[2].mpl, 2);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_config() {
-        let cfg = DeploymentConfig::shared_nothing(7)
-            .with_mpl(3)
-            .with_checkpoint(CheckpointConfig::every_epochs(64).with_chunk_size(128));
-        let text = cfg.to_json();
-        let back = DeploymentConfig::from_json(&text).unwrap();
-        assert_eq!(cfg, back);
     }
 
     #[test]
@@ -631,42 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn config_json_written_before_the_parallel_checkpoint_knobs_still_parses() {
-        // A config file from before the parallel checkpoint fields existed
-        // must parse with them defaulted off.
-        let cfg = DeploymentConfig::shared_nothing(2)
-            .with_checkpoint(CheckpointConfig::every_epochs(8).with_chunk_size(64));
-        let json = cfg.to_json();
-        let kept: Vec<&str> = json
-            .lines()
-            .filter(|l| {
-                !l.contains("max_log_bytes")
-                    && !l.contains("\"workers\"")
-                    && !l.contains("replay_workers")
-            })
-            .collect();
-        // Stripping the last fields of an object leaves a trailing comma;
-        // drop it where the next kept line closes the object.
-        let old_json: String = kept
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let closes_next = kept
-                    .get(i + 1)
-                    .is_some_and(|next| next.trim_start().starts_with('}'));
-                if closes_next {
-                    line.trim_end().trim_end_matches(',').to_owned()
-                } else {
-                    (*line).to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = DeploymentConfig::from_json(&old_json).unwrap();
-        assert_eq!(back, cfg, "missing checkpoint knobs default to off");
-    }
-
-    #[test]
     fn tracing_config_defaults_and_builders() {
         let on = TracingConfig::default();
         assert!(on.enabled);
@@ -680,136 +601,53 @@ mod tests {
         assert_eq!(tuned.ring_capacity, 64);
         assert_eq!(tuned.slow_txn_threshold_us, 0);
         let cfg = DeploymentConfig::shared_nothing(2).with_tracing(off);
-        let back = DeploymentConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(cfg, back);
+        assert_eq!(cfg.tracing, off);
+        assert_eq!(
+            DeploymentConfig::shared_nothing(2).tracing,
+            TracingConfig::default(),
+            "tracing is on unless configured"
+        );
     }
 
     #[test]
-    fn config_json_written_before_the_tracing_section_still_parses() {
-        // Serialize, then excise the whole `tracing` object as an old
-        // config file would lack it: `#[serde(default)]` must fill it in.
-        let cfg = DeploymentConfig::shared_nothing(2)
-            .with_durability(DurabilityConfig::epoch_sync("/tmp/x"));
-        let json = cfg.to_json();
-        let lines: Vec<&str> = json.lines().collect();
-        let start = lines
-            .iter()
-            .position(|l| l.contains("\"tracing\""))
-            .expect("tracing section serialized");
-        // The tracing object nests nothing, so its first closing brace at
-        // or after `start` ends it.
-        let end = (start..lines.len())
-            .find(|i| *i > start && lines[*i].trim_start().starts_with('}'))
-            .unwrap();
-        let kept: Vec<&str> = lines[..start]
-            .iter()
-            .chain(lines[end + 1..].iter())
-            .copied()
-            .collect();
-        // Stripping the last fields of an object leaves a trailing comma;
-        // drop it where the next kept line closes the object.
-        let old_json: String = kept
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let closes_next = kept
-                    .get(i + 1)
-                    .is_some_and(|next| next.trim_start().starts_with('}'));
-                if closes_next {
-                    line.trim_end().trim_end_matches(',').to_owned()
-                } else {
-                    (*line).to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(!old_json.contains("tracing"));
-        let back = DeploymentConfig::from_json(&old_json).unwrap();
-        assert_eq!(back, cfg, "missing tracing section defaults to on");
+    fn durability_is_on_exactly_when_a_log_dir_is_set() {
+        let off = DurabilityConfig::off();
+        assert!(!off.is_enabled());
+        assert_eq!(off.log_dir_path(), None);
+        assert_eq!(DeploymentConfig::shared_nothing(2).durability, off);
+        let on = DurabilityConfig::epoch_sync("/tmp/x").with_interval_ms(0);
+        assert!(on.is_enabled());
+        assert_eq!(on.log_dir_path(), Some(Path::new("/tmp/x")));
+        assert_eq!(on.group_commit_interval_ms, 0);
+        assert_eq!(
+            DurabilityConfig::epoch_sync("/tmp/x").group_commit_interval_ms,
+            10
+        );
     }
 
     #[test]
-    fn config_json_written_before_the_replication_section_still_parses() {
-        // Same excision exercise for the `replication` object: a config
-        // file from before log shipping existed must parse with defaults.
-        let cfg = DeploymentConfig::shared_nothing(2)
-            .with_durability(DurabilityConfig::epoch_sync("/tmp/x"));
-        let json = cfg.to_json();
-        let lines: Vec<&str> = json.lines().collect();
-        let start = lines
-            .iter()
-            .position(|l| l.contains("\"replication\""))
-            .expect("replication section serialized");
-        let end = (start..lines.len())
-            .find(|i| *i > start && lines[*i].trim_start().starts_with('}'))
-            .unwrap();
-        let kept: Vec<&str> = lines[..start]
-            .iter()
-            .chain(lines[end + 1..].iter())
-            .copied()
-            .collect();
-        // Stripping the last fields of an object leaves a trailing comma;
-        // drop it where the next kept line closes the object.
-        let old_json: String = kept
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let closes_next = kept
-                    .get(i + 1)
-                    .is_some_and(|next| next.trim_start().starts_with('}'));
-                if closes_next {
-                    line.trim_end().trim_end_matches(',').to_owned()
-                } else {
-                    (*line).to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(!old_json.contains("replication"));
-        let back = DeploymentConfig::from_json(&old_json).unwrap();
-        assert_eq!(back, cfg, "missing replication section defaults");
+    fn replication_chunk_bytes_clamp_to_4_kib() {
+        let defaults = ReplicationConfig::default();
+        assert_eq!(defaults.chunk_bytes, 256 * 1024);
+        assert_eq!(DeploymentConfig::shared_nothing(2).replication, defaults);
         let tuned = ReplicationConfig::default().with_chunk_bytes(1024);
         assert_eq!(tuned.chunk_bytes, 4 * 1024, "chunk size clamps to 4 KiB");
-        let cfg2 = DeploymentConfig::shared_nothing(2).with_replication(tuned);
-        let back2 = DeploymentConfig::from_json(&cfg2.to_json()).unwrap();
-        assert_eq!(cfg2, back2);
+        let cfg = DeploymentConfig::shared_nothing(2).with_replication(tuned);
+        assert_eq!(cfg.replication, tuned);
     }
 
     #[test]
-    fn config_json_written_before_the_quorum_knob_still_parses() {
-        // A config file from before quorum acks has a replication section
-        // without the `quorum` field: serde defaults it to 0, which every
-        // consumer reads as 1 (the historical any-one-follower gate).
-        let cfg = DeploymentConfig::shared_nothing(2)
-            .with_replication(ReplicationConfig::default().with_chunk_bytes(8 * 1024));
-        let json = cfg.to_json();
-        let kept: Vec<&str> = json.lines().filter(|l| !l.contains("quorum")).collect();
-        let old_json: String = kept
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                let closes_next = kept
-                    .get(i + 1)
-                    .is_some_and(|next| next.trim_start().starts_with('}'));
-                if closes_next {
-                    line.trim_end().trim_end_matches(',').to_owned()
-                } else {
-                    (*line).to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = DeploymentConfig::from_json(&old_json).unwrap();
-        assert_eq!(back.replication.quorum, 0, "missing knob deserializes to 0");
-        assert_eq!(back.replication.effective_quorum(), 1, "and is read as 1");
-        assert_eq!(back.replication.chunk_bytes, cfg.replication.chunk_bytes);
-
+    fn replication_quorum_is_at_least_one() {
+        assert_eq!(ReplicationConfig::default().quorum, 1);
         let tuned = ReplicationConfig::default().with_quorum(0);
         assert_eq!(tuned.quorum, 1, "builder clamps to at least 1");
+        let zero = ReplicationConfig {
+            quorum: 0,
+            ..ReplicationConfig::default()
+        };
+        assert_eq!(zero.effective_quorum(), 1, "a zero field is read as 1");
         let two = ReplicationConfig::default().with_quorum(2);
         assert_eq!(two.effective_quorum(), 2);
-        let cfg2 = DeploymentConfig::shared_nothing(2).with_replication(two);
-        assert_eq!(DeploymentConfig::from_json(&cfg2.to_json()).unwrap(), cfg2);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// The application-visible name of a reactor (e.g. `"warehouse-3"`,
 /// `"MC_US"`). Names are stable for the lifetime of the reactor database.
 pub type ReactorName = String;
@@ -20,7 +18,7 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
         )]
         pub struct $name(pub u64);
 

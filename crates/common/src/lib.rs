@@ -20,8 +20,8 @@ pub mod zipf;
 
 pub use ack::AckLevel;
 pub use config::{
-    CheckpointConfig, DeploymentConfig, DeploymentStrategy, DurabilityConfig, DurabilityMode,
-    ExecutorConfig, ReplicationConfig, RouterPolicy, TracingConfig,
+    CheckpointConfig, DeploymentConfig, DeploymentStrategy, DurabilityConfig, ExecutorConfig,
+    ReplicationConfig, RouterPolicy, TracingConfig,
 };
 pub use error::{Result, TxnError};
 pub use ids::{ContainerId, ExecutorId, ReactorId, ReactorName, SubTxnId, TxnId};

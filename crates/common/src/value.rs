@@ -9,10 +9,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single relational value stored inside a tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -147,7 +145,7 @@ impl From<bool> for Value {
 
 /// A totally ordered, hashable key value used by primary and secondary
 /// indexes and by the OCC layer's deterministic lock ordering.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Key {
     /// Boolean key component.
     Bool(bool),

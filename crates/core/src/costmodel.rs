@@ -24,14 +24,12 @@
 //! input-generation overheads (which are reported separately, as in
 //! Figure 6).
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated cost-model parameters (all in microseconds). Communication
 /// between co-located executors ("local") is distinguished from
 /// communication between distinct executors ("remote"): the paper's §4.2.1
 /// observes a marked asymmetry between `Cs` (atomic enqueue) and `Cr`
 /// (thread switch on the receive path), which these defaults mirror.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Cost of sending a sub-transaction invocation to a different executor.
     pub cs_remote_us: f64,
@@ -86,7 +84,7 @@ impl CostParams {
 }
 
 /// A fork-join (sub-)transaction for latency prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForkJoinTxn {
     /// Executor (equivalently, the reactor's transaction executor) this
     /// (sub-)transaction runs on.
@@ -107,7 +105,7 @@ pub struct ForkJoinTxn {
 
 /// Decomposition of a predicted root-transaction latency into the components
 /// plotted in Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Processing of the transaction logic and of synchronous
     /// sub-transactions (first two components of the formula).

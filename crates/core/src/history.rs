@@ -19,10 +19,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 /// A basic operation observed during an execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Op {
     /// Root transaction identifier (`i` in `ST_{i,j}^k`).
     pub txn: u64,
@@ -73,7 +71,7 @@ impl Op {
 /// An operation of the classic transactional model produced by the
 /// projection `P(·)` of Definition 2.3: the item is the concatenation
 /// `reactor ◦ item`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClassicOp {
     /// Transaction identifier.
     pub txn: u64,
@@ -96,7 +94,7 @@ impl ClassicOp {
 /// Using a total order loses no generality for the conflict-serializability
 /// test: the induced partial orders of Definitions 2.1–2.6 order exactly the
 /// conflicting pairs, and those are recovered from the sequence positions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     ops: Vec<Op>,
 }
@@ -176,7 +174,7 @@ impl History {
 }
 
 /// A projected history in the classic transactional model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassicHistory {
     ops: Vec<ClassicOp>,
 }

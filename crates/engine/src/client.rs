@@ -18,7 +18,7 @@
 //! * [`TxnHandle::wait_durable`] resolves only once the WAL's **durable
 //!   epoch covers the transaction's commit epoch** — the acknowledgement
 //!   rule of Silo/SiloR (Tu et al., SOSP'13; Zheng et al., OSDI'14). Under
-//!   `EpochSync` durability a transaction acknowledged this way is
+//!   epoch-sync durability a transaction acknowledged this way is
 //!   guaranteed to survive a crash; with durability off it degrades to
 //!   `wait`.
 //! * [`TxnHandle::try_result`] polls without blocking.
@@ -401,7 +401,7 @@ impl TxnHandle {
     /// it: the WAL's durable epoch must cover the commit epoch, i.e. the
     /// group commit for the transaction's epoch completed (fsync + marker
     /// advance). This is the acknowledgement rule of Silo/SiloR — under
-    /// `EpochSync` durability, a transaction acknowledged by
+    /// epoch-sync durability, a transaction acknowledged by
     /// `wait_durable` survives any crash.
     ///
     /// The call demands that group commit rather than wait out the

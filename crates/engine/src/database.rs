@@ -180,16 +180,15 @@ impl ReactDB {
         // lifetime before anything reads or writes it — enforcing the
         // single-instance rule across processes, not just by convention —
         // then preflight, recover, and open fresh segments under the lock.
-        let wal = if config.durability.is_enabled() {
-            let dir = config.durability.log_dir_path()?;
-            let lock = LogDirLock::acquire(&dir)?;
+        let wal = if let Some(dir) = config.durability.log_dir_path() {
+            let lock = LogDirLock::acquire(dir)?;
 
             // Preflight: a non-recovery boot must refuse a log directory
             // that already holds WAL state — a fresh instance restarts at
             // epoch 1 and would reissue (epoch, sequence) pairs already
             // present in the old segments, corrupting the TID-ordered
             // replay of any later recovery.
-            if !recover && reactdb_wal::log_dir_has_state(&dir)? {
+            if !recover && reactdb_wal::log_dir_has_state(dir)? {
                 return Err(std::io::Error::other(format!(
                     "log directory {} already contains WAL state; \
                      use ReactDB::recover or clear the directory",
@@ -199,7 +198,7 @@ impl ReactDB {
 
             // Crash recovery: replay the log before anything can run.
             if recover {
-                let recovered = reactdb_wal::recover_and_compact(&dir)?;
+                let recovered = reactdb_wal::recover_and_compact(dir)?;
                 // Base state first: the installed checkpoint fully covers
                 // every epoch <= its stamp. The log tail then lands on
                 // top; TID-aware replay resolves the fuzzy overlap.
@@ -336,9 +335,8 @@ impl ReactDB {
     /// the per-phase latency histograms (p50/p90/p99/p999/max), plus what
     /// only the engine can compute now: the derived `txn_cc_aborts`, the
     /// durable epoch, and per-executor queue-depth and utilization gauges.
-    /// Render with [`MetricsSnapshot::to_prometheus_text`] or
-    /// [`MetricsSnapshot::to_json`], and diff two snapshots with
-    /// [`MetricsSnapshot::delta`] for interval rates.
+    /// Render with [`MetricsSnapshot::to_prometheus_text`], and diff two
+    /// snapshots with [`MetricsSnapshot::delta`] for interval rates.
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let m = &inner.metrics;
@@ -1974,12 +1972,13 @@ mod tests {
                 .any(|g| g.name.starts_with("executor_utilization{") && g.value > 0.0),
             "busy-time accounting observed the deposits"
         );
-        // The same values round-trip through both renderers.
-        let parsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
-        assert_eq!(parsed, snapshot);
-        assert!(snapshot
-            .to_prometheus_text()
-            .contains("reactdb_txn_committed 9"));
+        // The Prometheus text carries every counter's value.
+        let text = snapshot.to_prometheus_text();
+        for c in &snapshot.counters {
+            let series = format!("reactdb_{} {}\n", c.name, c.value);
+            assert!(text.contains(&series), "{series} missing");
+        }
+        assert!(text.contains("reactdb_txn_committed 9\n"));
 
         let events = db.trace_events();
         assert!(

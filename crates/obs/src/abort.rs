@@ -48,7 +48,7 @@ impl AbortReason {
         AbortReason::Other,
     ];
 
-    /// Stable snake_case name used in metric names and JSON keys.
+    /// Stable snake_case name used in metric names and labels.
     pub fn name(self) -> &'static str {
         match self {
             AbortReason::OccRead => "occ_read",

@@ -32,9 +32,9 @@
 //!   compiles those down to a branch on a `bool`).
 //! * [`MetricsSnapshot`] — the point-in-time export surface
 //!   ([`Metrics::snapshot`], extended by `ReactDB::metrics()` and the wire
-//!   server): counters, gauges and histogram summaries with
-//!   [`MetricsSnapshot::to_prometheus_text`], [`MetricsSnapshot::to_json`]
-//!   and a [`MetricsSnapshot::delta`] diff helper for rate computation.
+//!   server): counters, gauges and histogram summaries with the one
+//!   export format, [`MetricsSnapshot::to_prometheus_text`], and a
+//!   [`MetricsSnapshot::delta`] diff helper for rate computation.
 //!
 //! Dependency-wise this crate sits directly above `reactdb-common`:
 //! `reactdb-txn`, `reactdb-wal` and `reactdb-engine` all record into it.

@@ -106,7 +106,7 @@ impl Phase {
         Phase::Log,
     ];
 
-    /// Stable snake_case name used in metric names and JSON keys.
+    /// Stable snake_case name used in metric names and labels.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Execute => "execute",

@@ -1,13 +1,11 @@
-//! The metrics export surface: a point-in-time, serializable snapshot of
-//! every counter, gauge and histogram, with Prometheus-text and JSON
-//! renderers and a delta helper for rate computation.
-
-use serde::{Deserialize, Serialize};
+//! The metrics export surface: a point-in-time snapshot of every counter,
+//! gauge and histogram, with the Prometheus-text renderer and a delta
+//! helper for rate computation.
 
 /// A monotonically increasing counter sample. Names may carry Prometheus
 /// labels inline (`table_log_bytes{relation="account"}`); the renderers
 /// keep the label block intact and sanitize only the name part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Counter {
     /// Metric name, optionally with a `{label="value",...}` suffix.
     pub name: String,
@@ -16,7 +14,7 @@ pub struct Counter {
 }
 
 /// An instantaneous gauge sample (queue depth, utilization, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gauge {
     /// Metric name, optionally with a `{label="value",...}` suffix.
     pub name: String,
@@ -26,7 +24,7 @@ pub struct Gauge {
 
 /// Summary of one latency histogram: count, sum and selected percentiles,
 /// all in nanoseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
     /// Metric name (e.g. `commit_lock_ns`).
     pub name: String,
@@ -63,9 +61,9 @@ impl HistogramSummary {
 }
 
 /// A point-in-time snapshot of every metric a database instance exports —
-/// the return value of `ReactDB::metrics()`. Serializable, diffable
-/// ([`MetricsSnapshot::delta`]) and renderable as Prometheus text or JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the return value of `ReactDB::metrics()`. Diffable
+/// ([`MetricsSnapshot::delta`]) and renderable as Prometheus text.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Microseconds the instance has been up at snapshot time.
     pub uptime_us: u64,
@@ -94,16 +92,6 @@ impl MetricsSnapshot {
     /// Looks up a histogram summary by exact name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Pretty-printed JSON rendering of the snapshot.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
-    }
-
-    /// Parses a snapshot back from [`MetricsSnapshot::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
     /// Renders the snapshot in the Prometheus text exposition format.
@@ -230,14 +218,6 @@ mod tests {
             }],
             histograms: vec![HistogramSummary::of("commit_lock_ns", &h)],
         }
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let snap = sample();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).unwrap();
-        assert_eq!(snap, back);
     }
 
     #[test]

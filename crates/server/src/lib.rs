@@ -76,8 +76,7 @@
 //! counters and gauges, and the `net_decode` / `net_dispatch` /
 //! `net_reply` phases), so [`ReactDB::metrics`] already carries them; the
 //! wire protocol's metrics op adds the replication gauges and returns the
-//! snapshot rendered as Prometheus text or JSON — the `GET /metrics`
-//! equivalent.
+//! snapshot rendered as Prometheus text — the `GET /metrics` equivalent.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -96,7 +95,7 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use reactdb_client::codec::{self, MetricsFormat, Request, Response};
+use reactdb_client::codec::{self, Request, Response};
 use reactdb_common::{AckLevel, ReplicationConfig};
 use reactdb_core::PublishWaker;
 use reactdb_engine::{Client, ReactDB, TxnHandle};
@@ -965,15 +964,8 @@ fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) 
                     },
                 ),
             },
-            Request::Metrics {
-                correlation_id,
-                format,
-            } => {
-                let snap = shared.snapshot();
-                let text = match format {
-                    MetricsFormat::Prometheus => snap.to_prometheus_text(),
-                    MetricsFormat::Json => snap.to_json(),
-                };
+            Request::Metrics { correlation_id } => {
+                let text = shared.snapshot().to_prometheus_text();
                 reply(
                     shared,
                     conn,

@@ -1,11 +1,9 @@
 //! Simulated deployments: the three architecture strategies of §3.3 mapped
 //! onto virtual executors.
 
-use serde::{Deserialize, Serialize};
-
 /// The deployment strategies evaluated in the paper, as they affect the
 /// simulator's routing and inlining decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimStrategy {
     /// S1: one container; root transactions are routed round-robin over the
     /// executors; all sub-transactions are inlined on the root's executor.
@@ -21,7 +19,7 @@ pub enum SimStrategy {
 
 /// A simulated deployment: a strategy plus the executor count and the
 /// reactor-to-executor affinity map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimDeployment {
     /// Strategy in effect.
     pub strategy: SimStrategy,

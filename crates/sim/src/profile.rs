@@ -1,14 +1,12 @@
 //! Transaction profiles: fork-join trees of sub-transaction descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// A (sub-)transaction as seen by the simulator: where it runs, how much
 /// sequential and overlapped processing it performs, and which children it
 /// invokes synchronously or asynchronously. The structure mirrors the
 /// fork-join programs of the cost model (§2.4) and is produced by the
 /// workload generators from the *same* parameters that drive the real
 /// engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimTxn {
     /// Dense index of the reactor this (sub-)transaction executes on.
     pub reactor: usize,

@@ -1,9 +1,7 @@
 //! Simulation results: per-transaction samples and aggregate metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// One completed (simulated) root transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnSample {
     /// Worker that issued the transaction.
     pub worker: usize,
@@ -21,7 +19,7 @@ impl TxnSample {
 }
 
 /// Aggregate outcome of a simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// All completed transactions.
     pub samples: Vec<TxnSample>,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::deployment::{SimDeployment, SimStrategy};
 use crate::profile::SimTxn;
@@ -14,7 +13,7 @@ use crate::report::{SimReport, TxnSample};
 /// the receive path vs. atomic enqueue on the send path), a ~20 µs
 /// containerization/dispatch overhead per transaction invocation, and a
 /// commit cost that grows with the number of containers spanned (2PC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimCosts {
     /// Cost of sending a sub-transaction invocation to another executor.
     pub cs_us: f64,

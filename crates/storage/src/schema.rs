@@ -5,12 +5,11 @@
 //! typed columns plus the positions of the primary-key columns.
 
 use reactdb_common::{TxnError, Value};
-use serde::{Deserialize, Serialize};
 
 /// Column data types. The storage layer is dynamically typed ([`Value`]);
 /// the declared type is used for validation at insert time and for
 /// documentation of the benchmark schemas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integer.
     Int,
@@ -39,7 +38,7 @@ impl ColumnType {
 }
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name, unique within its schema.
     pub name: String,
@@ -58,7 +57,7 @@ impl Column {
 }
 
 /// An ordered list of columns with designated primary-key columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
     key_positions: Vec<usize>,
@@ -156,7 +155,7 @@ impl Schema {
 
 /// The definition of one relation inside a reactor type: its name, schema and
 /// secondary indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationDef {
     /// Relation name, unique within the reactor type.
     pub name: String,

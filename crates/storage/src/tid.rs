@@ -15,8 +15,6 @@
 //! The numeric ordering of the epoch+sequence fields gives the commit order
 //! used during read-set validation.
 
-use serde::{Deserialize, Serialize};
-
 const LOCK_BIT: u64 = 1 << 63;
 const ABSENT_BIT: u64 = 1;
 const EPOCH_SHIFT: u32 = 48;
@@ -25,7 +23,7 @@ const SEQ_SHIFT: u32 = 1;
 const SEQ_MASK: u64 = (1 << 47) - 1;
 
 /// A decoded or raw TID word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TidWord(pub u64);
 
 impl TidWord {

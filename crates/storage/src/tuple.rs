@@ -1,12 +1,11 @@
 //! Rows of relational values.
 
 use reactdb_common::{Key, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::schema::Schema;
 
 /// A row: an ordered sequence of values matching a [`Schema`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tuple {
     values: Vec<Value>,
 }

@@ -33,7 +33,8 @@
 //! group commit bounds the window of acknowledged-but-lost work to one epoch
 //! rather than eliminating it. This matches the repository's goal of
 //! reproducing the performance architecture; early result release is
-//! documented here so nobody mistakes `EpochSync` for synchronous commit.
+//! documented here so nobody mistakes epoch-sync durability for synchronous
+//! commit.
 
 pub mod checkpoint;
 pub mod codec;
@@ -235,10 +236,10 @@ impl Wal {
         epoch: Arc<EpochManager>,
         metrics: Arc<Metrics>,
     ) -> io::Result<Option<Arc<Self>>> {
-        if !config.is_enabled() {
+        let Some(dir) = config.log_dir_path() else {
             return Ok(None);
-        }
-        let lock = LogDirLock::acquire(&config.log_dir_path()?)?;
+        };
+        let lock = LogDirLock::acquire(dir)?;
         Self::open_locked(config, executors, epoch, lock, metrics).map(Some)
     }
 
@@ -253,11 +254,10 @@ impl Wal {
         lock: LogDirLock,
         metrics: Arc<Metrics>,
     ) -> io::Result<Arc<Self>> {
-        assert!(
-            config.is_enabled(),
-            "open_locked requires an enabled durability mode"
-        );
-        let dir = config.log_dir_path()?;
+        let dir = config
+            .log_dir_path()
+            .expect("open_locked requires durability on")
+            .to_path_buf();
         assert_eq!(lock.dir(), dir, "lock must cover the configured log dir");
         let generation = next_generation(&dir)?;
         let mut writers = Vec::with_capacity(executors);

@@ -1,7 +1,7 @@
 //! Durability walkthrough: epoch-based group commit, durability-aware
 //! acknowledgement, and crash recovery.
 //!
-//! Boots a SmallBank reactor database with `EpochSync` durability and shows
+//! Boots a SmallBank reactor database with epoch-sync durability and shows
 //! the two acknowledgement modes of the client API side by side:
 //!
 //! * `wait_durable()` returns only once the transaction's commit epoch is
@@ -36,7 +36,7 @@ fn main() {
     let config = DeploymentConfig::shared_nothing(4).with_durability(
         DurabilityConfig::epoch_sync(dir.to_string_lossy().into_owned()).with_interval_ms(0),
     );
-    println!("deployment config (as JSON):\n{}\n", config.to_json());
+    println!("deployment config:\n{config:#?}\n");
 
     // ---- First life: load, commit with a durable ack, then crash with an
     // acknowledged-but-unsynced suffix.

@@ -1,20 +1,19 @@
 //! The metrics export surface, end to end: a mixed workload (deposits,
 //! cross-reactor transfers, range scans, user aborts, durable
-//! acknowledgements, a checkpoint) under `EpochSync` durability, followed
-//! by the full `MetricsSnapshot` dumped as JSON.
+//! acknowledgements, a checkpoint) with durability on, followed by the
+//! full `MetricsSnapshot` printed as Prometheus text.
 //!
-//! Everything except the JSON goes to stderr, so the output can be piped
-//! straight into `jq` — CI's metrics-smoke step does exactly that. The
-//! example also asserts the observability acceptance surface: the seven
-//! commit-path phase histograms are non-zero, and the JSON and Prometheus
-//! renderers agree on every value. Any violation panics (non-zero exit).
+//! Everything except the Prometheus text goes to stderr. The example also
+//! asserts the observability acceptance surface: the seven commit-path
+//! phase histograms are non-zero, and the Prometheus text carries the
+//! snapshot's values. Any violation panics (non-zero exit).
 //!
-//! Run with `cargo run --release --example metrics | jq .`.
+//! Run with `cargo run --release --example metrics`.
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Key, Value};
 use reactdb::core::{ReactorDatabaseSpec, ReactorType};
 use reactdb::storage::{ColumnType, RelationDef, Schema, Tuple};
-use reactdb::{MetricsSnapshot, Phase, ReactDB, TraceKind};
+use reactdb::{Phase, ReactDB, TraceKind};
 
 fn spec() -> ReactorDatabaseSpec {
     let account = ReactorType::new("Account")
@@ -156,11 +155,6 @@ fn main() {
         );
     }
 
-    // JSON round-trip: parse(to_json) is the identity.
-    let json = snapshot.to_json();
-    let reparsed = MetricsSnapshot::from_json(&json).expect("snapshot JSON parses");
-    assert_eq!(reparsed, snapshot, "JSON round-trip changed the snapshot");
-
     // Prometheus consistency: every counter appears with the same value.
     let prometheus = snapshot.to_prometheus_text();
     assert!(prometheus.contains(&format!(
@@ -194,8 +188,8 @@ fn main() {
         group_commits
     );
 
-    // The JSON document is the only thing on stdout.
-    println!("{json}");
+    // The Prometheus text is the only thing on stdout.
+    print!("{prometheus}");
 
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);

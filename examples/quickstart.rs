@@ -133,7 +133,7 @@ fn main() {
     );
 
     // 7. Database-wide observability goes through the metrics snapshot: the
-    //    same counters the Prometheus/JSON export surfaces render, plus the
+    //    same counters the Prometheus export surface renders, plus the
     //    per-phase latency histograms the tracing layer recorded.
     let metrics = db.metrics();
     println!(

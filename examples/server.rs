@@ -1,24 +1,24 @@
 //! The network server end to end, in one process: boot a SmallBank
 //! engine, start `reactdb-server` on an ephemeral port, drive it over TCP
 //! with pipelined `reactdb-client` connections (validation-time and
-//! durable acks, a metrics fetch, a ping), then dump the metrics snapshot
-//! — which now includes the three `net_*` phase histograms and the
-//! connection counters/gauges the server contributes.
+//! durable acks, a metrics fetch, a ping), then print the metrics snapshot
+//! as Prometheus text — which includes the three `net_*` phase histograms
+//! and the connection counters/gauges the server contributes.
 //!
-//! Everything except the final JSON goes to stderr, so the output pipes
-//! straight into `jq`. The example asserts the network acceptance
-//! surface: `net_decode`/`net_dispatch`/`net_reply` recorded real samples,
-//! the connection counters add up, and the in-flight gauge is back to
-//! zero after the drain. Any violation panics (non-zero exit).
+//! Everything except the final Prometheus text goes to stderr. The example
+//! asserts the network acceptance surface: `net_decode`/`net_dispatch`/
+//! `net_reply` recorded real samples, the connection counters add up, and
+//! the in-flight gauge is back to zero after the drain. Any violation
+//! panics (non-zero exit).
 //!
-//! Run with `cargo run --release --example server | jq .`.
+//! Run with `cargo run --release --example server`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use reactdb::common::{DeploymentConfig, DurabilityConfig, Value};
 use reactdb::workloads::smallbank;
-use reactdb::{MetricsSnapshot, ReactDB};
+use reactdb::ReactDB;
 use reactdb_client::WireClient;
 use reactdb_server::{Server, ServerConfig};
 
@@ -129,13 +129,8 @@ fn main() {
         snapshot.gauge("net_connections_active").unwrap(),
     );
 
-    // JSON round-trip holds with the network series included.
-    let json = snapshot.to_json();
-    let reparsed = MetricsSnapshot::from_json(&json).expect("snapshot JSON parses");
-    assert_eq!(reparsed, snapshot, "JSON round-trip changed the snapshot");
-
-    // The JSON document is the only thing on stdout.
-    println!("{json}");
+    // The Prometheus text is the only thing on stdout.
+    print!("{}", snapshot.to_prometheus_text());
 
     server.shutdown();
     drop(db);

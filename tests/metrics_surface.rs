@@ -77,9 +77,9 @@ fn assert_renders(snap: &MetricsSnapshot, text: &str) {
 
 /// For a text scraped over the wire between the snapshots `before` and
 /// `after`: every counter and histogram count shows a value between its
-/// two snapshot values, and every gauge shows a number. (A gauge is not
-/// monotonic: `net_requests_in_flight` is 1 while the scrape itself is
-/// served.)
+/// two snapshot values, and every gauge that both snapshots agree on
+/// shows that value. A gauge that moved in between (`executor_utilization`
+/// falls while the server idles) need only show a number.
 fn assert_scrape_between(before: &MetricsSnapshot, text: &str, after: &MetricsSnapshot) {
     let samples = prometheus_samples(text);
     let between = |series: String, low: u64, high: u64| {
@@ -101,7 +101,11 @@ fn assert_scrape_between(before: &MetricsSnapshot, text: &str, after: &MetricsSn
     for g in &before.gauges {
         let series = format!("reactdb_{}", g.name);
         let shown: f64 = sample(&samples, &series).parse().unwrap();
-        assert!(shown.is_finite(), "{series} shows {shown}");
+        if after.gauge(&g.name) == Some(g.value) {
+            assert_eq!(shown, g.value, "{series}");
+        } else {
+            assert!(shown.is_finite(), "{series} shows {shown}");
+        }
     }
     for h in &before.histograms {
         let high = after.histogram(&h.name).unwrap().count;

@@ -10,7 +10,9 @@
 //! change shows up as a fixture diff and a `PROTOCOL_VERSION` bump.
 //!
 //! Regenerate the fixtures with
-//! `BLESS_FIXTURES=1 cargo test --test wire_fixtures`.
+//! `BLESS_FIXTURES=1 cargo test --test wire_fixtures`. The bless run never
+//! touches `legacy-v3/`: frames of the previous version, which this build
+//! must refuse.
 
 use std::fs;
 use std::path::PathBuf;
@@ -18,12 +20,12 @@ use std::path::PathBuf;
 use reactdb::common::{AckLevel, TxnError, Value};
 use reactdb_client::codec::{
     client_hello, decode_frame, decode_request, decode_response, encode_request, encode_response,
-    frame, parse_client_hello, parse_server_hello, server_hello, MetricsFormat, Request, Response,
-    WireError, HANDSHAKE_LEN, PROTOCOL_VERSION,
+    frame, parse_client_hello, parse_server_hello, server_hello, Request, Response, WireError,
+    HANDSHAKE_LEN,
 };
 
 /// The protocol version the fixtures pin.
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 
 fn bless() -> bool {
     std::env::var_os("BLESS_FIXTURES").is_some()
@@ -59,11 +61,6 @@ fn payload_of(name: &str, file: &[u8]) -> Vec<u8> {
 
 fn hello(name: &str, encoded: [u8; HANDSHAKE_LEN]) -> [u8; HANDSHAKE_LEN] {
     pinned(name, &encoded).try_into().unwrap()
-}
-
-#[test]
-fn the_fixtures_pin_this_builds_version() {
-    assert_eq!(PROTOCOL_VERSION, VERSION);
 }
 
 #[test]
@@ -106,20 +103,7 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("invoke-validated.bin", invoke(1, AckLevel::Validated)),
         ("invoke-durable.bin", invoke(2, AckLevel::Durable)),
         ("invoke-replicated.bin", invoke(3, AckLevel::Replicated)),
-        (
-            "metrics.bin",
-            Request::Metrics {
-                correlation_id: 4,
-                format: MetricsFormat::Prometheus,
-            },
-        ),
-        (
-            "metrics-json.bin",
-            Request::Metrics {
-                correlation_id: 5,
-                format: MetricsFormat::Json,
-            },
-        ),
+        ("metrics.bin", Request::Metrics { correlation_id: 4 }),
         ("ping.bin", Request::Ping { correlation_id: 6 }),
         (
             "repl-subscribe.bin",
@@ -297,4 +281,28 @@ fn every_txn_error_code_is_its_position() {
         });
         assert_eq!(payload[9] as usize, code, "{name}");
     }
+}
+
+#[test]
+fn v3_frames_are_refused() {
+    // The v3 client hello: same magic, an older version.
+    let hello: [u8; HANDSHAKE_LEN] = fs::read(wire_fixture("legacy-v3/client-hello.bin"))
+        .unwrap()
+        .try_into()
+        .unwrap();
+    assert_eq!(
+        parse_client_hello(&hello),
+        Err(WireError::VersionMismatch {
+            client: 3,
+            server: 4,
+        })
+    );
+    // The v3 metrics request asking for JSON: v4 reads the request without
+    // its format byte and refuses the byte left over.
+    let name = "legacy-v3/metrics-json.bin";
+    let file = fs::read(wire_fixture(name)).unwrap();
+    assert_eq!(
+        decode_request(&payload_of(name, &file)),
+        Err(WireError::TrailingBytes { count: 1 })
+    );
 }
