@@ -290,8 +290,8 @@ pub enum Response {
         epoch: u64,
     },
     /// Replication stream: the primary is ending the stream (shutdown,
-    /// truncation race, error). The follower should reconnect and
-    /// resubscribe — or, if the primary is gone for good, promote.
+    /// truncation race, error). The follower reconnects and resubscribes;
+    /// it stays read-only if the primary is gone for good.
     ReplEnd {
         /// Echo of the subscription's correlation id.
         correlation_id: u64,

@@ -11,8 +11,8 @@
 //!   survives a crash of this node.
 //! * [`AckLevel::Replicated`] — additionally, at least one follower has
 //!   durably applied the commit's epoch: the transaction survives the
-//!   *loss* of this node (a follower promoted after a primary failure
-//!   serves it).
+//!   *loss* of this node (a follower's log directory, recovered as a
+//!   primary after a primary failure, serves it).
 //!
 //! Historically the engine grew a method per level (`submit` vs
 //! `submit_durable`) and the wire protocol carried its own `AckMode`;

@@ -83,7 +83,7 @@ pub(crate) struct Inner {
     pub(crate) default_session: Arc<SessionShared>,
     /// Replication-follower mode: root transactions that would write are
     /// rejected at commit time; state changes arrive exclusively through
-    /// [`ReactDB::apply_redo`] until [`ReactDB::promote`] clears the flag.
+    /// [`ReactDB::apply_redo`]. Set once, never cleared.
     read_only: std::sync::atomic::AtomicBool,
     shutdown: std::sync::atomic::AtomicBool,
 }
@@ -550,33 +550,22 @@ impl ReactDB {
             .table(reactor_id, relation)
     }
 
-    /// Marks this instance as a read-only replication follower (or clears
-    /// the mark). While set, root transactions with a write set and bulk
-    /// loads are rejected — state changes arrive exclusively through
+    /// Marks this instance as a read-only replication follower for the
+    /// rest of its life: root transactions with a write set and bulk loads
+    /// are rejected — state changes arrive exclusively through
     /// [`ReactDB::apply_redo`] — while read-only transactions keep serving
-    /// against the applied snapshot. [`ReactDB::promote`] is the sanctioned
-    /// way out of follower mode.
-    pub fn set_read_only(&self, read_only: bool) {
+    /// against the applied snapshot. There is no way back in process:
+    /// promotion is a restart, [`ReactDB::recover`] on the follower's own
+    /// log directory, which holds everything it applied.
+    pub fn set_read_only(&self) {
         self.inner
             .read_only
-            .store(read_only, std::sync::atomic::Ordering::Release);
+            .store(true, std::sync::atomic::Ordering::Release);
     }
 
     /// True while this instance is a read-only replication follower.
     pub fn is_read_only(&self) -> bool {
         self.inner.is_read_only()
-    }
-
-    /// Promotes a read-only follower into a serving primary after a primary
-    /// failure: writes are accepted immediately. The epoch advances first so
-    /// post-promotion commits land strictly beyond every applied epoch.
-    /// Everything applied through [`ReactDB::apply_redo`] before the call is
-    /// preserved — promotion loses no replicated-acknowledged work — and
-    /// nothing else exists on the replica to resurrect (writes were
-    /// rejected throughout follower mode).
-    pub fn promote(&self) {
-        self.inner.epoch.advance();
-        self.set_read_only(false);
     }
 
     /// Applies replicated redo state to this live instance: optional
@@ -591,9 +580,9 @@ impl ReactDB {
     /// Every applied record is re-logged through this instance's own WAL
     /// (when durability is on), so the follower's durability is
     /// self-contained: after `wal_sync` the applied prefix survives a
-    /// follower crash and can itself be shipped onward. The epoch clock and
-    /// TID generators advance beyond everything applied, keeping
-    /// post-promotion commits dominant. Returns the number of transaction
+    /// follower crash, and [`ReactDB::recover`] on that directory boots a
+    /// primary holding it. The epoch clock and TID generators advance
+    /// beyond everything applied. Returns the number of transaction
     /// batches applied. `workers == 0` uses the available parallelism.
     pub fn apply_redo(
         &self,
@@ -630,7 +619,7 @@ impl ReactDB {
 
         // Advance the clocks beyond everything applied: replayed TIDs must
         // dominate nothing the replica issues later, and the epoch clock
-        // must never reissue a shipped epoch after promotion.
+        // must never reissue a shipped epoch.
         let mut max_tid = reactdb_storage::TidWord(0);
         let mut max_epoch = 0u64;
         for tid in checkpoint_rows
@@ -939,10 +928,11 @@ impl Inner {
         // Follower gate: reads commit normally (they validate against the
         // applied snapshot), but anything with a write set is rejected —
         // on a replica every state change must come through the shipped
-        // log, or promotion could resurrect writes the primary never had.
+        // log, or recovering its directory as a primary could resurrect
+        // writes the primary never had.
         if self.is_read_only() && participants.iter().any(|p| !p.is_read_only()) {
             return Err(TxnError::Runtime(
-                "read-only follower: write transactions are rejected until promotion".into(),
+                "read-only follower: write transactions are rejected".into(),
             ));
         }
         // Hold the WAL's commit gate across the serialization point and the
@@ -2057,11 +2047,11 @@ mod tests {
     }
 
     #[test]
-    fn read_only_follower_rejects_writes_until_promoted() {
+    fn read_only_follower_rejects_writes() {
         let db = boot(DeploymentConfig::shared_nothing(2));
         db.invoke("acct-0", "deposit", vec![Value::Float(3.0)])
             .unwrap();
-        db.set_read_only(true);
+        db.set_read_only();
         assert!(db.is_read_only());
         let err = db
             .invoke("acct-0", "deposit", vec![Value::Float(1.0)])
@@ -2086,19 +2076,16 @@ mod tests {
             db.invoke("acct-0", "balance", vec![]).unwrap(),
             Value::Float(3.0)
         );
-        db.promote();
-        assert!(!db.is_read_only());
-        assert_eq!(
-            db.invoke("acct-0", "deposit", vec![Value::Float(1.0)])
-                .unwrap(),
-            Value::Float(4.0)
-        );
     }
 
     #[test]
-    fn apply_redo_installs_batches_and_promotion_dominates_them() {
-        let db = ReactDB::boot(bank_spec(), DeploymentConfig::shared_nothing(2));
-        db.set_read_only(true);
+    fn apply_redo_installs_batches_and_recovery_dominates_them() {
+        use reactdb_common::DurabilityConfig;
+        let dir = wal_dir("apply-redo");
+        let config = DeploymentConfig::shared_nothing(2)
+            .with_durability(DurabilityConfig::epoch_sync(&dir).with_interval_ms(0));
+        let db = ReactDB::boot(bank_spec(), config.clone());
+        db.set_read_only();
         let record = |amount: f64| reactdb_txn::RedoRecord {
             container: ContainerId(0),
             reactor: ReactorId(0),
@@ -2132,7 +2119,12 @@ mod tests {
             Value::Float(30.0),
             "follower serves the applied snapshot"
         );
-        db.promote();
+        // Promotion is a restart: the follower's own log holds everything
+        // it applied, and recovery boots a writable primary from it.
+        db.wal_sync().unwrap();
+        db.simulate_crash();
+        let db = ReactDB::recover(bank_spec(), config).unwrap();
+        assert!(!db.is_read_only());
         db.invoke("acct-0", "deposit", vec![Value::Float(1.0)])
             .unwrap();
         assert_eq!(
@@ -2143,9 +2135,11 @@ mod tests {
         let tid = table.get(&Key::Int(0)).unwrap().tid();
         assert!(
             tid.epoch() > 4,
-            "post-promotion commits land beyond every applied epoch, got {}",
+            "post-recovery commits land beyond every applied epoch, got {}",
             tid.epoch()
         );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -203,9 +203,10 @@ struct FollowerEntry {
 /// Replication progress shared between the wire server's I/O workers and
 /// (on a follower) the apply loop in [`replica`].
 ///
-/// One struct serves both roles because a promoted follower *becomes* a
-/// primary without restarting its server: the primary-side fields start
-/// mattering the moment a follower of its own subscribes.
+/// One struct serves both roles because a node's role is fixed when its
+/// process starts, not by the server: a follower's engine is read-only for
+/// life ([`ReactDB::set_read_only`]), and promotion is a restart of
+/// `reactdb-server` on the follower's log directory without `--follow`.
 ///
 /// The primary side keeps a per-follower registry keyed by the stable
 /// `follower_id` each subscription carries: [`ReplState::quorum_epoch`]
@@ -233,8 +234,9 @@ pub struct ReplState {
     /// Highest durable epoch the primary has announced to this node
     /// (follower side).
     shipped_epoch: AtomicU64,
-    /// Set while this node tails a primary; cleared by promotion.
-    follower_mode: AtomicBool,
+    /// When the follower's last subscription ended (or its tailing
+    /// began), while none is live; `None` while subscribed (follower side).
+    primary_lost_at: Mutex<Option<Instant>>,
     /// The I/O workers' wakers, called when an ack raises a follower's
     /// epoch; held weakly, so a stopped server leaves nothing behind.
     wakers: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
@@ -296,9 +298,13 @@ impl ReplState {
         self.shipped_epoch.load(Ordering::Acquire)
     }
 
-    /// Whether this node is currently tailing a primary.
-    pub fn is_follower(&self) -> bool {
-        self.follower_mode.load(Ordering::Acquire)
+    /// How long this follower has had no live subscription to its
+    /// primary; zero while subscribed.
+    pub fn primary_unreachable(&self) -> Duration {
+        self.primary_lost_at
+            .lock()
+            .unwrap()
+            .map_or(Duration::ZERO, |at| at.elapsed())
     }
 
     /// Enters `follower_id` into the registry (or revives its entry on a
@@ -354,9 +360,16 @@ impl ReplState {
             .fetch_max(shipped_epoch, Ordering::AcqRel);
     }
 
-    /// Flags or clears follower mode (promotion clears it).
-    pub fn set_follower_mode(&self, follower: bool) {
-        self.follower_mode.store(follower, Ordering::Release);
+    /// Records that a subscription went live (`true`) or that none is
+    /// (`false`); the unreachable clock starts at the first `false` after a
+    /// live one and keeps running across failed reconnects.
+    pub fn observe_subscription(&self, live: bool) {
+        let mut lost_at = self.primary_lost_at.lock().unwrap();
+        if live {
+            *lost_at = None;
+        } else {
+            lost_at.get_or_insert_with(Instant::now);
+        }
     }
 
     fn deregister(&self, follower_id: u64) {
@@ -442,7 +455,7 @@ impl Shared {
             name: "repl_quorum_epoch_lag".to_string(),
             value: quorum_lag as f64,
         });
-        if repl.is_follower() {
+        if self.db.is_read_only() {
             snap.gauges.push(Gauge {
                 name: "repl_applied_epoch".to_string(),
                 value: repl.applied_epoch() as f64,
@@ -450,6 +463,10 @@ impl Shared {
             snap.gauges.push(Gauge {
                 name: "repl_follower_lag_epochs".to_string(),
                 value: repl.shipped_epoch().saturating_sub(repl.applied_epoch()) as f64,
+            });
+            snap.gauges.push(Gauge {
+                name: "repl_primary_unreachable_s".to_string(),
+                value: repl.primary_unreachable().as_secs_f64(),
             });
         }
         snap

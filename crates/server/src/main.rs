@@ -21,7 +21,9 @@
 //!                         (default shared_nothing)
 //!   --net-workers N       I/O worker threads (default 2)
 //!   --max-in-flight N     per-connection pipeline cap (default 128)
-//!   --wal-dir PATH        enable epoch-sync durability in PATH (default off)
+//!   --wal-dir PATH        enable epoch-sync durability in PATH (default off);
+//!                         a PATH that already holds WAL state is recovered
+//!                         instead of bulk-loaded
 //!   --wal-interval-ms N   longest gap between group commits (default 10;
 //!                         0 = none); durable replies demand theirs at once
 //!   --checkpoint-interval-epochs N
@@ -34,9 +36,11 @@
 //!   --run-secs N          exit after N seconds (default: run until killed)
 //!   --follow HOST:PORT    run as a replication follower of that primary:
 //!                         boot empty (no workload load), serve reads at the
-//!                         applied stable epoch, tail the primary's log, and
-//!                         promote to a serving primary if the primary dies.
-//!                         Requires --wal-dir (the follower's own log).
+//!                         applied stable epoch and tail the primary's log,
+//!                         reconnecting until stopped if the primary dies.
+//!                         Requires an empty --wal-dir (the follower's own
+//!                         log); restarting a follower on its own directory
+//!                         is not supported yet (ROADMAP item 28b).
 //!   --staging-dir PATH    where the shipped copy of the primary's log dir
 //!                         is staged (default: <wal-dir>.staging)
 //!   --repl-quorum N       followers that must durably ack an epoch before
@@ -45,9 +49,15 @@
 //!                         "truncate-under-cursor=err:1,ack-drop=err:3";
 //!                         equivalent to setting REACTDB_FAILPOINTS
 //!
-//! A follower that loses its primary prints `promoted to primary` with the
-//! failover time; smoke tests and the CI replication gate grep for it.
+//! A follower never becomes writable while it runs. Promotion is a
+//! restart: stop the follower, then start `reactdb-server` on its
+//! `--wal-dir` without `--follow`. Recovery finds every transaction the
+//! follower acked to its primary in that directory.
+//!
+//! Exit codes: 2 for a bad command line, 1 when the log directory's
+//! recovery refuses it (the message names the damaged file).
 
+use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -222,23 +232,49 @@ fn main() {
         other => usage_and_exit(&format!("unknown workload {other}")),
     };
 
+    // A log directory that holds state is this node's own data from an
+    // earlier run: recover it rather than boot over it.
+    let recovering = match opts.wal_dir.as_deref() {
+        Some(dir) => reactdb_wal::log_dir_has_state(Path::new(dir)).unwrap_or_else(|e| {
+            eprintln!("error: cannot inspect --wal-dir {dir}: {e}");
+            std::process::exit(1);
+        }),
+        None => false,
+    };
+    if recovering && opts.follow.is_some() {
+        eprintln!(
+            "error: --follow needs an empty --wal-dir; restarting a follower on its own \
+             directory is not supported yet (ROADMAP item 28b)"
+        );
+        std::process::exit(2);
+    }
+
     eprintln!(
-        "booting {} (scale {}) on {} executors, deployment {}, durability {}",
+        "{} {} (scale {}) on {} executors, deployment {}, durability {}",
+        if recovering { "recovering" } else { "booting" },
         opts.workload,
         opts.scale,
         opts.executors,
         opts.deployment,
         opts.wal_dir.as_deref().unwrap_or("off"),
     );
-    let db = ReactDB::boot(spec, config.clone());
-    // A follower gets its data from the primary's stream, not a local load.
-    if opts.follow.is_none() {
-        match opts.workload.as_str() {
-            "smallbank" => smallbank::load(&db, opts.scale).expect("smallbank load"),
-            "ycsb" => ycsb::load(&db, opts.scale).expect("ycsb load"),
-            _ => unreachable!(),
+    let db = if recovering {
+        ReactDB::recover(spec, config.clone()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+    } else {
+        let db = ReactDB::boot(spec, config.clone());
+        // A follower gets its data from the primary's stream, not a local load.
+        if opts.follow.is_none() {
+            match opts.workload.as_str() {
+                "smallbank" => smallbank::load(&db, opts.scale).expect("smallbank load"),
+                "ycsb" => ycsb::load(&db, opts.scale).expect("ycsb load"),
+                _ => unreachable!(),
+            }
         }
-    }
+        db
+    };
     let db = Arc::new(db);
 
     let server = Server::start(
@@ -270,22 +306,14 @@ fn main() {
         let stop = Arc::clone(&follower_stop);
         std::thread::Builder::new()
             .name("reactdb-follower".into())
-            .spawn(move || {
-                match run_follower(&db, &repl, &follower_opts, &stop) {
-                    Ok(report) if report.promoted => {
-                        // Scripts and the CI replication gate parse this line.
-                        println!(
-                            "promoted to primary (applied epoch {}, failover {} ms)",
-                            report.applied_epoch,
-                            report.failover.map_or(0, |d| d.as_millis()),
-                        );
-                    }
+            .spawn(
+                move || match run_follower(&db, &repl, &follower_opts, &stop) {
                     Ok(report) => {
                         eprintln!("follower stopped at applied epoch {}", report.applied_epoch)
                     }
                     Err(e) => eprintln!("follower failed: {e}"),
-                }
-            })
+                },
+            )
             .expect("spawn follower thread")
     });
 

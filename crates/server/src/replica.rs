@@ -22,11 +22,14 @@
 //! stable epoch: the engine's ordinary snapshot-epoch read path, just fed
 //! by replication instead of local commits.
 //!
-//! When the stream dies and cannot be re-established, the follower
-//! *promotes*: [`ReactDB::promote`] lifts the read-only gate and opens a
-//! fresh epoch beyond everything applied, and the node starts accepting
-//! writes as a primary with zero loss of replicated-acked work — that
-//! work was durably applied here before it was ever acknowledged.
+//! A follower's role is fixed by how its process starts: it stays
+//! read-only for life and, when its primary dies, keeps reconnecting
+//! until it is stopped. **Promotion is a restart.** Everything the
+//! follower applied was re-logged into its own WAL before it was acked,
+//! so [`ReactDB::recover`] on that directory — `reactdb-server` started
+//! on the follower's `--wal-dir` without `--follow` — boots a primary
+//! holding every replicated-acked transaction. Nothing in this module can
+//! make a node writable, so a dead primary never yields two primaries.
 //!
 //! **Resubscribing is not restarting.** A recoverable stream loss — the
 //! primary's checkpoint truncated a segment under the shipping cursor, a
@@ -37,9 +40,9 @@
 //! checkpoint, which must not be spliced into stale staged bytes),
 //! the checkpoint is re-loaded from that side generation, and only rows
 //! above the follower's `applied` epoch are fed to the TID-idempotent
-//! [`ReactDB::apply_redo`]. The reconnect budget replenishes whenever a
-//! subscription made apply progress, so a storm of truncation races never
-//! adds up to a spurious promotion; only consecutive dead connections do.
+//! [`ReactDB::apply_redo`]. A subscription that made progress reconnects
+//! at once, so a storm of truncation races never waits; one that made
+//! none (the primary is down) waits 100 ms first.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -57,6 +60,9 @@ use reactdb_txn::RedoRecord;
 
 use crate::ReplState;
 
+/// Pause before reconnecting after a subscription that made no progress.
+const RECONNECT_PAUSE: Duration = Duration::from_millis(100);
+
 /// Tuning for [`run_follower`].
 #[derive(Debug, Clone)]
 pub struct FollowerOpts {
@@ -67,14 +73,6 @@ pub struct FollowerOpts {
     pub staging_dir: PathBuf,
     /// Parallel apply lanes for [`ReactDB::apply_redo`] (0 = all cores).
     pub replay_workers: usize,
-    /// Reconnect attempts after a lost stream before giving up (and, with
-    /// [`FollowerOpts::promote_on_disconnect`], promoting).
-    pub reconnect_attempts: u32,
-    /// Pause between reconnect attempts.
-    pub reconnect_backoff: Duration,
-    /// Promote this node to a serving primary when the stream is lost for
-    /// good, instead of returning an error.
-    pub promote_on_disconnect: bool,
 }
 
 impl FollowerOpts {
@@ -84,9 +82,6 @@ impl FollowerOpts {
             primary_addr: primary_addr.into(),
             staging_dir: staging_dir.into(),
             replay_workers: 0,
-            reconnect_attempts: 3,
-            reconnect_backoff: Duration::from_millis(100),
-            promote_on_disconnect: true,
         }
     }
 
@@ -95,32 +90,13 @@ impl FollowerOpts {
         self.replay_workers = workers;
         self
     }
-
-    /// Sets the reconnect budget after a lost stream.
-    pub fn with_reconnects(mut self, attempts: u32, backoff: Duration) -> Self {
-        self.reconnect_attempts = attempts;
-        self.reconnect_backoff = backoff;
-        self
-    }
-
-    /// Sets whether losing the primary promotes this node.
-    pub fn with_promote_on_disconnect(mut self, promote: bool) -> Self {
-        self.promote_on_disconnect = promote;
-        self
-    }
 }
 
 /// What a finished [`run_follower`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FollowerReport {
-    /// Whether this node promoted itself to primary.
-    pub promoted: bool,
     /// Highest epoch durably applied from the primary.
     pub applied_epoch: u64,
-    /// Detection-to-serving time of the promotion, when one happened:
-    /// from the moment the last *progressing* stream dropped to
-    /// [`ReactDB::promote`] returning (includes the reconnect attempts).
-    pub failover: Option<Duration>,
     /// Times the follower re-established a lost subscription without
     /// losing its applied state (e.g. after a checkpoint truncation raced
     /// the primary's shipping cursor).
@@ -148,8 +124,8 @@ struct Tail {
     /// Monotone (re)subscription counter; names the staging generation
     /// subdirectory.
     generation: u64,
-    /// Stream events seen (chunks staged + epochs applied), the progress
-    /// measure that replenishes the reconnect budget.
+    /// Stream events seen (chunks staged + epochs applied): a lost
+    /// subscription that raised it reconnects without a pause.
     progress: u64,
 }
 
@@ -193,11 +169,11 @@ impl Tail {
     }
 }
 
-/// Tails `opts.primary_addr` until `stop` is raised, the stream is lost
-/// beyond the configured reconnects, or an apply error occurs. Blocks the
-/// calling thread; run it on a dedicated one. `db` must be booted with
-/// durability on (its own fresh WAL directory) and is flipped read-only
-/// here; `repl` should come from the serving [`crate::Server`]'s
+/// Tails `opts.primary_addr` until `stop` is raised or an apply error
+/// occurs; a lost primary is reconnected to, never given up on. Blocks
+/// the calling thread; run it on a dedicated one. `db` must be booted
+/// with durability on (its own fresh WAL directory) and is made read-only
+/// here for good; `repl` should come from the serving [`crate::Server`]'s
 /// [`crate::Server::repl_state`] so lag shows up in its metrics.
 pub fn run_follower(
     db: &Arc<ReactDB>,
@@ -206,8 +182,8 @@ pub fn run_follower(
     stop: &AtomicBool,
 ) -> io::Result<FollowerReport> {
     fs::create_dir_all(&opts.staging_dir)?;
-    db.set_read_only(true);
-    repl.set_follower_mode(true);
+    db.set_read_only();
+    repl.observe_subscription(false);
     let follower_id = follower_id(&opts.staging_dir);
     let mut tail = Tail {
         staged: HashMap::new(),
@@ -220,74 +196,42 @@ pub fn run_follower(
         progress: 0,
     };
 
-    let mut disconnected_at: Option<Instant> = None;
-    let mut attempts_left = opts.reconnect_attempts;
     let mut resubscribes = 0u64;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(FollowerReport {
-                promoted: false,
-                applied_epoch: tail.applied,
-                failover: None,
-                resubscribes,
-            });
-        }
+    let mut progressed = true;
+    while !stop.load(Ordering::SeqCst) {
         let progress_before = tail.progress;
         if tail.generation > 0 {
             resubscribes += 1;
-            // Scripts and the CI replication gate grep for this line.
-            eprintln!(
-                "follower resubscribing to {} (applied epoch {}, generation {})",
-                opts.primary_addr,
-                tail.applied,
-                tail.generation + 1,
-            );
+            // Once per outage, not once per attempt; scripts and the CI
+            // replication gate grep for this line.
+            if progressed {
+                eprintln!(
+                    "follower resubscribing to {} (applied epoch {}, generation {})",
+                    opts.primary_addr,
+                    tail.applied,
+                    tail.generation + 1,
+                );
+            }
         }
-        match follow_once(db, repl, opts, stop, &mut tail, follower_id) {
-            Ok(()) => {
-                // Clean stop request honoured inside the stream loop.
-                return Ok(FollowerReport {
-                    promoted: false,
-                    applied_epoch: tail.applied,
-                    failover: None,
-                    resubscribes,
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                // Apply/decode failure: retrying would re-fail; surface it.
-                return Err(e);
-            }
-            Err(e) => {
-                // A subscription that streamed anything replenishes the
-                // reconnect budget: recoverable races (checkpoint
-                // truncations, dropped streams) can recur indefinitely
-                // without adding up to a spurious promotion, while a
-                // primary that is really gone yields dead connection
-                // after dead connection and runs the budget out.
-                if tail.progress > progress_before {
-                    attempts_left = opts.reconnect_attempts;
-                    disconnected_at = None;
+        let outcome = follow_once(db, repl, opts, stop, &mut tail, follower_id);
+        repl.observe_subscription(false);
+        match outcome {
+            // Clean stop request honoured inside the stream loop.
+            Ok(()) => break,
+            // Apply/decode failure: retrying would re-fail; surface it.
+            Err(e) if e.kind() == ErrorKind::InvalidData => return Err(e),
+            Err(_) => {
+                progressed = tail.progress > progress_before;
+                if !progressed {
+                    std::thread::sleep(RECONNECT_PAUSE);
                 }
-                disconnected_at.get_or_insert_with(Instant::now);
-                if attempts_left > 0 {
-                    attempts_left -= 1;
-                    std::thread::park_timeout(opts.reconnect_backoff);
-                    continue;
-                }
-                if !opts.promote_on_disconnect {
-                    return Err(e);
-                }
-                db.promote();
-                repl.set_follower_mode(false);
-                return Ok(FollowerReport {
-                    promoted: true,
-                    applied_epoch: tail.applied,
-                    failover: disconnected_at.map(|t| t.elapsed()),
-                    resubscribes,
-                });
             }
         }
     }
+    Ok(FollowerReport {
+        applied_epoch: tail.applied,
+        resubscribes,
+    })
 }
 
 /// Stable identity of this follower across reconnects: an FNV-1a hash of
@@ -335,6 +279,7 @@ fn follow_once(
         follower_id,
     }));
     stream.write_all(&subscribe)?;
+    repl.observe_subscription(true);
 
     let mut rbuf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];

@@ -1,8 +1,8 @@
 //! End-to-end replication: a follower tailing a live primary over the
 //! wire protocol, snapshot-isolation checking of follower reads, and
-//! primary-kill failover with promotion.
+//! promotion after a primary kill, which is a restart.
 //!
-//! Two properties anchor the suite:
+//! Three properties anchor the suite:
 //!
 //! * **Follower reads are one consistent snapshot.** The register
 //!   workload runs against the primary with `AckLevel::Replicated` (so
@@ -11,20 +11,27 @@
 //!   must pass the SI variant of the black-box checker — staleness is
 //!   allowed, torn snapshots are not.
 //! * **Promotion loses nothing replicated-acked.** Every write is
-//!   replicated-acked, the primary dies, the follower promotes itself,
-//!   and every register must sit at exactly the version the acked writes
-//!   left it at — then accept new writes as a primary.
+//!   replicated-acked, the primary dies, the follower is stopped and its
+//!   own log directory recovered as a primary, and every register must
+//!   sit at exactly the version the acked writes left it at — then accept
+//!   new writes.
+//! * **A dead primary leaves its followers read-only.** No follower
+//!   promotes itself, however long the primary stays gone, so exactly one
+//!   node accepts writes once one follower is recovered.
 
 mod support;
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reactdb::common::{AckLevel, DeploymentConfig, DurabilityConfig, ReplicationConfig, Value};
+use reactdb::common::{
+    AckLevel, DeploymentConfig, DurabilityConfig, ReplicationConfig, TxnError, Value,
+};
 use reactdb::engine::ReactDB;
 use reactdb_client::WireClient;
-use reactdb_server::{run_follower, FollowerOpts, Server, ServerConfig};
+use reactdb_server::{run_follower, FollowerOpts, FollowerReport, Server, ServerConfig};
 use support::history::{
     check_history_si, load, parse_observations, run_workload_with, shard_name, spec, TxnRecord,
     KEYS_PER_SHARD, SHARDS,
@@ -36,71 +43,83 @@ fn temp_path(tag: &str) -> String {
     dir.to_string_lossy().into_owned()
 }
 
-struct Cluster {
-    primary_db: Arc<ReactDB>,
-    primary: Server,
-    follower_db: Arc<ReactDB>,
-    follower: Server,
-    follower_thread: std::thread::JoinHandle<std::io::Result<reactdb_server::FollowerReport>>,
-    stop: Arc<AtomicBool>,
+/// The register database, durable in `wal` with 1 ms group commits.
+fn durable(wal: &str) -> DeploymentConfig {
+    DeploymentConfig::shared_nothing(SHARDS)
+        .with_durability(DurabilityConfig::epoch_sync(wal).with_interval_ms(1))
 }
 
-/// Boots a primary (registers loaded) and a follower tailing it, and
-/// waits until the subscription is live.
-fn boot_cluster(tag: &str, promote_on_disconnect: bool) -> Cluster {
-    let primary_wal = temp_path(&format!("{tag}-primary-wal"));
-    let follower_wal = temp_path(&format!("{tag}-follower-wal"));
-    let staging = temp_path(&format!("{tag}-staging"));
+/// Boots a durable primary with the registers loaded and serves it.
+fn boot_primary(tag: &str, config: ServerConfig) -> (Arc<ReactDB>, Server, String) {
+    let wal = temp_path(&format!("{tag}-primary-wal"));
+    let db = Arc::new(ReactDB::boot(spec(), durable(&wal)));
+    load(&db);
+    let server = Server::start(Arc::clone(&db), config).unwrap();
+    (db, server, wal)
+}
 
-    let primary_db = Arc::new(ReactDB::boot(
-        spec(),
-        DeploymentConfig::shared_nothing(SHARDS)
-            .with_durability(DurabilityConfig::epoch_sync(&primary_wal).with_interval_ms(1)),
-    ));
-    load(&primary_db);
-    let primary = Server::start(Arc::clone(&primary_db), ServerConfig::default()).unwrap();
-
-    let follower_db = Arc::new(ReactDB::boot(
-        spec(),
-        DeploymentConfig::shared_nothing(SHARDS)
-            .with_durability(DurabilityConfig::epoch_sync(&follower_wal).with_interval_ms(1)),
-    ));
-    let follower = Server::start(Arc::clone(&follower_db), ServerConfig::default()).unwrap();
-
-    let opts = FollowerOpts::new(primary.local_addr().to_string(), staging)
-        .with_reconnects(1, Duration::from_millis(50))
-        .with_promote_on_disconnect(promote_on_disconnect);
-    let stop = Arc::new(AtomicBool::new(false));
-    let follower_thread = {
-        let db = Arc::clone(&follower_db);
-        let repl = follower.repl_state();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || run_follower(&db, &repl, &opts, &stop))
-    };
-
-    // The replicated-ack gate needs the subscription live before any
-    // replicated invoke, or the first ack would wait forever.
+/// Waits until `count` followers are subscribed to `primary`: the
+/// replicated-ack gate needs them live before any replicated invoke, or
+/// the first ack would wait forever.
+fn wait_for_followers(primary: &Server, count: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while primary.repl_state().followers() == 0 {
-        assert!(Instant::now() < deadline, "follower never subscribed");
+    while primary.repl_state().followers() < count {
+        assert!(Instant::now() < deadline, "followers never subscribed");
         std::thread::sleep(Duration::from_millis(5));
     }
+}
 
-    Cluster {
-        primary_db,
-        primary,
-        follower_db,
-        follower,
-        follower_thread,
-        stop,
+/// One replicated-acked `rmw` per label; records in `expected` the
+/// version each register it touched must now sit at.
+fn write_replicated(
+    client: &WireClient,
+    labels: impl IntoIterator<Item = i64>,
+    expected: &mut HashMap<(String, i64), i64>,
+) {
+    for label in labels {
+        let shard = shard_name((label as usize) % SHARDS);
+        let key = label % KEYS_PER_SHARD;
+        let obs = client
+            .invoke_with(
+                &shard,
+                "rmw",
+                vec![Value::Int(label), Value::Int(key)],
+                AckLevel::Replicated,
+            )
+            .expect("replicated write");
+        for read in parse_observations(obs.as_str()) {
+            expected.insert((read.shard, read.key), read.ver + 1);
+        }
     }
+}
+
+/// Asserts every register in `expected` sits at exactly its version on
+/// `db` — nothing else wrote them, so a higher version would mean
+/// resurrected or invented work.
+fn assert_versions(db: &ReactDB, expected: &HashMap<(String, i64), i64>, what: &str) {
+    for ((shard, key), version) in expected {
+        let obs = db
+            .invoke(shard, "snapshot", vec![Value::Int(*key)])
+            .expect("register read");
+        assert_eq!(
+            parse_observations(obs.as_str())[0].ver,
+            *version,
+            "{shard}:{key} must sit at {what}"
+        );
+    }
+}
+
+/// Whether `result` is the read-only follower's refusal of a write.
+fn rejected_as_read_only(result: &Result<Value, TxnError>) -> bool {
+    matches!(result, Err(TxnError::Runtime(m)) if m.contains("read-only"))
 }
 
 #[test]
 fn follower_serves_snapshot_consistent_reads_while_tailing() {
-    let cluster = boot_cluster("si-reads", false);
-    let primary_addr = cluster.primary.local_addr();
-    let follower_addr = cluster.follower.local_addr();
+    let (primary_db, primary, _) = boot_primary("si-reads", ServerConfig::default());
+    let follower = FollowerNode::boot(&primary, "si-reads");
+    wait_for_followers(&primary, 1);
+    let primary_addr = primary.local_addr();
 
     // The full register workload, every commit gated on the follower.
     let mut records = run_workload_with(|_| {
@@ -115,7 +134,7 @@ fn follower_serves_snapshot_consistent_reads_while_tailing() {
     // the workload observed; its wire server now answers reads at its
     // applied stable epoch. Those reads join the history as read-only
     // transactions and the combined history must be SI.
-    let reader = WireClient::connect(follower_addr).expect("connect follower");
+    let reader = WireClient::connect(follower.server.local_addr()).expect("connect follower");
     for i in 0..SHARDS * 4 {
         let shard = shard_name(i % SHARDS);
         let keys: Vec<Value> = (0..KEYS_PER_SHARD).map(Value::Int).collect();
@@ -130,106 +149,135 @@ fn follower_serves_snapshot_consistent_reads_while_tailing() {
     }
     check_history_si(&records, "follower reads");
 
-    // The follower is read-only until promoted: writes bounce.
+    // The follower is read-only for life: writes bounce.
     let write = reader.invoke(&shard_name(0), "rmw", vec![Value::Int(1), Value::Int(0)]);
     assert!(
-        matches!(write, Err(reactdb::common::TxnError::Runtime(ref m)) if m.contains("read-only")),
+        rejected_as_read_only(&write),
         "follower rejected the write: {write:?}"
     );
 
     // Replication progress is visible on both sides' metrics.
-    let primary_repl = cluster.primary.repl_state();
+    let primary_repl = primary.repl_state();
     assert_eq!(primary_repl.followers(), 1);
     assert!(primary_repl.acked_epoch() > 0, "follower acked progress");
-    let follower_repl = cluster.follower.repl_state();
-    assert!(follower_repl.is_follower());
-    assert!(follower_repl.applied_epoch() > 0);
-    let snap = cluster.follower.metrics_snapshot();
+    assert!(follower.db.is_read_only());
+    assert!(follower.server.repl_state().applied_epoch() > 0);
+    let snap = follower.server.metrics_snapshot();
     assert!(
-        snap.gauges
-            .iter()
-            .any(|g| g.name == "repl_follower_lag_epochs"),
+        snap.gauge("repl_follower_lag_epochs").is_some(),
         "follower lag gauge exported"
     );
+    assert_eq!(
+        snap.gauge("repl_primary_unreachable_s"),
+        Some(0.0),
+        "a subscribed follower reaches its primary"
+    );
 
-    cluster.stop.store(true, Ordering::SeqCst);
-    let report = cluster.follower_thread.join().unwrap().expect("clean stop");
-    assert!(!report.promoted);
-    cluster.follower.shutdown();
-    cluster.primary.shutdown();
-    drop(cluster.primary_db);
-    drop(cluster.follower_db);
+    follower.stop();
+    primary.shutdown();
+    drop(primary_db);
 }
 
 #[test]
 fn promotion_after_primary_kill_keeps_every_replicated_acked_txn() {
-    let cluster = boot_cluster("failover", true);
-    let primary_addr = cluster.primary.local_addr();
+    let (primary_db, primary, _) = boot_primary("failover", ServerConfig::default());
+    let follower = FollowerNode::boot(&primary, "failover");
+    wait_for_followers(&primary, 1);
 
     // A deterministic batch of replicated-acked writes; remember exactly
     // which version each register must end up at.
-    let client = WireClient::connect(primary_addr).expect("connect primary");
-    let mut expected: std::collections::HashMap<(String, i64), i64> =
-        std::collections::HashMap::new();
-    for i in 0..30i64 {
-        let shard = shard_name((i as usize) % SHARDS);
-        let key = i % KEYS_PER_SHARD;
-        let obs = client
-            .invoke_with(
-                &shard,
-                "rmw",
-                vec![Value::Int(1000 + i), Value::Int(key)],
-                AckLevel::Replicated,
-            )
-            .expect("replicated write");
-        for read in parse_observations(obs.as_str()) {
-            expected.insert((read.shard, read.key), read.ver + 1);
-        }
-    }
+    let client = WireClient::connect(primary.local_addr()).expect("connect primary");
+    let mut expected = HashMap::new();
+    write_replicated(&client, 1000..1030, &mut expected);
 
-    // Kill the primary. The follower loses the stream, fails its
-    // reconnect budget, and must promote itself.
+    // Kill the primary, then promote the follower the only way there is:
+    // stop it and recover its own log directory as a primary.
     drop(client);
-    cluster.primary.shutdown();
-    drop(cluster.primary_db);
-
-    let report = cluster
-        .follower_thread
-        .join()
-        .unwrap()
-        .expect("follower promoted");
-    assert!(
-        report.promoted,
-        "follower promoted after losing its primary"
-    );
-    assert!(report.failover.is_some(), "failover time measured");
+    primary.shutdown();
+    drop(primary_db);
+    let promoted = follower.recover();
+    assert!(!promoted.is_read_only());
 
     // Zero loss: every replicated-acked write is present at exactly the
-    // version it committed at — and nothing else wrote these registers,
-    // so a higher version would mean resurrected or invented work.
-    for ((shard, key), version) in &expected {
-        let obs = cluster
-            .follower_db
-            .invoke(shard, "snapshot", vec![Value::Int(*key)])
-            .expect("read after promotion");
-        let seen = parse_observations(obs.as_str());
-        assert_eq!(
-            seen[0].ver, *version,
-            "{shard}:{key} must sit at its last replicated-acked version"
-        );
-    }
+    // version it committed at.
+    assert_versions(&promoted, &expected, "its last replicated-acked version");
 
-    // The promoted node is a serving primary: writes commit now.
+    // The promoted node is a serving primary: writes commit at the next
+    // version.
     let shard = shard_name(0);
     let before = expected[&(shard.clone(), 0)];
-    let obs = cluster
-        .follower_db
+    let obs = promoted
         .invoke(&shard, "rmw", vec![Value::Int(9999), Value::Int(0)])
         .expect("write after promotion");
     assert_eq!(parse_observations(obs.as_str())[0].ver, before);
+}
 
-    cluster.follower.shutdown();
-    drop(cluster.follower_db);
+/// Two followers outlive their primary by a second, ten reconnect pauses:
+/// both stay read-only, both report the primary unreachable, and
+/// recovering one of them yields exactly one writable node.
+#[test]
+fn a_dead_primary_leaves_both_followers_read_only_until_one_is_recovered() {
+    // Quorum 2: every replicated ack is durable on both followers, so
+    // either one may be recovered without loss.
+    let (primary_db, primary, _) = boot_primary(
+        "two-followers",
+        ServerConfig::default().with_replication(ReplicationConfig::default().with_quorum(2)),
+    );
+    let followers = [
+        FollowerNode::boot(&primary, "two-followers-a"),
+        FollowerNode::boot(&primary, "two-followers-b"),
+    ];
+    wait_for_followers(&primary, 2);
+    let client = WireClient::connect(primary.local_addr()).expect("connect primary");
+    let mut expected = HashMap::new();
+    write_replicated(&client, 1..=20, &mut expected);
+
+    drop(client);
+    primary.shutdown();
+    drop(primary_db);
+    std::thread::sleep(Duration::from_secs(1));
+
+    for (name, follower) in ["a", "b"].iter().zip(&followers) {
+        assert!(
+            !follower.thread.is_finished(),
+            "follower {name} stopped tailing its dead primary"
+        );
+        let client = WireClient::connect(follower.server.local_addr()).expect("connect follower");
+        let write = client.invoke(&shard_name(0), "rmw", vec![Value::Int(1), Value::Int(0)]);
+        assert!(
+            rejected_as_read_only(&write),
+            "follower {name} accepted a write without a primary: {write:?}"
+        );
+        let unreachable = follower
+            .server
+            .metrics_snapshot()
+            .gauge("repl_primary_unreachable_s")
+            .expect("follower exports repl_primary_unreachable_s");
+        assert!(
+            unreachable > 0.5,
+            "follower {name} reports its primary unreachable for {unreachable} s"
+        );
+    }
+
+    let [a, b] = followers;
+    let promoted = a.recover();
+    assert_versions(&promoted, &expected, "its last replicated-acked version");
+    // The primary is gone, so of the three nodes exactly one is writable.
+    let accepts_writes = [
+        promoted
+            .invoke(&shard_name(0), "rmw", vec![Value::Int(3), Value::Int(0)])
+            .is_ok(),
+        WireClient::connect(b.server.local_addr())
+            .expect("connect follower b")
+            .invoke(&shard_name(0), "rmw", vec![Value::Int(4), Value::Int(0)])
+            .is_ok(),
+    ];
+    assert_eq!(
+        accepts_writes,
+        [true, false],
+        "exactly the recovered follower accepts writes (a, b)"
+    );
+    b.stop();
 }
 
 /// A checkpoint on the primary truncates log segments the live shipping
@@ -239,61 +287,13 @@ fn promotion_after_primary_kill_keeps_every_replicated_acked_txn() {
 /// without restarting empty or double-applying.
 #[test]
 fn follower_reconverges_after_checkpoint_truncation_kills_the_stream() {
-    let primary_wal = temp_path("reconverge-primary-wal");
-    let follower_wal = temp_path("reconverge-follower-wal");
-    let staging = temp_path("reconverge-staging");
-
-    let primary_db = Arc::new(ReactDB::boot(
-        spec(),
-        DeploymentConfig::shared_nothing(SHARDS)
-            .with_durability(DurabilityConfig::epoch_sync(&primary_wal).with_interval_ms(1)),
-    ));
-    load(&primary_db);
-    let primary = Server::start(Arc::clone(&primary_db), ServerConfig::default()).unwrap();
-
-    let follower_db = Arc::new(ReactDB::boot(
-        spec(),
-        DeploymentConfig::shared_nothing(SHARDS)
-            .with_durability(DurabilityConfig::epoch_sync(&follower_wal).with_interval_ms(1)),
-    ));
-    let follower = Server::start(Arc::clone(&follower_db), ServerConfig::default()).unwrap();
-    let opts = FollowerOpts::new(primary.local_addr().to_string(), &staging)
-        .with_reconnects(5, Duration::from_millis(25))
-        .with_promote_on_disconnect(false);
-    let stop = Arc::new(AtomicBool::new(false));
-    let follower_thread = {
-        let db = Arc::clone(&follower_db);
-        let repl = follower.repl_state();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || run_follower(&db, &repl, &opts, &stop))
-    };
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while primary.repl_state().followers() == 0 {
-        assert!(Instant::now() < deadline, "follower never subscribed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let (primary_db, primary, primary_wal) = boot_primary("reconverge", ServerConfig::default());
+    let follower = FollowerNode::boot(&primary, "reconverge");
+    wait_for_followers(&primary, 1);
 
     let client = WireClient::connect(primary.local_addr()).expect("connect primary");
-    let mut expected: std::collections::HashMap<(String, i64), i64> =
-        std::collections::HashMap::new();
-    let mut write = |label: i64| {
-        let shard = shard_name((label as usize) % SHARDS);
-        let key = label % KEYS_PER_SHARD;
-        let obs = client
-            .invoke_with(
-                &shard,
-                "rmw",
-                vec![Value::Int(label), Value::Int(key)],
-                AckLevel::Replicated,
-            )
-            .expect("replicated write");
-        for read in parse_observations(obs.as_str()) {
-            expected.insert((read.shard, read.key), read.ver + 1);
-        }
-    };
-    for i in 0..20 {
-        write(1000 + i);
-    }
+    let mut expected = HashMap::new();
+    write_replicated(&client, 1000..1020, &mut expected);
 
     // Truncate the shipped segments out from under the live cursor, then
     // arm the scoped failpoint so the cursor faults at least once even if
@@ -309,9 +309,7 @@ fn follower_reconverges_after_checkpoint_truncation_kills_the_stream() {
     reactdb::wal::failpoint::arm(&format!("{fp}=err:1")).unwrap();
 
     // Every one of these must commit through the resubscribed stream.
-    for i in 0..20 {
-        write(2000 + i);
-    }
+    write_replicated(&client, 2000..2020, &mut expected);
     assert_eq!(
         reactdb::wal::failpoint::hits(&fp),
         1,
@@ -321,28 +319,15 @@ fn follower_reconverges_after_checkpoint_truncation_kills_the_stream() {
     // Quorum-1 replicated acks mean the single follower durably applied
     // every write before its invoke returned; its registers must now match
     // the primary's exactly.
-    for ((shard, key), version) in &expected {
-        let obs = follower_db
-            .invoke(shard, "snapshot", vec![Value::Int(*key)])
-            .expect("follower read");
-        assert_eq!(
-            parse_observations(obs.as_str())[0].ver,
-            *version,
-            "{shard}:{key} must re-converge to the primary's version"
-        );
-    }
+    assert_versions(&follower.db, &expected, "the primary's version");
 
-    stop.store(true, Ordering::SeqCst);
-    let report = follower_thread.join().unwrap().expect("clean stop");
-    assert!(!report.promoted, "no spurious promotion");
+    let report = follower.stop();
     assert!(
         report.resubscribes >= 1,
         "the follower resubscribed rather than surviving untouched: {report:?}"
     );
-    follower.shutdown();
     primary.shutdown();
     drop(primary_db);
-    drop(follower_db);
 }
 
 /// With `--repl-quorum 2` a `Replicated` ack must mean "durable on at
@@ -351,26 +336,12 @@ fn follower_reconverges_after_checkpoint_truncation_kills_the_stream() {
 /// applied the commit epoch.
 #[test]
 fn quorum_two_stalls_replicated_acks_until_a_second_follower_acks() {
-    let primary_wal = temp_path("quorum-primary-wal");
-
-    let primary_db = Arc::new(ReactDB::boot(
-        spec(),
-        DeploymentConfig::shared_nothing(SHARDS)
-            .with_durability(DurabilityConfig::epoch_sync(&primary_wal).with_interval_ms(1)),
-    ));
-    load(&primary_db);
-    let primary = Server::start(
-        Arc::clone(&primary_db),
+    let (primary_db, primary, _) = boot_primary(
+        "quorum",
         ServerConfig::default().with_replication(ReplicationConfig::default().with_quorum(2)),
-    )
-    .unwrap();
-
+    );
     let follower_a = FollowerNode::boot(&primary, "quorum-a");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while primary.repl_state().followers() < 1 {
-        assert!(Instant::now() < deadline, "first follower never subscribed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_followers(&primary, 1);
 
     // One live follower cannot satisfy a quorum of two: the replicated
     // reply must stall (while the same write at Durable sails through on
@@ -455,11 +426,8 @@ fn a_primary_serves_followers_without_a_thread_each() {
         FollowerNode::boot(&primary, "threads-a"),
         FollowerNode::boot(&primary, "threads-b"),
     ];
+    wait_for_followers(&primary, 2);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while primary.repl_state().followers() < 2 {
-        assert!(Instant::now() < deadline, "followers never subscribed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
     // A replicated write runs the whole chain once: its demand commits a
     // group, the durable advance wakes the worker, the worker ships, and
     // the followers' acks release the reply.
@@ -516,29 +484,25 @@ fn a_primary_serves_followers_without_a_thread_each() {
     drop(primary_db);
 }
 
-/// A follower node tailing a primary: its engine, its wire server, and
-/// the thread running [`run_follower`] with that thread's stop flag.
+/// A follower node tailing a primary: its engine, its wire server, the
+/// thread running [`run_follower`] with that thread's stop flag, and its
+/// own log directory.
 struct FollowerNode {
     db: Arc<ReactDB>,
     server: Server,
-    thread: std::thread::JoinHandle<std::io::Result<reactdb_server::FollowerReport>>,
+    thread: std::thread::JoinHandle<std::io::Result<FollowerReport>>,
     stop: Arc<AtomicBool>,
+    wal: String,
 }
 
 impl FollowerNode {
-    /// Boots a durable follower of `primary` that never promotes.
+    /// Boots a durable follower of `primary` and starts it tailing.
     fn boot(primary: &Server, tag: &str) -> Self {
-        let wal = temp_path(&format!("{tag}-wal"));
+        let wal = temp_path(&format!("{tag}-follower-wal"));
         let staging = temp_path(&format!("{tag}-staging"));
-        let db = Arc::new(ReactDB::boot(
-            spec(),
-            DeploymentConfig::shared_nothing(SHARDS)
-                .with_durability(DurabilityConfig::epoch_sync(&wal).with_interval_ms(1)),
-        ));
+        let db = Arc::new(ReactDB::boot(spec(), durable(&wal)));
         let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
-        let opts = FollowerOpts::new(primary.local_addr().to_string(), staging)
-            .with_reconnects(5, Duration::from_millis(25))
-            .with_promote_on_disconnect(false);
+        let opts = FollowerOpts::new(primary.local_addr().to_string(), staging);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let db = Arc::clone(&db);
@@ -551,16 +515,30 @@ impl FollowerNode {
             server,
             thread,
             stop,
+            wal,
         }
     }
 
-    /// Stops the follower loop (which must not have promoted) and its
-    /// server.
-    fn stop(self) {
+    /// Stops the follower loop and its server; returns the loop's report
+    /// and the engine, which nothing else holds any more.
+    fn halt(self) -> (FollowerReport, ReactDB, String) {
         self.stop.store(true, Ordering::SeqCst);
         let report = self.thread.join().unwrap().expect("clean stop");
-        assert!(!report.promoted);
         self.server.shutdown();
-        drop(self.db);
+        let db = Arc::try_unwrap(self.db).expect("the follower engine is released");
+        (report, db, self.wal)
+    }
+
+    /// Stops the follower loop and its server.
+    fn stop(self) -> FollowerReport {
+        self.halt().0
+    }
+
+    /// Promotes this follower the only way there is: stops it, crashes its
+    /// engine, and recovers its own log directory as a primary.
+    fn recover(self) -> ReactDB {
+        let (_, db, wal) = self.halt();
+        db.simulate_crash();
+        ReactDB::recover(spec(), durable(&wal)).expect("follower log directory recovers")
     }
 }

@@ -6,8 +6,7 @@
 //! ship-kill), then drives concurrent replicated-acked writes through
 //! a checkpoint-truncation storm. Every cell must end with:
 //!
-//! * every write resolved — no wedged replicated ack, no spurious
-//!   follower promotion;
+//! * every write resolved — no wedged replicated ack;
 //! * **quorum honesty** — in multi-follower cells (quorum 2) a
 //!   replicated reply is never observed before at least two followers
 //!   durably applied its commit epoch;
@@ -94,11 +93,9 @@ fn run_cell(kill_point: &str, fp_spec_suffix: &str, followers: usize) {
                     .with_durability(DurabilityConfig::epoch_sync(&wal).with_interval_ms(1)),
             ));
             let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
-            // A generous budget plus progress replenishment: the storm may
-            // kill the stream many times, and none of it may promote.
-            let opts = FollowerOpts::new(primary.local_addr().to_string(), staging)
-                .with_reconnects(20, Duration::from_millis(10))
-                .with_promote_on_disconnect(false);
+            // The storm may kill the stream many times; the follower
+            // resubscribes every time.
+            let opts = FollowerOpts::new(primary.local_addr().to_string(), staging);
             let stop = Arc::new(AtomicBool::new(false));
             let thread = {
                 let db = Arc::clone(&db);
@@ -272,13 +269,9 @@ fn run_cell(kill_point: &str, fp_spec_suffix: &str, followers: usize) {
     );
     failpoint::clear();
 
-    for (i, follower) in fleet.into_iter().enumerate() {
+    for follower in fleet {
         follower.stop.store(true, Ordering::SeqCst);
-        let report = follower.thread.join().unwrap().expect("clean stop");
-        assert!(
-            !report.promoted,
-            "[{cell}] follower {i} spuriously promoted: {report:?}"
-        );
+        follower.thread.join().unwrap().expect("clean stop");
         follower.server.shutdown();
         drop(follower.db);
     }
