@@ -9,30 +9,31 @@
 //!   the flags word is a status: `0` accepts, `1` rejects the version. A
 //!   rejected client gets the server's version echoed back so it can report
 //!   both sides of the mismatch.
-//! * **Frame** — `[len: u32 LE][crc32: u32 LE][payload: len bytes]`. `len`
-//!   counts only the payload and is capped at [`MAX_FRAME_LEN`]; the CRC
-//!   (IEEE 802.3 polynomial) covers only the payload. The length is
-//!   validated *before* any buffering decision and the checksum before any
-//!   payload decode, so a corrupt or hostile frame is rejected without
-//!   over-allocating.
+//! * **Frame** — the shared frame of [`reactdb_common::bytes`]
+//!   (`put_frame`/`split_frame`): `[len: u32][crc32: u32][payload]`. The
+//!   wire caps `len` at [`MAX_FRAME_LEN`] and refuses a larger one from the
+//!   header alone, and checks the CRC before any payload decode, so a
+//!   corrupt or hostile frame is rejected without over-allocating.
 //! * **Payload** — `[kind: u8][correlation_id: u64 LE][body]`. The
 //!   correlation id is chosen by the client and echoed verbatim in the
 //!   response, which is what makes pipelining work: many requests may be in
 //!   flight per connection and responses may be matched out of order.
 //!
-//! Bodies use two primitives: strings are `u32 LE` length followed by UTF-8
-//! bytes, and [`Value`]s are a tag byte (`0` null, `1` int, `2` float as
-//! IEEE-754 bits, `3` string, `4` bool) followed by the payload. A
-//! [`TxnError`] is a code byte followed by the variant's string fields, so
-//! the client reconstructs the *exact* engine error — retry classification
-//! (`is_cc_abort`, `is_user_abort`, ...) works identically on both sides of
-//! the wire.
+//! Bodies are built from the shared primitives of [`reactdb_common::bytes`]
+//! (integers, `str32` strings, tagged [`Value`]s) and read back with its
+//! bounds-checked [`Reader`]. A [`TxnError`] is a code byte followed by the
+//! variant's string fields, so the client reconstructs the *exact* engine
+//! error — retry classification (`is_cc_abort`, `is_user_abort`, ...) works
+//! identically on both sides of the wire.
 //!
 //! Every decode path is total: malformed input yields a [`WireError`],
-//! never a panic, and string/argument lengths are checked against the bytes
-//! actually present before any allocation.
+//! never a panic, and lengths are checked against the bytes actually
+//! present before any allocation.
 
-use reactdb_common::bytes::crc32;
+use reactdb_common::bytes::{
+    put_frame, put_str32, put_u16, put_u32, put_u64, put_value, split_frame, DecodeError,
+    FrameError, Reader,
+};
 use reactdb_common::{AckLevel, TxnError, Value};
 
 /// Magic bytes opening both handshake directions.
@@ -55,8 +56,7 @@ pub const PROTOCOL_VERSION: u16 = 4;
 /// Handshake message size in bytes, both directions.
 pub const HANDSHAKE_LEN: usize = 8;
 
-/// Frame header size: `u32` payload length plus `u32` CRC.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub use reactdb_common::bytes::FRAME_HEADER_LEN;
 
 /// Hard cap on a frame's payload length (1 MiB). A header announcing more
 /// is rejected before any buffering, bounding per-connection memory.
@@ -150,6 +150,27 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::UnknownTag { what, tag } => WireError::UnknownTag { what, tag },
+            DecodeError::Malformed(what) => WireError::Malformed(what),
+        }
+    }
+}
+
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooLarge { len, max } => WireError::FrameTooLarge { len, max },
+            FrameError::BadChecksum { expected, actual } => {
+                WireError::BadChecksum { expected, actual }
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Message types.
@@ -403,9 +424,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
         payload.len()
     );
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    put_frame(&mut out, payload);
     out
 }
 
@@ -417,230 +436,98 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// an oversized length or checksum mismatch. Decides from the 8-byte header
 /// alone whether the announced length is acceptable, so a hostile length
 /// never causes buffering beyond [`MAX_FRAME_LEN`].
+#[inline]
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
-    if buf.len() < FRAME_HEADER_LEN {
+    Ok(split_frame(buf, MAX_FRAME_LEN)?)
+}
+
+/// Splits one whole frame off the front of a receive buffer and decodes it
+/// as a response, draining its bytes: `Ok(None)` until a whole frame is
+/// buffered.
+pub fn next_response(buf: &mut Vec<u8>) -> Result<Option<Response>, WireError> {
+    let Some((payload, consumed)) = decode_frame(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge {
-            len,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let total = FRAME_HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(WireError::BadChecksum { expected, actual });
-    }
-    Ok(Some((payload, total)))
+    };
+    let response = decode_response(payload)?;
+    buf.drain(..consumed);
+    Ok(Some(response))
 }
 
 // ---------------------------------------------------------------------------
-// Body primitives.
+// Body primitives: the wire-only ones. Integers, strings and values are
+// the shared `reactdb_common::bytes` codec.
 // ---------------------------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Length-prefixed UTF-8 string. The announced length is checked
-    /// against the bytes actually present *before* allocating, so a
-    /// hostile length cannot cause over-allocation.
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.u64()? as i64)),
-            2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            3 => Ok(Value::Str(self.string()?)),
-            4 => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                _ => Err(WireError::Malformed("boolean byte not 0 or 1")),
-            },
-            tag => Err(WireError::UnknownTag { what: "value", tag }),
-        }
-    }
-
-    fn txn_error(&mut self) -> Result<TxnError, WireError> {
-        match self.u8()? {
-            0 => Ok(TxnError::UserAbort(self.string()?)),
-            1 => Ok(TxnError::ValidationFailed),
-            2 => Ok(TxnError::Phantom),
-            3 => Ok(TxnError::CommitAborted),
-            4 => Ok(TxnError::DangerousStructure {
-                reactor: self.string()?,
-            }),
-            5 => Ok(TxnError::UnknownReactor(self.string()?)),
-            6 => Ok(TxnError::UnknownProcedure {
-                reactor_type: self.string()?,
-                procedure: self.string()?,
-            }),
-            7 => Ok(TxnError::UnknownRelation(self.string()?)),
-            8 => Ok(TxnError::UnknownColumn {
-                relation: self.string()?,
-                column: self.string()?,
-            }),
-            9 => Ok(TxnError::DuplicateKey {
-                relation: self.string()?,
-                key: self.string()?,
-            }),
-            10 => Ok(TxnError::NotFound {
-                relation: self.string()?,
-                key: self.string()?,
-            }),
-            11 => Ok(TxnError::Runtime(self.string()?)),
-            12 => Ok(TxnError::BadArguments(self.string()?)),
-            tag => Err(WireError::UnknownTag {
+fn txn_error(r: &mut Reader<'_>) -> Result<TxnError, WireError> {
+    let tag = r.u8()?;
+    let mut s = || r.str32();
+    Ok(match tag {
+        0 => TxnError::UserAbort(s()?),
+        1 => TxnError::ValidationFailed,
+        2 => TxnError::Phantom,
+        3 => TxnError::CommitAborted,
+        4 => TxnError::DangerousStructure { reactor: s()? },
+        5 => TxnError::UnknownReactor(s()?),
+        6 => TxnError::UnknownProcedure {
+            reactor_type: s()?,
+            procedure: s()?,
+        },
+        7 => TxnError::UnknownRelation(s()?),
+        8 => TxnError::UnknownColumn {
+            relation: s()?,
+            column: s()?,
+        },
+        9 => TxnError::DuplicateKey {
+            relation: s()?,
+            key: s()?,
+        },
+        10 => TxnError::NotFound {
+            relation: s()?,
+            key: s()?,
+        },
+        11 => TxnError::Runtime(s()?),
+        12 => TxnError::BadArguments(s()?),
+        tag => {
+            return Err(WireError::UnknownTag {
                 what: "txn error",
                 tag,
-            }),
+            })
         }
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes {
-                count: self.remaining(),
-            });
-        }
-        Ok(())
-    }
+    })
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&(*i as u64).to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_string(out, s);
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(u8::from(*b));
-        }
+/// The wire names leftover bytes by their count.
+#[inline]
+fn finish(r: Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        count => Err(WireError::TrailingBytes { count }),
     }
 }
 
+/// A code byte, then the variant's string fields in declaration order.
 fn put_txn_error(out: &mut Vec<u8>, e: &TxnError) {
-    match e {
-        TxnError::UserAbort(msg) => {
-            out.push(0);
-            put_string(out, msg);
-        }
-        TxnError::ValidationFailed => out.push(1),
-        TxnError::Phantom => out.push(2),
-        TxnError::CommitAborted => out.push(3),
-        TxnError::DangerousStructure { reactor } => {
-            out.push(4);
-            put_string(out, reactor);
-        }
-        TxnError::UnknownReactor(name) => {
-            out.push(5);
-            put_string(out, name);
-        }
+    let (code, fields): (u8, &[&String]) = match e {
+        TxnError::UserAbort(msg) => (0, &[msg]),
+        TxnError::ValidationFailed => (1, &[]),
+        TxnError::Phantom => (2, &[]),
+        TxnError::CommitAborted => (3, &[]),
+        TxnError::DangerousStructure { reactor } => (4, &[reactor]),
+        TxnError::UnknownReactor(name) => (5, &[name]),
         TxnError::UnknownProcedure {
             reactor_type,
             procedure,
-        } => {
-            out.push(6);
-            put_string(out, reactor_type);
-            put_string(out, procedure);
-        }
-        TxnError::UnknownRelation(name) => {
-            out.push(7);
-            put_string(out, name);
-        }
-        TxnError::UnknownColumn { relation, column } => {
-            out.push(8);
-            put_string(out, relation);
-            put_string(out, column);
-        }
-        TxnError::DuplicateKey { relation, key } => {
-            out.push(9);
-            put_string(out, relation);
-            put_string(out, key);
-        }
-        TxnError::NotFound { relation, key } => {
-            out.push(10);
-            put_string(out, relation);
-            put_string(out, key);
-        }
-        TxnError::Runtime(msg) => {
-            out.push(11);
-            put_string(out, msg);
-        }
-        TxnError::BadArguments(msg) => {
-            out.push(12);
-            put_string(out, msg);
-        }
+        } => (6, &[reactor_type, procedure]),
+        TxnError::UnknownRelation(name) => (7, &[name]),
+        TxnError::UnknownColumn { relation, column } => (8, &[relation, column]),
+        TxnError::DuplicateKey { relation, key } => (9, &[relation, key]),
+        TxnError::NotFound { relation, key } => (10, &[relation, key]),
+        TxnError::Runtime(msg) => (11, &[msg]),
+        TxnError::BadArguments(msg) => (12, &[msg]),
+    };
+    out.push(code);
+    for field in fields {
+        put_str32(out, field);
     }
 }
 
@@ -651,58 +538,49 @@ fn put_txn_error(out: &mut Vec<u8>, e: &TxnError) {
 /// Encodes a request payload (no frame header; pass through [`frame`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    match req {
+    out.push(0);
+    put_u64(&mut out, req.correlation_id());
+    // Each arm writes its body and names the kind that leads the payload.
+    out[0] = match req {
         Request::Invoke {
-            correlation_id,
             ack,
             reactor,
             procedure,
             args,
+            ..
         } => {
-            out.push(KIND_INVOKE);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
             out.push(ack.wire_tag());
-            put_string(&mut out, reactor);
-            put_string(&mut out, procedure);
+            put_str32(&mut out, reactor);
+            put_str32(&mut out, procedure);
             assert!(args.len() <= MAX_ARGS, "too many procedure arguments");
-            out.extend_from_slice(&(args.len() as u16).to_le_bytes());
+            put_u16(&mut out, args.len() as u16);
             for arg in args {
                 put_value(&mut out, arg);
             }
+            KIND_INVOKE
         }
-        Request::Metrics { correlation_id } => {
-            out.push(KIND_METRICS);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-        }
-        Request::Ping { correlation_id } => {
-            out.push(KIND_PING);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-        }
+        Request::Metrics { .. } => KIND_METRICS,
+        Request::Ping { .. } => KIND_PING,
         Request::ReplSubscribe {
-            correlation_id,
             from_epoch,
             follower_id,
+            ..
         } => {
-            out.push(KIND_REPL_SUBSCRIBE);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            out.extend_from_slice(&from_epoch.to_le_bytes());
-            out.extend_from_slice(&follower_id.to_le_bytes());
+            put_u64(&mut out, *from_epoch);
+            put_u64(&mut out, *follower_id);
+            KIND_REPL_SUBSCRIBE
         }
-        Request::ReplAck {
-            correlation_id,
-            applied_epoch,
-        } => {
-            out.push(KIND_REPL_ACK);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            out.extend_from_slice(&applied_epoch.to_le_bytes());
+        Request::ReplAck { applied_epoch, .. } => {
+            put_u64(&mut out, *applied_epoch);
+            KIND_REPL_ACK
         }
-    }
+    };
     out
 }
 
 /// Decodes a request payload (the frame's checksummed contents).
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::new(payload);
     let kind = c.u8()?;
     let correlation_id = c.u64()?;
     let req = match kind {
@@ -712,8 +590,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 what: "ack level",
                 tag,
             })?;
-            let reactor = c.string()?;
-            let procedure = c.string()?;
+            let reactor = c.str32()?;
+            let procedure = c.str32()?;
             let argc = c.u16()? as usize;
             if argc > MAX_ARGS {
                 return Err(WireError::Malformed("argument count exceeds cap"));
@@ -748,7 +626,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         },
         kind => return Err(WireError::UnknownKind(kind)),
     };
-    c.finish()?;
+    finish(c)?;
     Ok(req)
 }
 
@@ -759,87 +637,65 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// Encodes a response payload (no frame header; pass through [`frame`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    match resp {
+    out.push(0);
+    put_u64(&mut out, resp.correlation_id());
+    // Each arm writes its body and names the kind that leads the payload.
+    out[0] = match resp {
         Response::TxnOk {
-            correlation_id,
             value,
             commit_epoch,
+            ..
         } => {
-            out.push(KIND_TXN_OK);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
             put_value(&mut out, value);
             match commit_epoch {
                 Some(epoch) => {
                     out.push(1);
-                    out.extend_from_slice(&epoch.to_le_bytes());
+                    put_u64(&mut out, *epoch);
                 }
                 None => out.push(0),
             }
+            KIND_TXN_OK
         }
-        Response::TxnErr {
-            correlation_id,
-            error,
-        } => {
-            out.push(KIND_TXN_ERR);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
+        Response::TxnErr { error, .. } => {
             put_txn_error(&mut out, error);
+            KIND_TXN_ERR
         }
-        Response::MetricsText {
-            correlation_id,
-            text,
-        } => {
-            out.push(KIND_METRICS_TEXT);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            put_string(&mut out, text);
+        Response::MetricsText { text, .. } => {
+            put_str32(&mut out, text);
+            KIND_METRICS_TEXT
         }
-        Response::Pong { correlation_id } => {
-            out.push(KIND_PONG);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-        }
-        Response::ServerError {
-            correlation_id,
-            message,
-        } => {
-            out.push(KIND_SERVER_ERROR);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            put_string(&mut out, message);
+        Response::Pong { .. } => KIND_PONG,
+        Response::ServerError { message, .. } => {
+            put_str32(&mut out, message);
+            KIND_SERVER_ERROR
         }
         Response::ReplFile {
-            correlation_id,
             name,
             offset,
             bytes,
+            ..
         } => {
-            out.push(KIND_REPL_FILE);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            put_string(&mut out, name);
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            put_str32(&mut out, name);
+            put_u64(&mut out, *offset);
+            put_u32(&mut out, bytes.len() as u32);
             out.extend_from_slice(bytes);
+            KIND_REPL_FILE
         }
-        Response::ReplEpoch {
-            correlation_id,
-            epoch,
-        } => {
-            out.push(KIND_REPL_EPOCH);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            out.extend_from_slice(&epoch.to_le_bytes());
+        Response::ReplEpoch { epoch, .. } => {
+            put_u64(&mut out, *epoch);
+            KIND_REPL_EPOCH
         }
-        Response::ReplEnd {
-            correlation_id,
-            reason,
-        } => {
-            out.push(KIND_REPL_END);
-            out.extend_from_slice(&correlation_id.to_le_bytes());
-            put_string(&mut out, reason);
+        Response::ReplEnd { reason, .. } => {
+            put_str32(&mut out, reason);
+            KIND_REPL_END
         }
-    }
+    };
     out
 }
 
 /// Decodes a response payload (the frame's checksummed contents).
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::new(payload);
     let kind = c.u8()?;
     let correlation_id = c.u64()?;
     let resp = match kind {
@@ -858,24 +714,21 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         }
         KIND_TXN_ERR => Response::TxnErr {
             correlation_id,
-            error: c.txn_error()?,
+            error: txn_error(&mut c)?,
         },
         KIND_METRICS_TEXT => Response::MetricsText {
             correlation_id,
-            text: c.string()?,
+            text: c.str32()?,
         },
         KIND_PONG => Response::Pong { correlation_id },
         KIND_SERVER_ERROR => Response::ServerError {
             correlation_id,
-            message: c.string()?,
+            message: c.str32()?,
         },
         KIND_REPL_FILE => {
-            let name = c.string()?;
+            let name = c.str32()?;
             let offset = c.u64()?;
             let len = c.u32()? as usize;
-            if len > c.remaining() {
-                return Err(WireError::Truncated);
-            }
             Response::ReplFile {
                 correlation_id,
                 name,
@@ -889,51 +742,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         },
         KIND_REPL_END => Response::ReplEnd {
             correlation_id,
-            reason: c.string()?,
+            reason: c.str32()?,
         },
         kind => return Err(WireError::UnknownKind(kind)),
     };
-    c.finish()?;
+    finish(c)?;
     Ok(resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_roundtrip() {
-        let payload = b"hello reactdb".to_vec();
-        let framed = frame(&payload);
-        let (got, consumed) = decode_frame(&framed).unwrap().unwrap();
-        assert_eq!(got, &payload[..]);
-        assert_eq!(consumed, framed.len());
-        // A partial header or partial payload asks for more bytes.
-        assert_eq!(decode_frame(&framed[..4]).unwrap(), None);
-        assert_eq!(decode_frame(&framed[..framed.len() - 1]).unwrap(), None);
-    }
-
-    #[test]
-    fn oversized_length_rejected_from_header_alone() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&buf),
-            Err(WireError::FrameTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn corrupt_payload_fails_checksum() {
-        let mut framed = frame(b"payload");
-        let last = framed.len() - 1;
-        framed[last] ^= 0x40;
-        assert!(matches!(
-            decode_frame(&framed),
-            Err(WireError::BadChecksum { .. })
-        ));
-    }
 
     #[test]
     fn handshake_roundtrip_and_version_gate() {
@@ -955,125 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn request_roundtrip_all_kinds() {
-        let reqs = vec![
-            Request::Invoke {
-                correlation_id: 42,
-                ack: AckLevel::Durable,
-                reactor: "acct-7".into(),
-                procedure: "transfer".into(),
-                args: vec![
-                    Value::Int(-5),
-                    Value::Float(2.5),
-                    Value::Str("memo".into()),
-                    Value::Bool(true),
-                    Value::Null,
-                ],
-            },
-            Request::Metrics { correlation_id: 1 },
-            Request::Invoke {
-                correlation_id: 43,
-                ack: AckLevel::Replicated,
-                reactor: "acct-8".into(),
-                procedure: "deposit".into(),
-                args: vec![Value::Float(1.0)],
-            },
-            Request::Ping { correlation_id: 0 },
-            Request::ReplSubscribe {
-                correlation_id: 7,
-                from_epoch: 0,
-                follower_id: 0xfee1_dead_beef,
-            },
-            Request::ReplAck {
-                correlation_id: 7,
-                applied_epoch: 99,
-            },
-        ];
-        for req in reqs {
-            let bytes = encode_request(&req);
-            assert_eq!(decode_request(&bytes).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn response_roundtrip_all_kinds_and_errors() {
-        let all_errors = vec![
-            TxnError::UserAbort("over limit".into()),
-            TxnError::ValidationFailed,
-            TxnError::Phantom,
-            TxnError::CommitAborted,
-            TxnError::DangerousStructure {
-                reactor: "r1".into(),
-            },
-            TxnError::UnknownReactor("ghost".into()),
-            TxnError::UnknownProcedure {
-                reactor_type: "Account".into(),
-                procedure: "fly".into(),
-            },
-            TxnError::UnknownRelation("orders".into()),
-            TxnError::UnknownColumn {
-                relation: "orders".into(),
-                column: "vibe".into(),
-            },
-            TxnError::DuplicateKey {
-                relation: "orders".into(),
-                key: "9".into(),
-            },
-            TxnError::NotFound {
-                relation: "orders".into(),
-                key: "10".into(),
-            },
-            TxnError::Runtime("executor gone".into()),
-            TxnError::BadArguments("want 2, got 3".into()),
-        ];
-        let mut resps = vec![
-            Response::TxnOk {
-                correlation_id: 9,
-                value: Value::Str("done".into()),
-                commit_epoch: Some(88),
-            },
-            Response::TxnOk {
-                correlation_id: 10,
-                value: Value::Null,
-                commit_epoch: None,
-            },
-            Response::MetricsText {
-                correlation_id: 11,
-                text: "reactdb_txn_committed 12\n".into(),
-            },
-            Response::Pong { correlation_id: 12 },
-            Response::ServerError {
-                correlation_id: 13,
-                message: "draining".into(),
-            },
-            Response::ReplFile {
-                correlation_id: 14,
-                name: "wal-e0000-g000001.log".into(),
-                offset: 16,
-                bytes: vec![0xAB; 33],
-            },
-            Response::ReplEpoch {
-                correlation_id: 14,
-                epoch: 512,
-            },
-            Response::ReplEnd {
-                correlation_id: 14,
-                reason: "primary shutting down".into(),
-            },
-        ];
-        for (i, error) in all_errors.into_iter().enumerate() {
-            resps.push(Response::TxnErr {
-                correlation_id: 100 + i as u64,
-                error,
-            });
-        }
-        for resp in resps {
-            let bytes = encode_response(&resp);
-            assert_eq!(decode_response(&bytes).unwrap(), resp);
-        }
-    }
-
-    #[test]
     fn trailing_bytes_rejected() {
         let mut bytes = encode_request(&Request::Ping { correlation_id: 3 });
         bytes.push(0xFF);
@@ -1088,8 +788,8 @@ mod tests {
         let mut payload = vec![KIND_INVOKE];
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.push(9); // no such ack level
-        put_string(&mut payload, "r");
-        put_string(&mut payload, "p");
+        put_str32(&mut payload, "r");
+        put_str32(&mut payload, "p");
         payload.extend_from_slice(&0u16.to_le_bytes());
         assert!(matches!(
             decode_request(&payload),
@@ -1105,7 +805,7 @@ mod tests {
         // A ReplFile whose chunk-length field claims 512 MiB.
         let mut payload = vec![KIND_REPL_FILE];
         payload.extend_from_slice(&7u64.to_le_bytes());
-        put_string(&mut payload, "wal-e0000-g000001.log");
+        put_str32(&mut payload, "wal-e0000-g000001.log");
         payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&(512u32 << 20).to_le_bytes());
         assert_eq!(decode_response(&payload), Err(WireError::Truncated));
@@ -1126,8 +826,8 @@ mod tests {
         let mut payload = vec![KIND_INVOKE];
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.push(0);
-        put_string(&mut payload, "r");
-        put_string(&mut payload, "p");
+        put_str32(&mut payload, "r");
+        put_str32(&mut payload, "p");
         payload.extend_from_slice(&u16::MAX.to_le_bytes());
         assert!(matches!(
             decode_request(&payload),

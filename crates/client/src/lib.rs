@@ -407,19 +407,9 @@ fn read_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     loop {
         // Drain every complete frame currently buffered.
         loop {
-            match codec::decode_frame(&buf) {
+            match codec::next_response(&mut buf) {
+                Ok(Some(response)) => dispatch(&shared, response),
                 Ok(None) => break,
-                Ok(Some((payload, consumed))) => {
-                    let response = match codec::decode_response(payload) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            shared.fail_all(&format!("protocol error: {e}"));
-                            return;
-                        }
-                    };
-                    buf.drain(..consumed);
-                    dispatch(&shared, response);
-                }
                 Err(e) => {
                     shared.fail_all(&format!("protocol error: {e}"));
                     return;

@@ -232,8 +232,8 @@ impl CheckpointConfig {
 /// stream *is* the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
-    /// Largest file chunk (bytes) shipped per replication frame. Clamped
-    /// well under the wire protocol's 1 MiB frame cap.
+    /// Largest file chunk (bytes) shipped per replication frame, well under
+    /// the wire protocol's 1 MiB frame cap.
     pub chunk_bytes: usize,
     /// Replication quorum: how many followers must durably apply a commit
     /// epoch before the primary acknowledges it at
@@ -254,12 +254,6 @@ impl Default for ReplicationConfig {
 }
 
 impl ReplicationConfig {
-    /// Sets the per-frame shipping chunk size (clamped to at least 4 KiB).
-    pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.chunk_bytes = bytes.max(4 * 1024);
-        self
-    }
-
     /// Sets the replicated-ack quorum (clamped to at least 1).
     pub fn with_quorum(mut self, quorum: usize) -> Self {
         self.quorum = quorum.max(1);
@@ -282,22 +276,11 @@ pub struct TracingConfig {
     /// Master switch. When off, no timestamps are taken, no histograms are
     /// recorded and no trace events are buffered.
     pub enabled: bool,
-    /// Trace-event slots per ring (one ring per executor plus one shared
-    /// ring for daemons and client threads), rounded up to a power of two.
-    pub ring_capacity: usize,
-    /// Committed root transactions slower than this (execute + commit, in
-    /// microseconds) additionally emit a slow-transaction trace event with
-    /// a per-phase breakdown. `0` captures every commit.
-    pub slow_txn_threshold_us: u64,
 }
 
 impl Default for TracingConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            ring_capacity: 1024,
-            slow_txn_threshold_us: 1_000,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -305,22 +288,7 @@ impl TracingConfig {
     /// Tracing disabled: every observability entry point reduces to a
     /// branch on a `bool`.
     pub fn off() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the per-ring trace-event capacity.
-    pub fn with_ring_capacity(mut self, slots: usize) -> Self {
-        self.ring_capacity = slots;
-        self
-    }
-
-    /// Sets the slow-transaction capture threshold in microseconds.
-    pub fn with_slow_txn_threshold_us(mut self, us: u64) -> Self {
-        self.slow_txn_threshold_us = us;
-        self
+        Self { enabled: false }
     }
 }
 
@@ -591,15 +559,8 @@ mod tests {
     fn tracing_config_defaults_and_builders() {
         let on = TracingConfig::default();
         assert!(on.enabled);
-        assert_eq!(on.ring_capacity, 1024);
-        assert_eq!(on.slow_txn_threshold_us, 1_000);
         let off = TracingConfig::off();
         assert!(!off.enabled);
-        let tuned = TracingConfig::default()
-            .with_ring_capacity(64)
-            .with_slow_txn_threshold_us(0);
-        assert_eq!(tuned.ring_capacity, 64);
-        assert_eq!(tuned.slow_txn_threshold_us, 0);
         let cfg = DeploymentConfig::shared_nothing(2).with_tracing(off);
         assert_eq!(cfg.tracing, off);
         assert_eq!(
@@ -626,19 +587,10 @@ mod tests {
     }
 
     #[test]
-    fn replication_chunk_bytes_clamp_to_4_kib() {
+    fn replication_defaults_and_quorum_of_at_least_one() {
         let defaults = ReplicationConfig::default();
-        assert_eq!(defaults.chunk_bytes, 256 * 1024);
+        assert_eq!((defaults.chunk_bytes, defaults.quorum), (256 * 1024, 1));
         assert_eq!(DeploymentConfig::shared_nothing(2).replication, defaults);
-        let tuned = ReplicationConfig::default().with_chunk_bytes(1024);
-        assert_eq!(tuned.chunk_bytes, 4 * 1024, "chunk size clamps to 4 KiB");
-        let cfg = DeploymentConfig::shared_nothing(2).with_replication(tuned);
-        assert_eq!(cfg.replication, tuned);
-    }
-
-    #[test]
-    fn replication_quorum_is_at_least_one() {
-        assert_eq!(ReplicationConfig::default().quorum, 1);
         let tuned = ReplicationConfig::default().with_quorum(0);
         assert_eq!(tuned.quorum, 1, "builder clamps to at least 1");
         let zero = ReplicationConfig {
@@ -648,6 +600,8 @@ mod tests {
         assert_eq!(zero.effective_quorum(), 1, "a zero field is read as 1");
         let two = ReplicationConfig::default().with_quorum(2);
         assert_eq!(two.effective_quorum(), 2);
+        let cfg = DeploymentConfig::shared_nothing(2).with_replication(two);
+        assert_eq!(cfg.replication, two);
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub mod tracer;
 
 pub use abort::AbortReason;
 pub use histogram::{Histogram, ShardedHistogram};
-pub use metrics::{CommitProbe, Count, Metrics, Phase};
+pub use metrics::{CommitProbe, Count, Metrics, Phase, SLOW_TXN_THRESHOLD_US, TRACE_RING_CAPACITY};
 pub use snapshot::{Counter, Gauge, HistogramSummary, MetricsSnapshot};
 pub use tracer::{TraceBuffer, TraceEvent, TraceKind};

@@ -303,6 +303,15 @@ impl Count {
     }
 }
 
+/// Committed root transactions slower than this (execute + commit, in
+/// microseconds) additionally emit a slow-transaction trace event with a
+/// per-phase breakdown.
+pub const SLOW_TXN_THRESHOLD_US: u64 = 1_000;
+
+/// Trace-event slots per ring (one ring per executor plus one shared ring
+/// for daemons and client threads).
+pub const TRACE_RING_CAPACITY: usize = 1024;
+
 /// Keeps its contents on cache lines of their own, so threads writing one
 /// group of counts do not invalidate another group's lines.
 #[repr(align(64))]
@@ -319,7 +328,6 @@ fn slots<const N: usize>() -> Padded<[AtomicU64; N]> {
 pub struct Metrics {
     enabled: bool,
     birth: Instant,
-    slow_txn_ns: u64,
     phases: Vec<ShardedHistogram>,
     busy_ns: Vec<AtomicU64>,
     tracer: TraceBuffer,
@@ -340,13 +348,12 @@ impl Metrics {
         Self {
             enabled: config.enabled,
             birth: Instant::now(),
-            slow_txn_ns: config.slow_txn_threshold_us.saturating_mul(1_000),
             phases: Phase::ALL
                 .iter()
                 .map(|_| ShardedHistogram::new(executors))
                 .collect(),
             busy_ns: (0..executors).map(|_| AtomicU64::new(0)).collect(),
-            tracer: TraceBuffer::new(executors, config.ring_capacity),
+            tracer: TraceBuffer::new(executors, TRACE_RING_CAPACITY),
             engine: slots(),
             aborts: slots(),
             wal: slots(),
@@ -422,7 +429,7 @@ impl Metrics {
 
     /// The slow-transaction threshold in nanoseconds.
     pub fn slow_txn_ns(&self) -> u64 {
-        self.slow_txn_ns
+        SLOW_TXN_THRESHOLD_US * 1_000
     }
 
     /// Starts a span: `Some(now)` when tracing is on, `None` (no clock
@@ -716,8 +723,7 @@ mod tests {
 
     #[test]
     fn slow_threshold_converts_to_nanoseconds() {
-        let config = TracingConfig::default().with_slow_txn_threshold_us(250);
-        let m = Metrics::new(1, &config);
-        assert_eq!(m.slow_txn_ns(), 250_000);
+        let m = Metrics::new(1, &TracingConfig::default());
+        assert_eq!(m.slow_txn_ns(), 1_000_000);
     }
 }

@@ -68,7 +68,7 @@
 //!   resolves whatever was still in flight.
 //! * **Graceful shutdown** — [`Server::shutdown`] stops accepting, drains
 //!   in-flight transactions and send buffers (bounded by
-//!   `drain_timeout`), then joins every thread. Dropping the last
+//!   `DRAIN_TIMEOUT`, 5 s), then joins every thread. Dropping the last
 //!   `Arc<ReactDB>` afterwards releases the `LogDirLock` via the engine's
 //!   own shutdown path.
 //!
@@ -107,6 +107,18 @@ use poll::{Poller, Waker};
 
 pub use replica::{run_follower, FollowerOpts, FollowerReport};
 
+/// A connection that has started a frame (or the handshake) and makes no
+/// read progress for this long is killed.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A connection with queued responses that accepts no bytes for this long
+/// is killed.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Upper bound on how long [`Server::shutdown`] waits for in-flight
+/// transactions and send buffers to drain before force-closing.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -119,15 +131,6 @@ pub struct ServerConfig {
     /// Per-connection cap on invokes submitted but not yet replied to;
     /// reaching it pauses reads from that connection until work drains.
     pub max_in_flight: usize,
-    /// A connection that has started a frame (or the handshake) and makes
-    /// no read progress for this long is killed.
-    pub read_timeout: Duration,
-    /// A connection with queued responses that accepts no bytes for this
-    /// long is killed.
-    pub write_timeout: Duration,
-    /// Upper bound on how long [`Server::shutdown`] waits for in-flight
-    /// transactions and send buffers to drain before force-closing.
-    pub drain_timeout: Duration,
     /// Replication knobs: the shipping chunk size of every subscription and
     /// the replicated-ack quorum; defaults match
     /// [`reactdb_common::ReplicationConfig::default`].
@@ -140,9 +143,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             max_in_flight: 128,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(5),
             replication: ReplicationConfig::default(),
         }
     }
@@ -164,19 +164,6 @@ impl ServerConfig {
     /// Sets the per-connection in-flight cap (at least 1).
     pub fn with_max_in_flight(mut self, cap: usize) -> Self {
         self.max_in_flight = cap.max(1);
-        self
-    }
-
-    /// Sets both stall timeouts.
-    pub fn with_timeouts(mut self, read: Duration, write: Duration) -> Self {
-        self.read_timeout = read;
-        self.write_timeout = write;
-        self
-    }
-
-    /// Sets the graceful-shutdown drain bound.
-    pub fn with_drain_timeout(mut self, drain: Duration) -> Self {
-        self.drain_timeout = drain;
         self
     }
 
@@ -571,7 +558,7 @@ impl Server {
     }
 
     /// Stops accepting, drains in-flight transactions and send buffers
-    /// (bounded by the configured drain timeout), and joins every thread.
+    /// (bounded by a 5 s drain timeout), and joins every thread.
     /// The engine itself keeps running; dropping the last `Arc<ReactDB>`
     /// afterwards shuts it down and releases the log-directory lock.
     pub fn shutdown(mut self) {
@@ -749,7 +736,7 @@ fn worker_loop(
     loop {
         let shutting = shared.shutdown.load(Ordering::SeqCst);
         if shutting && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + shared.config.drain_timeout);
+            drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
         }
 
         // Adopt connections the acceptor pinned to this worker.
@@ -1087,11 +1074,11 @@ fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) 
     let partial_frame =
         !conn.rbuf.is_empty() && matches!(codec::decode_frame(&conn.rbuf), Ok(None));
     let owes_bytes = !conn.handshaken || partial_frame;
-    if reading && owes_bytes && conn.last_read.elapsed() >= shared.config.read_timeout {
+    if reading && owes_bytes && conn.last_read.elapsed() >= READ_TIMEOUT {
         conn.kill = Some(KillReason::Stalled);
         return None;
     }
-    if !conn.wbuf.is_empty() && conn.last_write.elapsed() >= shared.config.write_timeout {
+    if !conn.wbuf.is_empty() && conn.last_write.elapsed() >= WRITE_TIMEOUT {
         conn.kill = Some(KillReason::Stalled);
         return None;
     }
@@ -1108,9 +1095,8 @@ fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) 
     if (reading && conn.readable) || (ship_deferred && conn.wbuf.len() < WBUF_HIGH_WATER) {
         return Some(Instant::now());
     }
-    let read_stall = (reading && owes_bytes).then(|| conn.last_read + shared.config.read_timeout);
-    let write_stall =
-        (!conn.wbuf.is_empty()).then(|| conn.last_write + shared.config.write_timeout);
+    let read_stall = (reading && owes_bytes).then(|| conn.last_read + READ_TIMEOUT);
+    let write_stall = (!conn.wbuf.is_empty()).then(|| conn.last_write + WRITE_TIMEOUT);
     read_stall.into_iter().chain(write_stall).min()
 }
 

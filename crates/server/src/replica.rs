@@ -302,24 +302,13 @@ fn follow_once(
         // and one local group commit, not one per epoch.
         let mut announced = None;
         let mut ended = None;
-        loop {
-            let (payload, consumed) = match codec::decode_frame(&rbuf) {
-                Ok(None) => break,
-                Ok(Some(frame)) => frame,
-                Err(e) => {
-                    return Err(io::Error::new(
-                        ErrorKind::InvalidData,
-                        format!("undecodable replication frame: {e:?}"),
-                    ));
-                }
-            };
-            let response = codec::decode_response(payload).map_err(|e| {
-                io::Error::new(
-                    ErrorKind::InvalidData,
-                    format!("undecodable replication frame: {e:?}"),
-                )
-            })?;
-            rbuf.drain(..consumed);
+        let undecodable = |e: codec::WireError| {
+            io::Error::new(
+                ErrorKind::InvalidData,
+                format!("undecodable replication frame: {e:?}"),
+            )
+        };
+        while let Some(response) = codec::next_response(&mut rbuf).map_err(undecodable)? {
             match response {
                 Response::ReplFile {
                     name,

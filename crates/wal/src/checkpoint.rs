@@ -68,13 +68,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use reactdb_common::bytes::crc32;
+use reactdb_common::bytes::{crc32, put_str16, put_u16, put_u32, put_u64, DecodeError, Reader};
 use reactdb_common::{CheckpointConfig, ContainerId, ReactorId};
 use reactdb_obs::Count;
 use reactdb_storage::{Table, TidWord};
 use reactdb_txn::{EpochManager, RedoPayload, RedoRecord};
 
-use crate::{codec, damaged, sync_dir, Wal};
+use crate::{codec, damaged, replace_file, sync_dir, Wal};
 
 /// File name of the checkpoint manifest.
 pub const MANIFEST_FILE: &str = "checkpoint-manifest";
@@ -177,95 +177,57 @@ fn part_tmp_name(part: u32) -> String {
     format!("ckpt-p{part:02}.tmp")
 }
 
-/// Serializes and atomically installs the manifest (write temp, fsync,
-/// rename, fsync dir) — the checkpoint's commit point.
+/// Serializes and atomically installs the manifest — the checkpoint's
+/// commit point.
 ///
 /// A layer count of 1 and a delta byte of 0 precede the stamps: the
 /// `RDBCKMF2` layout once chained delta layers, and keeping its bytes
 /// keeps every installed manifest readable without a version bump.
 fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
     let mut payload = Vec::with_capacity(64);
-    payload.extend_from_slice(&1u16.to_le_bytes());
-    payload.extend_from_slice(&manifest.seq.to_le_bytes());
-    payload.extend_from_slice(&manifest.epoch.to_le_bytes());
-    payload.extend_from_slice(&manifest.cover_epoch.to_le_bytes());
+    put_u16(&mut payload, 1);
+    put_u64(&mut payload, manifest.seq);
+    put_u64(&mut payload, manifest.epoch);
+    put_u64(&mut payload, manifest.cover_epoch);
     payload.push(0);
-    payload.extend_from_slice(&(manifest.parts.len() as u16).to_le_bytes());
+    put_u16(&mut payload, manifest.parts.len() as u16);
     for part in &manifest.parts {
-        let name = part.file.as_bytes();
-        payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        payload.extend_from_slice(name);
-        payload.extend_from_slice(&part.rows.to_le_bytes());
-        payload.extend_from_slice(&part.bytes.to_le_bytes());
+        put_str16(&mut payload, &part.file);
+        put_u64(&mut payload, part.rows);
+        put_u64(&mut payload, part.bytes);
     }
 
     let mut bytes = Vec::with_capacity(payload.len() + 12);
     bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    put_u32(&mut bytes, crc32(&payload));
     bytes.extend_from_slice(&payload);
-
-    let tmp = dir.join("checkpoint-manifest.tmp");
-    fs::write(&tmp, &bytes)?;
-    let file = fs::File::open(&tmp)?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-    sync_dir(dir)
-}
-
-/// Byte-cursor for manifest parsing; every accessor returns `None` past the
-/// end, which the caller maps to "corrupt manifest".
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
+    replace_file(dir, "checkpoint-manifest.tmp", MANIFEST_FILE, &bytes)
 }
 
 /// Parses a manifest payload: exactly one layer, delta byte 0, and
 /// nothing after its parts.
-fn parse_manifest(payload: &[u8]) -> Option<Manifest> {
-    let mut r = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+fn parse_manifest(payload: &[u8]) -> Result<Manifest, DecodeError> {
+    let mut r = Reader::new(payload);
     if r.u16()? != 1 {
-        return None;
+        return Err(DecodeError::Malformed("layer count not 1"));
     }
     let seq = r.u64()?;
     let epoch = r.u64()?;
     let cover_epoch = r.u64()?;
     if r.u8()? != 0 {
-        return None;
+        return Err(DecodeError::Malformed("delta layer"));
     }
     let part_count = r.u16()? as usize;
     let mut parts = Vec::with_capacity(part_count);
     for _ in 0..part_count {
-        let name_len = r.u16()? as usize;
-        let file = String::from_utf8(r.take(name_len)?.to_vec()).ok()?;
-        let rows = r.u64()?;
-        let bytes = r.u64()?;
-        parts.push(Part { file, rows, bytes });
+        parts.push(Part {
+            file: r.str16()?,
+            rows: r.u64()?,
+            bytes: r.u64()?,
+        });
     }
-    (r.pos == payload.len()).then_some(Manifest {
+    r.finish()?;
+    Ok(Manifest {
         seq,
         epoch,
         cover_epoch,
@@ -293,7 +255,7 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     }
     parse_manifest(payload)
         .map(Some)
-        .ok_or_else(|| damaged(&path, "not a one-layer full checkpoint manifest"))
+        .map_err(|_| damaged(&path, "not a one-layer full checkpoint manifest"))
 }
 
 /// One decoded part file: its captured rows plus its on-disk byte size.
@@ -782,18 +744,7 @@ impl std::fmt::Debug for Checkpointer {
 mod tests {
     use super::*;
     use crate::recover_and_compact;
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "reactdb-ckpt-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::tests::temp_dir;
 
     fn manifest(seq: u64, epoch: u64, cover_epoch: u64, files: &[(&str, u64, u64)]) -> Manifest {
         Manifest {

@@ -1,22 +1,20 @@
 //! Binary encoding of redo batches.
 //!
-//! A log segment is a fixed header followed by length-prefixed,
-//! checksummed batch frames:
+//! A log segment is a fixed header followed by batch frames. The frame,
+//! the integers, the strings and the [`Value`] tags are the shared byte
+//! layer of [`reactdb_common::bytes`]; this module adds what only the WAL
+//! knows:
 //!
 //! ```text
 //! segment   := header frame*
 //! header    := magic:[u8;8] executor:u32 generation:u32
-//! frame     := payload_len:u32 crc32(payload):u32 payload
 //! payload   := tid:u64 record_count:u32 record*
 //! record    := container:u64 reactor:u64 relation:str16 key body
 //! body      := 0                                   (delete tombstone)
 //!            | 1 tuple                             (full image)
 //! key       := 0 bool:u8 | 1 int:i64 | 2 str32 | 3 count:u16 key*
-//! value     := 0 (null) | 1 int:i64 | 2 float:f64-bits | 3 str32 | 4 bool:u8
 //! tuple     := arity:u32 value*
 //! ```
-//!
-//! All integers are little-endian.
 //!
 //! Decoding tells a crash from damage. A short frame or a checksum
 //! mismatch ends the scan of that segment as a torn tail: exactly what a
@@ -26,8 +24,11 @@
 //! stops there too and reports the frame's offset, so recovery can refuse
 //! the file instead of reading it as shorter than it is.
 
-use reactdb_common::bytes::crc32;
-use reactdb_common::{ContainerId, Key, ReactorId, Value};
+use reactdb_common::bytes::{
+    put_frame, put_str16, put_str32, put_u16, put_u32, put_u64, put_value, split_frame,
+    DecodeError, Reader,
+};
+use reactdb_common::{ContainerId, Key, ReactorId};
 use reactdb_storage::{TidWord, Tuple};
 use reactdb_txn::{RedoPayload, RedoRecord};
 
@@ -44,29 +45,6 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"RDBCKPT1";
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str16(out: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "relation name too long");
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_str32(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_key(out: &mut Vec<u8>, key: &Key) {
     match key {
         Key::Bool(b) => {
@@ -75,7 +53,7 @@ fn put_key(out: &mut Vec<u8>, key: &Key) {
         }
         Key::Int(v) => {
             out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
+            put_u64(out, *v as u64);
         }
         Key::Str(s) => {
             out.push(2);
@@ -88,28 +66,6 @@ fn put_key(out: &mut Vec<u8>, key: &Key) {
             for part in parts {
                 put_key(out, part);
             }
-        }
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => out.push(0),
-        Value::Int(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::Float(v) => {
-            out.push(2);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str32(out, s);
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(*b as u8);
         }
     }
 }
@@ -174,9 +130,7 @@ pub fn encode_batch_accounted(
         account(record, record_bytes);
     }
     let before = out.len();
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    put_frame(out, &payload);
     out.len() - before
 }
 
@@ -184,128 +138,62 @@ pub fn encode_batch_accounted(
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("len 8")))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.take(8)
-            .map(|b| i64::from_le_bytes(b.try_into().expect("len 8")))
-    }
-
-    fn str16(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn str32(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn key(&mut self) -> Option<Key> {
-        match self.u8()? {
-            0 => Some(Key::Bool(self.u8()? != 0)),
-            1 => Some(Key::Int(self.i64()?)),
-            2 => Some(Key::Str(self.str32()?)),
-            3 => {
-                let count = self.u16()? as usize;
-                let mut parts = Vec::with_capacity(count.min(64));
-                for _ in 0..count {
-                    parts.push(self.key()?);
-                }
-                Some(Key::Composite(parts))
+fn key(r: &mut Reader<'_>) -> Result<Key, DecodeError> {
+    match r.u8()? {
+        0 => Ok(Key::Bool(r.u8()? != 0)),
+        1 => Ok(Key::Int(r.i64()?)),
+        2 => Ok(Key::Str(r.str32()?)),
+        3 => {
+            let count = r.u16()? as usize;
+            let mut parts = Vec::with_capacity(count.min(64));
+            for _ in 0..count {
+                parts.push(key(r)?);
             }
-            _ => None,
+            Ok(Key::Composite(parts))
         }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        match self.u8()? {
-            0 => Some(Value::Null),
-            1 => Some(Value::Int(self.i64()?)),
-            2 => Some(Value::Float(f64::from_bits(self.u64()?))),
-            3 => Some(Value::Str(self.str32()?)),
-            4 => Some(Value::Bool(self.u8()? != 0)),
-            _ => None,
-        }
-    }
-
-    fn tuple(&mut self) -> Option<Tuple> {
-        let arity = self.u32()? as usize;
-        let mut values = Vec::with_capacity(arity.min(1024));
-        for _ in 0..arity {
-            values.push(self.value()?);
-        }
-        Some(Tuple::new(values))
-    }
-
-    /// Reads one record body (kinds 0 and 1).
-    fn body(&mut self) -> Option<RedoPayload> {
-        match self.u8()? {
-            0 => Some(RedoPayload::Delete),
-            1 => Some(RedoPayload::Full(self.tuple()?)),
-            _ => None,
-        }
+        tag => Err(DecodeError::UnknownTag { what: "key", tag }),
     }
 }
 
-/// Decodes one batch payload (without the frame header).
+fn tuple(r: &mut Reader<'_>) -> Result<Tuple, DecodeError> {
+    let arity = r.u32()? as usize;
+    let mut values = Vec::with_capacity(arity.min(1024));
+    for _ in 0..arity {
+        values.push(r.value()?);
+    }
+    Ok(Tuple::new(values))
+}
+
+/// Reads one record body (kinds 0 and 1).
+fn body(r: &mut Reader<'_>) -> Result<RedoPayload, DecodeError> {
+    match r.u8()? {
+        0 => Ok(RedoPayload::Delete),
+        1 => Ok(RedoPayload::Full(tuple(r)?)),
+        tag => Err(DecodeError::UnknownTag { what: "body", tag }),
+    }
+}
+
+/// Decodes one batch payload (without the frame header); `None` when it
+/// does not decode whole.
 fn decode_payload(payload: &[u8]) -> Option<(TidWord, Vec<RedoRecord>)> {
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
+    let decode = || {
+        let mut r = Reader::new(payload);
+        let tid = TidWord(r.u64()?);
+        let count = r.u32()? as usize;
+        let mut records = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            records.push(RedoRecord {
+                container: ContainerId(r.u64()?),
+                reactor: ReactorId(r.u64()?),
+                relation: r.str16()?,
+                key: key(&mut r)?,
+                payload: body(&mut r)?,
+            });
+        }
+        r.finish()?;
+        Ok::<_, DecodeError>((tid, records))
     };
-    let tid = TidWord(r.u64()?);
-    let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let container = ContainerId(r.u64()?);
-        let reactor = ReactorId(r.u64()?);
-        let relation = r.str16()?;
-        let key = r.key()?;
-        let payload = r.body()?;
-        records.push(RedoRecord {
-            container,
-            reactor,
-            relation,
-            key,
-            payload,
-        });
-    }
-    if r.pos != payload.len() {
-        return None;
-    }
-    Some((tid, records))
+    decode().ok()
 }
 
 /// Result of scanning one segment.
@@ -324,13 +212,15 @@ pub struct SegmentScan {
 /// Decodes a whole segment (header + frames). Returns `None` when the
 /// header itself is missing or foreign.
 pub fn decode_segment(bytes: &[u8]) -> Option<SegmentScan> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
-        return None;
-    }
-    let _executor = r.u32()?;
-    let _generation = r.u32()?;
-    Some(decode_frames(r))
+    let header = || {
+        let mut r = Reader::new(bytes);
+        let magic = r.take(SEGMENT_MAGIC.len())?;
+        let _executor = r.u32()?;
+        let _generation = r.u32()?;
+        Ok::<_, DecodeError>((magic == SEGMENT_MAGIC).then_some(bytes.len() - r.remaining()))
+    };
+    let start = header().ok()??;
+    Some(decode_frames(bytes, start))
 }
 
 /// Decoded checkpoint data file: its identity stamp plus one batch per
@@ -349,45 +239,41 @@ pub struct CheckpointScan {
 /// Decodes a whole checkpoint data file. Returns `None` when the header is
 /// missing or foreign.
 pub fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointScan> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
-        return None;
-    }
-    let seq = r.u64()?;
-    let epoch = r.u64()?;
-    let part = r.u32()?;
+    let header = || {
+        let mut r = Reader::new(bytes);
+        let magic = r.take(CHECKPOINT_MAGIC.len())?;
+        let stamps = (r.u64()?, r.u64()?, r.u32()?);
+        Ok::<_, DecodeError>((magic == CHECKPOINT_MAGIC).then_some((stamps, r.remaining())))
+    };
+    let ((seq, epoch, part), rest) = header().ok()??;
     Some(CheckpointScan {
         seq,
         epoch,
         part,
-        scan: decode_frames(r),
+        scan: decode_frames(bytes, bytes.len() - rest),
     })
 }
 
-/// Shared frame-stream decoder behind segment and checkpoint scans.
-fn decode_frames(mut r: Reader<'_>) -> SegmentScan {
+/// Shared frame-stream decoder behind segment and checkpoint scans, from
+/// byte `pos` of `bytes`.
+fn decode_frames(bytes: &[u8], mut pos: usize) -> SegmentScan {
     let mut batches = Vec::new();
     let mut truncated_tail = false;
     let mut undecodable_at = None;
-    while r.pos < r.bytes.len() {
-        let start = r.pos;
-        let payload = (|| {
-            let len = r.u32()? as usize;
-            let crc = r.u32()?;
-            let payload = r.take(len)?;
-            (crc32(payload) == crc).then_some(payload)
-        })();
-        let Some(payload) = payload else {
+    while pos < bytes.len() {
+        // A short frame or a checksum mismatch is the torn tail.
+        let Ok(Some((payload, consumed))) = split_frame(&bytes[pos..], u32::MAX) else {
             truncated_tail = true;
             break;
         };
         match decode_payload(payload) {
             Some(batch) => batches.push(batch),
             None => {
-                undecodable_at = Some(start);
+                undecodable_at = Some(pos);
                 break;
             }
         }
+        pos += consumed;
     }
     SegmentScan {
         batches,
@@ -400,6 +286,8 @@ fn decode_frames(mut r: Reader<'_>) -> SegmentScan {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use reactdb_common::bytes::crc32;
+    use reactdb_common::Value;
 
     fn sample_records() -> Vec<RedoRecord> {
         vec![

@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use reactdb_common::bytes::crc32;
+use reactdb_common::bytes::{crc32, put_u32, put_u64};
 use reactdb_common::DurabilityConfig;
 use reactdb_obs::{Count, Metrics, Phase, TraceKind};
 use reactdb_storage::TidWord;
@@ -870,22 +870,16 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
     // it, then retire the scanned segments under the shared retention
     // policy.
     if !scanned.is_empty() {
-        let compacted = dir.join(segment_name(usize::MAX, max_generation + 1));
+        let compacted = segment_name(usize::MAX, max_generation + 1);
         let mut out = Vec::new();
         codec::encode_header(&mut out, u32::MAX, max_generation + 1);
         for (tid, records) in &batches {
             codec::encode_batch(&mut out, *tid, records);
         }
-        let tmp = dir.join("compact.tmp");
-        fs::write(&tmp, &out)?;
-        let file = fs::File::open(&tmp)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, &compacted)?;
-        // Persist the rename before unlinking the sources: if power fails
-        // between the two, the worst case is a duplicate replay (idempotent,
-        // records are keyed by TID), never a lost prefix.
-        sync_dir(dir)?;
+        // The rename is durable before the sources are unlinked: if power
+        // fails between the two, the worst case is a duplicate replay
+        // (idempotent, records are keyed by TID), never a lost prefix.
+        replace_file(dir, "compact.tmp", &compacted, &out)?;
         let delete: Vec<PathBuf> = scanned
             .iter()
             .filter(|p| !truncated.contains(p))
@@ -1032,19 +1026,23 @@ pub(crate) fn damaged(path: &Path, what: impl std::fmt::Display) -> io::Error {
     )
 }
 
-/// Atomically replaces the durable-epoch marker (write temp, fsync,
-/// rename).
+/// Atomically replaces the durable-epoch marker.
 fn write_marker(dir: &Path, epoch: u64) -> io::Result<()> {
     let mut bytes = Vec::with_capacity(20);
     bytes.extend_from_slice(&MARKER_MAGIC);
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
-    let tmp = dir.join("durable_epoch.tmp");
-    fs::write(&tmp, &bytes)?;
-    let file = fs::File::open(&tmp)?;
-    file.sync_data()?;
-    drop(file);
-    fs::rename(&tmp, dir.join(MARKER_FILE))?;
+    put_u64(&mut bytes, epoch);
+    put_u32(&mut bytes, crc32(&epoch.to_le_bytes()));
+    replace_file(dir, "durable_epoch.tmp", MARKER_FILE, &bytes)
+}
+
+/// Installs `bytes` as `dir/dest` so that a crash leaves either the old
+/// file or the new one, whole: write `dir/tmp`, fsync it, rename it over
+/// `dest`, fsync the directory.
+pub(crate) fn replace_file(dir: &Path, tmp: &str, dest: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(tmp);
+    fs::write(&tmp, bytes)?;
+    fs::File::open(&tmp)?.sync_data()?;
+    fs::rename(&tmp, dir.join(dest))?;
     sync_dir(dir)
 }
 
@@ -1055,7 +1053,8 @@ mod tests {
     use reactdb_storage::Tuple;
     use reactdb_txn::LogSink;
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh directory unique to this test thread.
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "reactdb-wal-{tag}-{}-{:?}",
             std::process::id(),

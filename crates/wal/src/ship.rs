@@ -37,6 +37,7 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
+use reactdb_common::bytes::split_frame;
 use reactdb_storage::TidWord;
 
 use crate::checkpoint::MANIFEST_FILE;
@@ -139,11 +140,14 @@ impl ShipCursor {
                 )));
             }
         }
+        // A durable frame that fails its checksum cannot ship, so no epoch
+        // is announced past it: the follower would ack frames it lacks.
+        let mut damaged = false;
         for path in segments {
-            self.ship_segment_tail(&path, durable, &mut events)?;
+            damaged |= self.ship_segment_tail(&path, durable, &mut events)?;
         }
 
-        if durable > self.announced_epoch {
+        if durable > self.announced_epoch && !damaged {
             self.announced_epoch = durable;
             events.push(ShipEvent::DurableEpoch(durable));
         }
@@ -204,17 +208,19 @@ impl ShipCursor {
     /// offset to the end of the durable prefix. Only the bytes past that
     /// offset are read: an untracked segment is read from 0, so its magic
     /// is checked, and a tracked one from where its last chunk ended.
+    /// Returns true when the walk stopped at a whole frame that fails its
+    /// checksum.
     fn ship_segment_tail(
         &mut self,
         path: &Path,
         durable: u64,
         events: &mut Vec<ShipEvent>,
-    ) -> io::Result<()> {
+    ) -> io::Result<bool> {
         let name = file_name(path)?;
         let shipped = self.offsets.get(&name).copied();
         let mut file = match fs::File::open(path) {
             Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound && shipped.is_none() => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound && shipped.is_none() => return Ok(false),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(io::Error::other(format!(
                     "segment {name} vanished mid-ship (checkpoint truncation?); resubscribe"
@@ -236,16 +242,16 @@ impl ShipCursor {
             None if tail.len() < SEGMENT_HEADER_LEN
                 || tail[..codec::SEGMENT_MAGIC.len()] != codec::SEGMENT_MAGIC =>
             {
-                return Ok(()); // header not flushed yet, or a foreign file
+                return Ok(false); // header not flushed yet, or a foreign file
             }
             None => SEGMENT_HEADER_LEN,
         };
-        let end = durable_prefix_end(&tail, frames_from, durable);
+        let (end, damaged) = durable_prefix_end(&tail, frames_from, durable);
         // The header ships with the first durable frame; a segment with no
         // durable frame yet ships nothing and stays untracked, so its
         // disappearance (e.g. discarded by a compaction) is not an error.
         if end <= frames_from {
-            return Ok(());
+            return Ok(damaged);
         }
         for (i, chunk) in tail[..end].chunks(self.chunk_bytes).enumerate() {
             events.push(ShipEvent::File {
@@ -262,7 +268,7 @@ impl ShipCursor {
         failpoint::check_scoped("ship-mid-file", &self.scope)
             .map_err(|e| io::Error::other(format!("{e}: stream cut mid-segment; resubscribe")))?;
         self.offsets.insert(name, start + end as u64);
-        Ok(())
+        Ok(damaged)
     }
 }
 
@@ -273,36 +279,37 @@ fn file_name(path: &Path) -> io::Result<String> {
         .ok_or_else(|| io::Error::other("segment path has no UTF-8 file name"))
 }
 
-/// Walks complete frames from `start`, returning the end offset of the
-/// prefix whose commit epochs are `<= durable`. Per-segment epochs are
-/// non-decreasing (writers buffer per epoch and flush in fence order), so
-/// the first too-new frame ends the prefix exactly. Incomplete or
-/// implausible frames end the walk too — they belong to an unflushed or
-/// torn tail that a later poll (or no one) will cover.
-fn durable_prefix_end(bytes: &[u8], start: usize, durable: u64) -> usize {
+/// Walks whole frames from `start`, returning the end offset of the
+/// prefix whose commit epochs are `<= durable`, and whether the walk
+/// stopped at a whole frame that fails its checksum. Per-segment epochs
+/// are non-decreasing (writers buffer per epoch and flush in fence order),
+/// so the first too-new frame ends the prefix exactly. An incomplete frame
+/// or a payload too short for its TID ends the walk too: it belongs to an
+/// unflushed or torn tail that a later poll (or no one) will cover. A
+/// damaged frame ends it because the follower's own scan would drop it.
+fn durable_prefix_end(bytes: &[u8], start: usize, durable: u64) -> (usize, bool) {
     let mut pos = start;
     loop {
-        let Some(header) = bytes.get(pos..pos + 8) else {
-            return pos;
+        let (payload, consumed) = match split_frame(&bytes[pos..], u32::MAX) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return (pos, false),
+            Err(_) => return (pos, true),
         };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("len 4")) as usize;
-        if len < 8 {
-            return pos; // a payload always starts with a TID
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            return pos;
+        let Some(tid) = payload.get(..8) else {
+            return (pos, false);
         };
-        let tid = TidWord(u64::from_le_bytes(payload[..8].try_into().expect("len 8")));
+        let tid = TidWord(u64::from_le_bytes(tid.try_into().expect("len 8")));
         if tid.epoch() > durable {
-            return pos;
+            return (pos, false);
         }
-        pos += 8 + len;
+        pos += consumed;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::temp_dir;
     use reactdb_common::{ContainerId, Key, ReactorId, Value};
     use reactdb_storage::Tuple;
     use reactdb_txn::{RedoPayload, RedoRecord};
@@ -315,17 +322,6 @@ mod tests {
             key: Key::Int(0),
             payload: RedoPayload::Full(Tuple::of([Value::Int(0), Value::Float(amount)])),
         }
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "reactdb-ship-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     fn write_segment(dir: &Path, executor: u32, batches: &[(TidWord, Vec<RedoRecord>)]) -> String {
@@ -392,6 +388,33 @@ mod tests {
 
         // Quiescent directory: polls go quiet.
         assert!(cursor.poll().unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_durable_frame_ends_the_shipped_prefix() {
+        let dir = temp_dir("damaged");
+        let batches: Vec<_> = (1..=3)
+            .map(|i| (TidWord::committed(2, i), vec![record(i as f64)]))
+            .collect();
+        let name = write_segment(&dir, 0, &batches);
+        crate::write_marker(&dir, 2).unwrap();
+        // Three equal frames follow the header: flip the last payload byte
+        // of the second.
+        let mut bytes = fs::read(dir.join(&name)).unwrap();
+        let frame_len = (bytes.len() - SEGMENT_HEADER_LEN) / 3;
+        bytes[SEGMENT_HEADER_LEN + 2 * frame_len - 1] ^= 0x01;
+        fs::write(dir.join(&name), &bytes).unwrap();
+
+        let mut cursor = ShipCursor::new(&dir, 1 << 20);
+        let mut staged = HashMap::new();
+        let epoch = apply_events(&mut staged, &cursor.poll().unwrap());
+        assert_eq!(
+            staged[&name],
+            bytes[..SEGMENT_HEADER_LEN + frame_len],
+            "the cursor stops before the damaged frame"
+        );
+        assert_eq!(epoch, 0, "no epoch is announced past a frame not shipped");
         let _ = fs::remove_dir_all(&dir);
     }
 
