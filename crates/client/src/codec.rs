@@ -355,33 +355,41 @@ const KIND_REPL_END: u8 = 0x88;
 // Handshake.
 // ---------------------------------------------------------------------------
 
-/// The 8-byte hello a client sends immediately after connecting.
+/// One hello: the magic, this build's version, then `word` (a client's
+/// flags, a server's status).
+fn hello(word: u16) -> [u8; HANDSHAKE_LEN] {
+    let mut b = MAGIC.to_vec();
+    put_u16(&mut b, PROTOCOL_VERSION);
+    put_u16(&mut b, word);
+    b.try_into().expect("magic and two u16s")
+}
+
+/// The magic-checked `(version, word)` of a hello.
+fn read_hello(b: &[u8; HANDSHAKE_LEN]) -> Result<(u16, u16), WireError> {
+    let mut r = Reader::new(b);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    Ok((r.u16()?, r.u16()?))
+}
+
+/// The 8-byte hello a client sends immediately after connecting (flags
+/// reserved as zero).
 pub fn client_hello() -> [u8; HANDSHAKE_LEN] {
-    let mut b = [0u8; HANDSHAKE_LEN];
-    b[..4].copy_from_slice(&MAGIC);
-    b[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    // Bytes 6..8: flags, reserved as zero in v1.
-    b
+    hello(0)
 }
 
 /// The 8-byte reply a server sends: status `0` accepts, `1` rejects the
 /// client's version (the server's own version rides in bytes 4..6 either
 /// way, so a rejected client can name both sides of the mismatch).
 pub fn server_hello(accept: bool) -> [u8; HANDSHAKE_LEN] {
-    let mut b = [0u8; HANDSHAKE_LEN];
-    b[..4].copy_from_slice(&MAGIC);
-    b[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    b[6..8].copy_from_slice(&u16::from(!accept).to_le_bytes());
-    b
+    hello(u16::from(!accept))
 }
 
 /// Server side: validates a client hello and returns the client's version.
 /// `Ok` means magic and version both match this build.
 pub fn parse_client_hello(b: &[u8; HANDSHAKE_LEN]) -> Result<u16, WireError> {
-    if b[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = u16::from_le_bytes([b[4], b[5]]);
+    let (version, _flags) = read_hello(b)?;
     if version != PROTOCOL_VERSION {
         return Err(WireError::VersionMismatch {
             client: version,
@@ -393,11 +401,7 @@ pub fn parse_client_hello(b: &[u8; HANDSHAKE_LEN]) -> Result<u16, WireError> {
 
 /// Client side: validates a server hello.
 pub fn parse_server_hello(b: &[u8; HANDSHAKE_LEN]) -> Result<(), WireError> {
-    if b[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let server_version = u16::from_le_bytes([b[4], b[5]]);
-    let status = u16::from_le_bytes([b[6], b[7]]);
+    let (server_version, status) = read_hello(b)?;
     match status {
         0 => Ok(()),
         1 => Err(WireError::VersionMismatch {
@@ -428,29 +432,28 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Tries to extract one frame from the front of a receive buffer.
-///
-/// Returns `Ok(None)` when more bytes are needed, `Ok(Some((payload,
-/// consumed)))` when a whole checksummed frame is present (`consumed` is
-/// header plus payload — the caller drains that many bytes), and `Err` for
-/// an oversized length or checksum mismatch. Decides from the 8-byte header
-/// alone whether the announced length is acceptable, so a hostile length
-/// never causes buffering beyond [`MAX_FRAME_LEN`].
+/// [`split_frame`] capped at [`MAX_FRAME_LEN`]: one frame off the front of
+/// a receive buffer, `Ok(None)` until it is whole, and a hostile length
+/// refused from the header alone, before anything is buffered.
 #[inline]
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
     Ok(split_frame(buf, MAX_FRAME_LEN)?)
 }
 
 /// Splits one whole frame off the front of a receive buffer and decodes it
-/// as a response, draining its bytes: `Ok(None)` until a whole frame is
-/// buffered.
-pub fn next_response(buf: &mut Vec<u8>) -> Result<Option<Response>, WireError> {
+/// with `decode` ([`decode_request`] or [`decode_response`]), draining its
+/// bytes: `Ok(None)` until a whole frame is buffered.
+#[inline]
+pub fn next_message<M>(
+    buf: &mut Vec<u8>,
+    decode: impl FnOnce(&[u8]) -> Result<M, WireError>,
+) -> Result<Option<M>, WireError> {
     let Some((payload, consumed)) = decode_frame(buf)? else {
         return Ok(None);
     };
-    let response = decode_response(payload)?;
+    let message = decode(payload)?;
     buf.drain(..consumed);
-    Ok(Some(response))
+    Ok(Some(message))
 }
 
 // ---------------------------------------------------------------------------
@@ -755,6 +758,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn frame_roundtrip() {
+        let payload = b"hello reactdb".to_vec();
+        let framed = frame(&payload);
+        let (got, consumed) = decode_frame(&framed).unwrap().unwrap();
+        assert_eq!(got, &payload[..]);
+        assert_eq!(consumed, framed.len());
+        // A partial header or partial payload asks for more bytes.
+        assert_eq!(decode_frame(&framed[..4]).unwrap(), None);
+        assert_eq!(decode_frame(&framed[..framed.len() - 1]).unwrap(), None);
+    }
+
+    #[test]
+    fn oversized_length_rejected_from_header_alone() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&buf),
+            Err(WireError::FrameTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn corrupt_payload_fails_checksum() {
+        let mut framed = frame(b"payload");
+        let last = framed.len() - 1;
+        framed[last] ^= 0x40;
+        assert!(matches!(
+            decode_frame(&framed),
+            Err(WireError::BadChecksum { .. })
+        ));
+    }
+
+    #[test]
     fn handshake_roundtrip_and_version_gate() {
         assert_eq!(parse_client_hello(&client_hello()), Ok(PROTOCOL_VERSION));
         assert_eq!(parse_server_hello(&server_hello(true)), Ok(()));
@@ -771,6 +808,125 @@ mod tests {
             parse_client_hello(&future),
             Err(WireError::VersionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn request_roundtrip_all_kinds() {
+        let reqs = vec![
+            Request::Invoke {
+                correlation_id: 42,
+                ack: AckLevel::Durable,
+                reactor: "acct-7".into(),
+                procedure: "transfer".into(),
+                args: vec![
+                    Value::Int(-5),
+                    Value::Float(2.5),
+                    Value::Str("memo".into()),
+                    Value::Bool(true),
+                    Value::Null,
+                ],
+            },
+            Request::Metrics { correlation_id: 1 },
+            Request::Invoke {
+                correlation_id: 43,
+                ack: AckLevel::Replicated,
+                reactor: "acct-8".into(),
+                procedure: "deposit".into(),
+                args: vec![Value::Float(1.0)],
+            },
+            Request::Ping { correlation_id: 0 },
+            Request::ReplSubscribe {
+                correlation_id: 7,
+                from_epoch: 0,
+                follower_id: 0xfee1_dead_beef,
+            },
+            Request::ReplAck {
+                correlation_id: 7,
+                applied_epoch: 99,
+            },
+        ];
+        for req in reqs {
+            let bytes = encode_request(&req);
+            assert_eq!(decode_request(&bytes).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn response_roundtrip_all_kinds_and_errors() {
+        let all_errors = vec![
+            TxnError::UserAbort("over limit".into()),
+            TxnError::ValidationFailed,
+            TxnError::Phantom,
+            TxnError::CommitAborted,
+            TxnError::DangerousStructure {
+                reactor: "r1".into(),
+            },
+            TxnError::UnknownReactor("ghost".into()),
+            TxnError::UnknownProcedure {
+                reactor_type: "Account".into(),
+                procedure: "fly".into(),
+            },
+            TxnError::UnknownRelation("orders".into()),
+            TxnError::UnknownColumn {
+                relation: "orders".into(),
+                column: "vibe".into(),
+            },
+            TxnError::DuplicateKey {
+                relation: "orders".into(),
+                key: "9".into(),
+            },
+            TxnError::NotFound {
+                relation: "orders".into(),
+                key: "10".into(),
+            },
+            TxnError::Runtime("executor gone".into()),
+            TxnError::BadArguments("want 2, got 3".into()),
+        ];
+        let mut resps = vec![
+            Response::TxnOk {
+                correlation_id: 9,
+                value: Value::Str("done".into()),
+                commit_epoch: Some(88),
+            },
+            Response::TxnOk {
+                correlation_id: 10,
+                value: Value::Null,
+                commit_epoch: None,
+            },
+            Response::MetricsText {
+                correlation_id: 11,
+                text: "reactdb_txn_committed 12\n".into(),
+            },
+            Response::Pong { correlation_id: 12 },
+            Response::ServerError {
+                correlation_id: 13,
+                message: "draining".into(),
+            },
+            Response::ReplFile {
+                correlation_id: 14,
+                name: "wal-e0000-g000001.log".into(),
+                offset: 16,
+                bytes: vec![0xAB; 33],
+            },
+            Response::ReplEpoch {
+                correlation_id: 14,
+                epoch: 512,
+            },
+            Response::ReplEnd {
+                correlation_id: 14,
+                reason: "primary shutting down".into(),
+            },
+        ];
+        for (i, error) in all_errors.into_iter().enumerate() {
+            resps.push(Response::TxnErr {
+                correlation_id: 100 + i as u64,
+                error,
+            });
+        }
+        for resp in resps {
+            let bytes = encode_response(&resp);
+            assert_eq!(decode_response(&bytes).unwrap(), resp);
+        }
     }
 
     #[test]

@@ -180,6 +180,18 @@ impl Drop for Lifecycle {
     }
 }
 
+/// The client side of the protocol-version handshake on a connected
+/// stream: send the hello, read the server's. A refused version or a
+/// foreign reply is `ConnectionRefused`, naming the [`WireError`]; a read
+/// timeout set on the stream bounds the wait.
+pub fn handshake(stream: &mut TcpStream) -> std::io::Result<()> {
+    stream.write_all(&codec::client_hello())?;
+    let mut hello = [0u8; codec::HANDSHAKE_LEN];
+    stream.read_exact(&mut hello)?;
+    codec::parse_server_hello(&hello)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string()))
+}
+
 impl WireClient {
     /// Connects, performs the protocol-version handshake, and starts the
     /// reader thread. Handshake failures (magic, version) surface as
@@ -187,12 +199,7 @@ impl WireClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.write_all(&codec::client_hello())?;
-        let mut hello = [0u8; codec::HANDSHAKE_LEN];
-        stream.read_exact(&mut hello)?;
-        codec::parse_server_hello(&hello).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string())
-        })?;
+        handshake(&mut stream)?;
 
         let shared = Arc::new(Shared {
             writer: Mutex::new(stream.try_clone()?),
@@ -407,7 +414,7 @@ fn read_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     loop {
         // Drain every complete frame currently buffered.
         loop {
-            match codec::next_response(&mut buf) {
+            match codec::next_message(&mut buf, codec::decode_response) {
                 Ok(Some(response)) => dispatch(&shared, response),
                 Ok(None) => break,
                 Err(e) => {

@@ -294,23 +294,21 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
 /// buffers any of the payload.
 #[inline]
 pub fn split_frame(buf: &[u8], max_len: u32) -> Result<Option<(&[u8], usize)>, FrameError> {
-    let Some(header) = buf.get(..FRAME_HEADER_LEN) else {
+    let mut r = Reader::new(buf);
+    let (Ok(len), Ok(expected)) = (r.u32(), r.u32()) else {
         return Ok(None);
     };
-    let len = u32::from_le_bytes(header[..4].try_into().expect("len 4"));
     if len > max_len {
         return Err(FrameError::TooLarge { len, max: max_len });
     }
-    let expected = u32::from_le_bytes(header[4..].try_into().expect("len 4"));
-    let total = FRAME_HEADER_LEN + len as usize;
-    let Some(payload) = buf.get(FRAME_HEADER_LEN..total) else {
+    let Ok(payload) = r.take(len as usize) else {
         return Ok(None);
     };
     let actual = crc32(payload);
     if actual != expected {
         return Err(FrameError::BadChecksum { expected, actual });
     }
-    Ok(Some((payload, total)))
+    Ok(Some((payload, FRAME_HEADER_LEN + payload.len())))
 }
 
 #[cfg(test)]

@@ -919,21 +919,14 @@ fn service(shared: &Shared, conn: &mut Conn, worker_idx: usize, shutting: bool) 
     // Decode and dispatch pipelined requests up to the in-flight cap.
     while conn.handshaken && conn.inflight.len() < shared.config.max_in_flight {
         let decode_clock = shared.metrics.clock();
-        let (request, consumed) = match codec::decode_frame(&conn.rbuf) {
+        let request = match codec::next_message(&mut conn.rbuf, codec::decode_request) {
+            Ok(Some(request)) => request,
             Ok(None) => break,
-            Ok(Some((payload, consumed))) => match codec::decode_request(payload) {
-                Ok(request) => (request, consumed),
-                Err(_) => {
-                    conn.kill = Some(KillReason::Malformed);
-                    return None;
-                }
-            },
             Err(_) => {
                 conn.kill = Some(KillReason::Malformed);
                 return None;
             }
         };
-        conn.rbuf.drain(..consumed);
         if let Some(since) = decode_clock {
             shared
                 .metrics

@@ -51,7 +51,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use reactdb_client::codec::{self, Request, Response};
 use reactdb_engine::ReactDB;
@@ -62,6 +62,9 @@ use crate::ReplState;
 
 /// Pause before reconnecting after a subscription that made no progress.
 const RECONNECT_PAUSE: Duration = Duration::from_millis(100);
+
+/// Longest wait for the primary's handshake reply.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tuning for [`run_follower`].
 #[derive(Debug, Clone)]
@@ -104,6 +107,7 @@ pub struct FollowerReport {
 }
 
 /// Mutable state threaded through (re)subscriptions.
+#[derive(Default)]
 struct Tail {
     /// Byte length staged so far, per file name, in the *current*
     /// staging generation.
@@ -185,16 +189,7 @@ pub fn run_follower(
     db.set_read_only();
     repl.observe_subscription(false);
     let follower_id = follower_id(&opts.staging_dir);
-    let mut tail = Tail {
-        staged: HashMap::new(),
-        dirty: HashSet::new(),
-        dir_dirty: false,
-        applied: 0,
-        checkpoint_floor: 0,
-        bootstrapped: false,
-        generation: 0,
-        progress: 0,
-    };
+    let mut tail = Tail::default();
 
     let mut resubscribes = 0u64;
     let mut progressed = true;
@@ -265,12 +260,10 @@ fn follow_once(
     let gen_dir = tail.next_generation(&opts.staging_dir)?;
     let mut stream = TcpStream::connect(&opts.primary_addr)?;
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    reactdb_client::handshake(&mut stream)?;
+    // Short reads from here on, so the stream loop notices `stop`.
     stream.set_read_timeout(Some(Duration::from_millis(20)))?;
-    stream.write_all(&codec::client_hello())?;
-    let mut hello = [0u8; codec::HANDSHAKE_LEN];
-    read_exact_with_timeout(&mut stream, &mut hello)?;
-    codec::parse_server_hello(&hello)
-        .map_err(|e| io::Error::other(format!("primary rejected handshake: {e:?}")))?;
 
     let correlation_id = 1u64;
     let subscribe = codec::frame(&codec::encode_request(&Request::ReplSubscribe {
@@ -308,7 +301,9 @@ fn follow_once(
                 format!("undecodable replication frame: {e:?}"),
             )
         };
-        while let Some(response) = codec::next_response(&mut rbuf).map_err(undecodable)? {
+        while let Some(response) =
+            codec::next_message(&mut rbuf, codec::decode_response).map_err(undecodable)?
+        {
             match response {
                 Response::ReplFile {
                     name,
@@ -349,30 +344,6 @@ fn follow_once(
             return Err(io::Error::other(format!("stream ended: {reason}")));
         }
     }
-}
-
-/// Blocking read of exactly `buf.len()` bytes on a stream whose read
-/// timeout is short; retries timeouts so the handshake survives them.
-fn read_exact_with_timeout(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::Error::other("primary closed during handshake")),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::other("handshake timed out"));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// Stages one shipped chunk at its exact offset into the current staging

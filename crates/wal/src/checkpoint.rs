@@ -74,7 +74,7 @@ use reactdb_obs::Count;
 use reactdb_storage::{Table, TidWord};
 use reactdb_txn::{EpochManager, RedoPayload, RedoRecord};
 
-use crate::{codec, damaged, replace_file, sync_dir, Wal};
+use crate::{codec, damaged, par_map, replace_file, sync_dir, Wal};
 
 /// File name of the checkpoint manifest.
 pub const MANIFEST_FILE: &str = "checkpoint-manifest";
@@ -245,11 +245,11 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() < 12 || bytes[..8] != MANIFEST_MAGIC {
-        return Err(damaged(&path, "not a checkpoint manifest"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("len 4"));
-    let payload = &bytes[12..];
+    let mut r = Reader::new(&bytes);
+    let (crc, payload) = match (r.take(MANIFEST_MAGIC.len()), r.u32(), r.take(r.remaining())) {
+        (Ok(magic), Ok(crc), Ok(payload)) if magic == MANIFEST_MAGIC => (crc, payload),
+        _ => return Err(damaged(&path, "not a checkpoint manifest")),
+    };
     if crc32(payload) != crc {
         return Err(damaged(&path, "checksum mismatch"));
     }
@@ -352,36 +352,13 @@ pub fn load_checkpoint(
     if durable_epoch < manifest.cover_epoch {
         return Ok(None);
     }
-    // Stripe the parts across the decode threads; slot `i` of the output
-    // is part `i`.
-    let parts = &manifest.parts;
-    let workers = workers.max(1).min(parts.len().max(1));
-    let decoded: Vec<Vec<(usize, io::Result<DecodedPart>)>> = std::thread::scope(|s| {
-        let manifest = &manifest;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    (w..parts.len())
-                        .step_by(workers)
-                        .map(|i| (i, decode_part(dir, manifest, i as u32, &parts[i])))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("checkpoint part decoder panicked"))
-            .collect()
+    let decoded = par_map(&manifest.parts, workers, |i, part| {
+        decode_part(dir, &manifest, i as u32, part)
     });
-    let mut slots: Vec<Option<DecodedPart>> = Vec::new();
-    slots.resize_with(parts.len(), || None);
-    for (i, result) in decoded.into_iter().flatten() {
-        slots[i] = Some(result?);
-    }
     let mut rows = Vec::new();
     let mut bytes = 0u64;
-    for slot in slots {
-        let (part_rows, part_bytes) = slot.expect("every slot filled");
+    for part in decoded {
+        let (part_rows, part_bytes) = part?;
         rows.extend(part_rows);
         bytes += part_bytes;
     }
@@ -601,19 +578,8 @@ impl Checkpointer {
 
         // 3. Parallel fuzzy walk: each worker streams its tables into its
         // own part file.
-        let outcomes: Vec<io::Result<PartOutcome>> = std::thread::scope(|s| {
-            let handles: Vec<_> = partitions
-                .iter()
-                .enumerate()
-                .map(|(w, tables)| {
-                    let dir = &dir;
-                    s.spawn(move || self.write_part(dir, seq, epoch, w as u32, tables))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("checkpoint part writer panicked"))
-                .collect()
+        let outcomes = par_map(&partitions, workers, |w, tables| {
+            self.write_part(&dir, seq, epoch, w as u32, tables)
         });
         let mut rows = 0u64;
         let mut bytes = 0u64;

@@ -209,18 +209,19 @@ pub struct SegmentScan {
     pub undecodable_at: Option<usize>,
 }
 
+/// The offset of a segment's first frame, past its header; `None` when
+/// the header is missing or foreign.
+pub fn segment_frames_start(bytes: &[u8]) -> Option<usize> {
+    let mut r = Reader::new(bytes);
+    let magic = r.take(SEGMENT_MAGIC.len()).ok()?;
+    let (_executor, _generation) = (r.u32().ok()?, r.u32().ok()?);
+    (magic == SEGMENT_MAGIC).then_some(bytes.len() - r.remaining())
+}
+
 /// Decodes a whole segment (header + frames). Returns `None` when the
 /// header itself is missing or foreign.
 pub fn decode_segment(bytes: &[u8]) -> Option<SegmentScan> {
-    let header = || {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(SEGMENT_MAGIC.len())?;
-        let _executor = r.u32()?;
-        let _generation = r.u32()?;
-        Ok::<_, DecodeError>((magic == SEGMENT_MAGIC).then_some(bytes.len() - r.remaining()))
-    };
-    let start = header().ok()??;
-    Some(decode_frames(bytes, start))
+    Some(decode_frames(bytes, segment_frames_start(bytes)?))
 }
 
 /// Decoded checkpoint data file: its identity stamp plus one batch per

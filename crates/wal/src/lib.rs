@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
-use reactdb_common::bytes::{crc32, put_u32, put_u64};
+use reactdb_common::bytes::{crc32, put_u32, put_u64, Reader};
 use reactdb_common::DurabilityConfig;
 use reactdb_obs::{Count, Metrics, Phase, TraceKind};
 use reactdb_storage::TidWord;
@@ -733,9 +733,6 @@ fn retire_segments(dir: &Path, delete: &[PathBuf], corrupt: &[PathBuf]) -> io::R
     Ok(reclaimed)
 }
 
-/// One segment file's byte size and decoded scan (`None` = foreign header).
-type DecodedSegment = (u64, Option<codec::SegmentScan>);
-
 /// Scans `dir`, loads the installed checkpoint (if any), keeps the
 /// replayable log tail, rewrites the tail as a compacted segment and removes
 /// stale segments.
@@ -779,37 +776,14 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
     let checkpoint_epoch = recovered_checkpoint.as_ref().map(|c| c.epoch).unwrap_or(0);
 
     // Read and decode the segments in parallel (each segment is
-    // independent), then merge in path-sorted order so the result is
-    // byte-identical to a serial scan.
+    // independent); results come back in path-sorted order, so the merge
+    // below is byte-identical to a serial scan.
     let segments = list_segments(dir)?;
-    let decode_workers = parallelism.min(segments.len().max(1));
-    let mut slots: Vec<Option<DecodedSegment>> = Vec::new();
-    slots.resize_with(segments.len(), || None);
-    let decoded: Vec<Vec<(usize, io::Result<DecodedSegment>)>> = std::thread::scope(|s| {
-        let segments = &segments;
-        let handles: Vec<_> = (0..decode_workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < segments.len() {
-                        let result = fs::read(&segments[i])
-                            .map(|bytes| (bytes.len() as u64, codec::decode_segment(&bytes)));
-                        out.push((i, result));
-                        i += decode_workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment decoder panicked"))
-            .collect()
-    });
-    for (i, result) in decoded.into_iter().flatten() {
-        slots[i] = Some(result?);
-    }
+    let decoded = par_map(&segments, parallelism, |_, path| {
+        fs::read(path).map(|bytes| (bytes.len() as u64, codec::decode_segment(&bytes)))
+    })
+    .into_iter()
+    .collect::<io::Result<Vec<_>>>()?;
 
     let mut batches: Vec<(TidWord, Vec<RedoRecord>)> = Vec::new();
     let mut max_epoch_seen = 0u64;
@@ -820,11 +794,10 @@ pub fn recover_and_compact(dir: &Path) -> io::Result<RecoveredLog> {
     // alone.
     let mut scanned: Vec<PathBuf> = Vec::new();
     let mut truncated: Vec<PathBuf> = Vec::new();
-    for (path, slot) in segments.iter().zip(slots) {
+    for (path, (bytes_read, scan)) in segments.iter().zip(decoded) {
         if let Some(generation) = parse_generation(path) {
             max_generation = max_generation.max(generation);
         }
-        let (bytes_read, scan) = slot.expect("every segment slot filled");
         let Some(scan) = scan else {
             continue; // foreign or headerless file: leave it alone
         };
@@ -942,14 +915,9 @@ where
             lanes[record.reactor.index() % workers].push((*tid, record));
         }
     }
-    std::thread::scope(|s| {
-        let replay_one = &replay_one;
-        for lane in &lanes {
-            s.spawn(move || {
-                for (tid, record) in lane {
-                    replay_one(*tid, record);
-                }
-            });
+    par_map(&lanes, workers, |_, lane| {
+        for (tid, record) in lane {
+            replay_one(*tid, record);
         }
     });
     workers
@@ -968,6 +936,35 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
         Ok(handle) => handle.sync_all(),
         Err(_) => Ok(()),
     }
+}
+
+/// `f` over every item on up to `workers` scoped threads (item `i` runs on
+/// thread `i % workers`), with the results in item order whatever the
+/// fan-out.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.max(1).min(items.len().max(1));
+    let mut lanes: Vec<std::vec::IntoIter<R>> = std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                s.spawn(move || {
+                    let lane = (w..items.len()).step_by(workers);
+                    lane.map(|i| f(i, &items[i])).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked").into_iter())
+            .collect()
+    });
+    (0..items.len())
+        .map(|i| lanes[i % workers].next().expect("one result per item"))
+        .collect()
 }
 
 fn segment_name(executor: usize, generation: u32) -> String {
@@ -1006,12 +1003,12 @@ fn read_marker(dir: &Path) -> io::Result<Option<u64>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() != 20 || bytes[..8] != MARKER_MAGIC {
-        return Err(damaged(&path, "not a durable-epoch marker"));
-    }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("len 8"));
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("len 4"));
-    if crc32(&bytes[8..16]) != crc {
+    let mut r = Reader::new(&bytes);
+    let (epoch, crc) = match (r.take(MARKER_MAGIC.len()), r.u64(), r.u32(), r.finish()) {
+        (Ok(magic), Ok(epoch), Ok(crc), Ok(())) if magic == MARKER_MAGIC => (epoch, crc),
+        _ => return Err(damaged(&path, "not a durable-epoch marker")),
+    };
+    if crc32(&epoch.to_le_bytes()) != crc {
         return Err(damaged(&path, "checksum mismatch"));
     }
     Ok(Some(epoch))

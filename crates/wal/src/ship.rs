@@ -37,15 +37,12 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use reactdb_common::bytes::split_frame;
+use reactdb_common::bytes::{split_frame, Reader};
 use reactdb_storage::TidWord;
 
 use crate::checkpoint::MANIFEST_FILE;
 use crate::codec;
 use crate::failpoint;
-
-/// Byte length of the fixed segment header (magic + executor + generation).
-const SEGMENT_HEADER_LEN: usize = 16;
 
 /// One replication stream event produced by [`ShipCursor::poll`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,37 +166,37 @@ impl ShipCursor {
         if !manifest_path.exists() {
             return Ok(());
         }
-        let mut parts: Vec<PathBuf> = Vec::new();
+        let mut files: Vec<PathBuf> = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.starts_with("ckpt-") && name.ends_with(".dat") {
-                parts.push(path);
+                files.push(path);
             }
         }
-        parts.sort();
-        for path in parts {
-            self.ship_whole_file(&path, events)?;
+        files.sort();
+        files.push(manifest_path);
+        for path in files {
+            self.push_chunks(&file_name(&path)?, 0, &fs::read(&path)?, events);
         }
-        self.ship_whole_file(&manifest_path, events)
+        Ok(())
     }
 
-    fn ship_whole_file(&self, path: &Path, events: &mut Vec<ShipEvent>) -> io::Result<()> {
-        let name = file_name(path)?;
-        let bytes = fs::read(path)?;
-        let mut offset = 0usize;
-        // Always emit at least one chunk, so empty files still materialize
-        // downstream.
+    /// Queues `bytes`, which start at byte `start` of file `name`, as
+    /// chunks of at most `chunk_bytes`. Empty `bytes` still queue one
+    /// chunk, so an empty file materializes downstream.
+    fn push_chunks(&self, name: &str, start: u64, bytes: &[u8], events: &mut Vec<ShipEvent>) {
+        let mut offset = 0;
         loop {
             let end = (offset + self.chunk_bytes).min(bytes.len());
             events.push(ShipEvent::File {
-                name: name.clone(),
-                offset: offset as u64,
+                name: name.to_owned(),
+                offset: start + offset as u64,
                 bytes: bytes[offset..end].to_vec(),
             });
             offset = end;
             if offset >= bytes.len() {
-                return Ok(());
+                return;
             }
         }
     }
@@ -239,12 +236,10 @@ impl ShipCursor {
         file.read_to_end(&mut tail)?;
         let frames_from = match shipped {
             Some(_) => 0,
-            None if tail.len() < SEGMENT_HEADER_LEN
-                || tail[..codec::SEGMENT_MAGIC.len()] != codec::SEGMENT_MAGIC =>
-            {
-                return Ok(false); // header not flushed yet, or a foreign file
-            }
-            None => SEGMENT_HEADER_LEN,
+            None => match codec::segment_frames_start(&tail) {
+                Some(at) => at,
+                None => return Ok(false), // header not flushed yet, or a foreign file
+            },
         };
         let (end, damaged) = durable_prefix_end(&tail, frames_from, durable);
         // The header ships with the first durable frame; a segment with no
@@ -253,13 +248,7 @@ impl ShipCursor {
         if end <= frames_from {
             return Ok(damaged);
         }
-        for (i, chunk) in tail[..end].chunks(self.chunk_bytes).enumerate() {
-            events.push(ShipEvent::File {
-                name: name.clone(),
-                offset: start + (i * self.chunk_bytes) as u64,
-                bytes: chunk.to_vec(),
-            });
-        }
+        self.push_chunks(&name, start, &tail[..end], events);
         // Fault injection: the stream dies with this segment's new chunks
         // queued but unrecorded. The offsets map is not advanced on the
         // error path and the durable-epoch event never goes out, so a
@@ -295,11 +284,10 @@ fn durable_prefix_end(bytes: &[u8], start: usize, durable: u64) -> (usize, bool)
             Ok(None) => return (pos, false),
             Err(_) => return (pos, true),
         };
-        let Some(tid) = payload.get(..8) else {
+        let Ok(tid) = Reader::new(payload).u64() else {
             return (pos, false);
         };
-        let tid = TidWord(u64::from_le_bytes(tid.try_into().expect("len 8")));
-        if tid.epoch() > durable {
+        if TidWord(tid).epoch() > durable {
             return (pos, false);
         }
         pos += consumed;
@@ -402,8 +390,9 @@ mod tests {
         // Three equal frames follow the header: flip the last payload byte
         // of the second.
         let mut bytes = fs::read(dir.join(&name)).unwrap();
-        let frame_len = (bytes.len() - SEGMENT_HEADER_LEN) / 3;
-        bytes[SEGMENT_HEADER_LEN + 2 * frame_len - 1] ^= 0x01;
+        let header = codec::segment_frames_start(&bytes).unwrap();
+        let frame_len = (bytes.len() - header) / 3;
+        bytes[header + 2 * frame_len - 1] ^= 0x01;
         fs::write(dir.join(&name), &bytes).unwrap();
 
         let mut cursor = ShipCursor::new(&dir, 1 << 20);
@@ -411,7 +400,7 @@ mod tests {
         let epoch = apply_events(&mut staged, &cursor.poll().unwrap());
         assert_eq!(
             staged[&name],
-            bytes[..SEGMENT_HEADER_LEN + frame_len],
+            bytes[..header + frame_len],
             "the cursor stops before the damaged frame"
         );
         assert_eq!(epoch, 0, "no epoch is announced past a frame not shipped");

@@ -1,8 +1,8 @@
-//! Facade smoke test that plain `cargo test` (root package only — CI runs
-//! `--workspace` as well, but the keep-green rule says both invocations must
-//! exercise real suites) drives the full durability vertical through the
-//! `reactdb` facade: boot with epoch-sync durability, commit through the
-//! session API, checkpoint, crash, recover, and check the recovered state.
+//! Facade smoke tests run by plain `cargo test` at the root: the full
+//! durability vertical through the `reactdb` facade (boot with epoch-sync
+//! durability, commit through the session API, checkpoint, crash,
+//! recover, check the recovered state), and a check that the root
+//! manifest's `default-members` still names every workspace member.
 
 use std::collections::BTreeMap;
 
@@ -89,4 +89,31 @@ fn facade_durability_commits_crash_and_recover() {
         .unwrap();
     assert!(recovered.metrics().counter("log_bytes").unwrap() > logged);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The entries of the root manifest's `key = [ ... ]` array.
+fn manifest_list(manifest: &str, key: &str) -> Vec<String> {
+    let start = manifest
+        .find(&format!("\n{key} = ["))
+        .unwrap_or_else(|| panic!("no `{key}` list in Cargo.toml"));
+    let body = &manifest[start..];
+    let body = &body[body.find('[').unwrap() + 1..body.find(']').unwrap()];
+    let mut entries: Vec<String> = body
+        .split(',')
+        .map(|entry| entry.trim().trim_matches('"').to_owned())
+        .filter(|entry| !entry.is_empty())
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// Root `cargo test` runs `default-members`, so a crate listed only under
+/// `members` would drop out of it without an error.
+#[test]
+fn default_members_are_the_facade_and_every_member() {
+    let manifest = include_str!("../Cargo.toml");
+    let mut members = manifest_list(manifest, "members");
+    members.push(".".to_owned());
+    members.sort();
+    assert_eq!(manifest_list(manifest, "default-members"), members);
 }
